@@ -355,15 +355,17 @@ class AnticommAlgebra:
         field, n = self.field, self.dim
         span = Subspace(field, n, generators)
         e = [basis_vector(field, n, i) for i in range(n)]
-        while True:
-            new_vectors = list(span.rows)
-            for row in span.rows:
-                for ei in e:
-                    new_vectors.append(self.bracket(list(row), ei))
-            bigger = Subspace(field, n, new_vectors)
-            if bigger.dim == span.dim:
-                return span
+        new = span.rows
+        while new:
+            # only what the last round added is bracketed again
+            images = [self.bracket(list(row), ei) for row in new for ei in e]
+            bigger = Subspace(field, n, list(span.rows) + images)
+            # the RREF rows at pivots the old span lacks complete it to the
+            # new span: they vanish at the old pivots, so none lies in it
+            old = set(span.pivots)
+            new = [r for r, c in zip(bigger.rows, bigger.pivots) if c not in old]
             span = bigger
+        return span
 
     def is_ideal(self, sub: Subspace):
         field, n = self.field, self.dim

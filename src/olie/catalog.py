@@ -322,6 +322,15 @@ def _parse_pair_key(key, dim):
     return i - 1, j - 1
 
 
+def _scalar(field, value, where):
+    """A scalar of a JSON file: a string, or an integer (not a bool)."""
+    if isinstance(value, str):
+        return field.parse(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return field.coerce(value)
+    raise SchemaError(f"{where}: scalar {value!r} must be a string or an integer")
+
+
 def from_json_dict(obj):
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
@@ -347,12 +356,12 @@ def from_json_dict(obj):
                 raise SchemaError(f"bad coefficient index {kk!r}") from None
             if not 1 <= k <= dim:
                 raise SchemaError(f"coefficient index {kk!r} out of range")
-            entry[k - 1] = field.parse(text) if isinstance(text, str) else field.coerce(text)
+            entry[k - 1] = _scalar(field, text, f"bracket {key!r}")
         bracket[pair] = entry
     omega = {}
     for key, text in obj.get("omega", {}).items():
         pair = _parse_pair_key(key, dim)
-        omega[pair] = field.parse(text) if isinstance(text, str) else field.coerce(text)
+        omega[pair] = _scalar(field, text, f"omega {key!r}")
     return AnticommAlgebra(field, dim, bracket, omega)
 
 

@@ -19,7 +19,7 @@ import sys
 from . import catalog
 from .algebra import Violation
 from .derivations import AlphaLambdaDerivation, al_derivation_space
-from .errors import InputError, OlieError, PreconditionError
+from .errors import InputError, OlieError, ParseError, PreconditionError
 from .extensions import (
     Cochain,
     cochain_differential,
@@ -207,7 +207,10 @@ def cmd_identity(args):
         params = {}
         if ":" in name:
             name, raw = name.split(":", 1)
-            vals = [int(v) for v in raw.split(",")]
+            try:
+                vals = [int(v) for v in raw.split(",")]
+            except ValueError:
+                raise ParseError(f"bad identity parameters {raw!r} (expected integers)") from None
             params = dict(zip(("alpha", "beta", "gamma"), vals))
         ident = builtin(name, **params)
     else:
@@ -376,9 +379,17 @@ def _scan_structure_one(field_tag, seed, dim):
     return out
 
 
+def _parse_dims(text):
+    """An inclusive range ``a..b`` of dimensions."""
+    try:
+        lo, hi = text.split("..")
+        return range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise ParseError(f"bad --dims {text!r} (expected a..b, e.g. 4..6)") from None
+
+
 def cmd_scan_structure(args):
-    lo, hi = args.dims.split("..")
-    dims = range(int(lo), int(hi) + 1)
+    dims = _parse_dims(args.dims)
     all_results = {}
     failures = []
     for dim in dims:

@@ -176,7 +176,7 @@ class PrimeField:
                 num, den = text.split("/", 1)
                 return self.div(int(num) % self.p, int(den) % self.p)
             return int(text) % self.p
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad GF({self.p}) scalar {text!r}: {exc}") from None
 
     def format(self, a):

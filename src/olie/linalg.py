@@ -6,13 +6,21 @@ the image of the ``i``-th basis vector, and a map is applied to a vector
 with :func:`vec_mat`.  ``kernel_basis`` and ``solve_affine`` use the
 usual column convention ``m @ x``.
 
-Subspaces are stored as reduced row-echelon bases, so equality of
-subspaces is equality of their canonical representations.
+Every elimination goes through :func:`rref`, which dispatches on
+``field.char`` to one of two exact kernels: int rows with the modular
+arithmetic inline over GF(p), and fraction-free integer rows with
+per-row content removal over Q (``Fraction`` values are built only at
+the end).  Both return the canonical reduced row-echelon form, so the
+result depends only on the row space and the row count, never on the
+kernel.  Subspaces are stored as reduced row-echelon bases, so equality
+of subspaces is equality of their canonical representations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 from .fields import same_field
@@ -117,25 +125,40 @@ def mat_eq(field, a, b):
 
 
 def rref(field, rows):
-    """Reduced row-echelon form.  Returns (rref_rows, rank, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
+    """Reduced row-echelon form.  Returns (rref_rows, rank, pivot_columns).
+
+    All ``len(rows)`` rows come back, the zero rows last, every entry a
+    canonical scalar of ``field``.
+    """
+    if not rows:
         return [], 0, []
+    if field.char:
+        return _rref_gf(field.char, rows)
+    return _rref_q(rows)
+
+
+def _rref_gf(p, rows):
+    """Gauss-Jordan over GF(p) on int rows, modular arithmetic inline."""
+    m = [[x % p for x in row] for row in rows]
     nrows, ncols = len(m), len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not field.is_zero(m[i][c])), None)
-        if pivot is None:
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        prow = m[i]
+        m[i] = m[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], p - 2, p)
+            prow = [x * inv % p for x in prow]
+        m[r] = prow
         for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                mi, mr = m[i], m[r]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(mi, mr)]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -143,9 +166,61 @@ def rref(field, rows):
     return m, r, pivots
 
 
-def kernel_basis(field, rows, ncols):
-    """Basis of {v : rows @ v = 0} (column convention), canonical order."""
-    red, rank, pivots = rref(field, rows)
+def _rref_q(rows):
+    """Fraction-free Gauss-Jordan over Q.
+
+    Each nonzero row is scaled to a primitive integer row; a pivot row
+    ``a`` clears column ``c`` of row ``b`` by ``(a_c/g) b - (b_c/g) a``
+    with ``g = gcd(a_c, b_c)``, and the result is made primitive again.
+    Every row stays a nonzero multiple of a row of ordinary Gauss-Jordan
+    elimination, so dividing each pivot row by its pivot gives the
+    (unique) RREF.
+    """
+    nrows, ncols = len(rows), len(rows[0])
+    m = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        if g:
+            m.append([x // g for x in ints] if g > 1 else ints)
+    live = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == live:
+            break
+        for i in range(r, live):
+            if m[i][c]:
+                break
+        else:
+            continue
+        prow = m[i]
+        m[i] = m[r]
+        m[r] = prow
+        a = prow[c]
+        for i in range(live):
+            b = m[i][c]
+            if b and i != r:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                new = [ag * x - bg * y for x, y in zip(m[i], prow)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    zero = Fraction(0)
+    out = []
+    for row, c in zip(m, pivots):
+        a = row[c]
+        out.append([Fraction(x, a) if x else zero for x in row])
+    out.extend([zero] * ncols for _ in range(nrows - r))
+    return out, r, pivots
+
+
+def _kernel_from_rref(field, red, pivots, ncols):
+    """Kernel basis read off an RREF whose first ``ncols`` columns are the
+    reduced system; one vector per free column, in column order."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -158,6 +233,12 @@ def kernel_basis(field, rows, ncols):
     return basis
 
 
+def kernel_basis(field, rows, ncols):
+    """Basis of {v : rows @ v = 0} (column convention), canonical order."""
+    red, _, pivots = rref(field, rows)
+    return _kernel_from_rref(field, red, pivots, ncols)
+
+
 class Subspace:
     """A subspace of K^n held as a canonical RREF basis."""
 
@@ -166,7 +247,7 @@ class Subspace:
     def __init__(self, field, ambient, vectors=()):
         self.field = field
         self.ambient = ambient
-        reduced, rank, pivots = rref(field, [list(v) for v in vectors])
+        reduced, rank, pivots = rref(field, list(vectors))
         self.rows = [tuple(r) for r in reduced[:rank]]
         self._pivots = pivots
 
@@ -181,6 +262,11 @@ class Subspace:
     @property
     def dim(self):
         return len(self.rows)
+
+    @property
+    def pivots(self):
+        """Pivot columns of the RREF basis, one per row."""
+        return self._pivots
 
     @property
     def codim(self):
@@ -335,5 +421,7 @@ def solve_affine(field, rows, rhs):
     particular = zeros(field, ncols)
     for r, pc in enumerate(pivots):
         particular[pc] = red[r][ncols]
-    kernel = Subspace(field, ncols, kernel_basis(field, rows, ncols))
+    # consistent, so the pivots all lie in the first ncols columns and
+    # those columns of the augmented RREF are the RREF of rows
+    kernel = Subspace(field, ncols, _kernel_from_rref(field, red, pivots, ncols))
     return AffineSolution(particular, kernel)

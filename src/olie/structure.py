@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from .algebra import AnticommAlgebra
 from .derivations import al_derivation_space
@@ -152,7 +153,6 @@ def _char_poly_q(field, matrix):
     coeffs[n] = field.one()
     m = None
     c = field.one()
-    ident = identity_matrix(field, n)
     for k in range(1, n + 1):
         if m is None:
             m = [row[:] for row in matrix]
@@ -170,7 +170,6 @@ def _char_poly_q(field, matrix):
             trace = field.add(trace, m[i][i])
         c = field.div(field.neg(trace), field.coerce(k))
         coeffs[n - k] = c
-    del ident
     return coeffs
 
 
@@ -201,7 +200,7 @@ def _rational_roots(field, coeffs):
             continue
         denom = 1
         for c in poly:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = denom * c.denominator // gcd(denom, c.denominator)
         ints = [int(c * denom) for c in poly]
         lead, const = ints[-1], ints[0]
         if abs(const) > 10**15 or abs(lead) > 10**15:
@@ -231,12 +230,6 @@ def _rational_roots(field, coeffs):
             quot.append(c + found * quot[-1])
         poly = quot[::-1]
     return roots, False
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _eigenvalues_q(field, matrix):

@@ -76,6 +76,35 @@ def rank_gf(rows, p):
     return rank
 
 
+def rref_reference(field, rows):
+    """Field-generic Gauss-Jordan, one field-method call per scalar: the
+    reference the fast ``olie.linalg.rref`` kernels are checked against.
+    Returns (rref_rows, rank, pivot_columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], 0, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not field.is_zero(m[i][c])), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and not field.is_zero(m[i][c]):
+                f = m[i][c]
+                mi, mr = m[i], m[r]
+                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(mi, mr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, r, pivots
+
+
 def matrix_rank(field, rows):
     if getattr(field, "char", 0):
         return rank_gf(rows, field.char)

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from olie import catalog
+import olie
+from olie import GF, catalog
 from olie.cli import main
+from olie.errors import ParseError, SchemaError
 
 
 def run_cli(args):
@@ -247,6 +251,51 @@ def test_exit_codes(tmp_path, s4_file):
     # missing file -> 3
     code, _, _ = run_cli(["check", str(tmp_path / "absent.json")])
     assert code == 3
+
+
+def run_cli_process(args):
+    """Run the console entry point in a fresh interpreter, so that an
+    uncaught exception shows as a traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(olie.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "olie.cli", *args], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("dims", ["4", "4..x", "a..b", "4..5..6"])
+def test_scan_structure_bad_dims_is_parse_error(dims):
+    code, _, err = run_cli_process(
+        ["scan-structure", "--field", "gf5", "--dims", dims, "--count", "1"]
+    )
+    assert code == 3 and "Traceback" not in err
+    assert "--dims" in err
+
+
+def test_identity_bad_parameters_is_parse_error(s4_file):
+    code, _, err = run_cli_process(["identity", s4_file, "--name", "abg:1,x"])
+    assert code == 3 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scalar", ["1.5", "true", "null"])
+def test_non_text_scalar_in_file_is_schema_error(tmp_path, scalar):
+    for key in ("bracket", "omega"):
+        bad = tmp_path / f"{key}.json"
+        table = '{"1": %s}' % scalar if key == "bracket" else scalar
+        bad.write_text('{"field": "Q", "dim": 3, "%s": {"1,2": %s}}' % (key, table))
+        code, _, err = run_cli_process(["check", str(bad)])
+        assert code == 3 and "Traceback" not in err
+        with pytest.raises(SchemaError):
+            catalog.loads(bad.read_text())
+
+
+def test_gf_scalar_with_vanishing_denominator_is_parse_error(tmp_path):
+    bad = tmp_path / "gf5.json"
+    bad.write_text('{"field": {"GF": 5}, "dim": 3, "bracket": {"1,2": {"3": "1/5"}}}')
+    code, _, err = run_cli_process(["check", str(bad)])
+    assert code == 3 and "Traceback" not in err
+    with pytest.raises(ParseError):
+        GF(5).parse("1/5")
 
 
 def test_json_error_payload(tmp_path):

@@ -12,10 +12,11 @@ from olie.linalg import (
     kernel_basis,
     rref,
     solve_affine,
+    vec_dot,
     vec_mat,
 )
 
-from oracles import matrix_rank
+from oracles import matrix_rank, rank_gf, rank_q, rref_reference
 
 
 def test_rref_identity():
@@ -162,3 +163,118 @@ def test_row_convention_apply():
     m = [[F(0), F(1)], [F(2), F(0)]]
     assert vec_mat(QQ, [F(1), F(0)], m) == [F(0), F(1)]
     assert vec_mat(QQ, [F(0), F(1)], m) == [F(2), F(0)]
+
+
+# -- the rref kernels against the field-generic reference ---------------------
+
+FIELDS = [QQ, GF(5), GF(7)]
+
+
+def scalars(field):
+    """Scalars with many zeros: over Q mixed denominators and signs."""
+    if field.char:
+        nonzero = st.integers(min_value=1, max_value=field.char - 1)
+    else:
+        nonzero = st.builds(
+            F,
+            st.integers(min_value=-9, max_value=9).filter(bool),
+            st.integers(min_value=1, max_value=6),
+        )
+    return st.one_of(st.just(field.zero()), nonzero)
+
+
+@st.composite
+def matrices(draw, field, max_rows=7, max_cols=7):
+    nrows = draw(st.integers(min_value=1, max_value=max_rows))
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    row = st.lists(scalars(field), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+def assert_rref_matches_reference(field, rows):
+    red, rank, pivots = rref(field, rows)
+    assert (red, rank, pivots) == rref_reference(field, rows)
+    assert len(red) == len(rows)
+    if field.char:
+        assert all(type(x) is int and 0 <= x < field.char for r in red for x in r)
+        assert rank == rank_gf(rows, field.char)
+    else:
+        assert all(type(x) is F for r in red for x in r)
+        assert rank == rank_q(rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_rref_kernel_matches_reference(field, data):
+    assert_rref_matches_reference(field, data.draw(matrices(field)))
+
+
+def _omega_shaped(field, rng, nrows=625, ncols=25, rank=18):
+    """Tall sparse system like the omega_space one at dim 5: each row a
+    combination of two of ``rank`` sparse base rows, a zero column, and
+    many zero rows."""
+    def scalar():
+        if field.char:
+            return rng.randrange(1, field.char)
+        return F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+    base = []
+    for _ in range(rank):
+        row = [field.zero()] * ncols
+        for c in rng.sample(range(1, ncols), 3):
+            row[c] = scalar()
+        base.append(row)
+    rows = []
+    for i in range(nrows):
+        if i % 3 == 0:
+            rows.append([field.zero()] * ncols)
+            continue
+        a, b = rng.sample(base, 2)
+        ca, cb = scalar(), scalar()
+        rows.append([field.add(field.mul(ca, x), field.mul(cb, y)) for x, y in zip(a, b)])
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rref_kernel_edge_cases(field):
+    z, one = field.zero(), field.one()
+    two = field.coerce(2)
+    rng = random.Random(7)
+    cases = [
+        [[z, z, z], [z, z, z]],  # zero rows only
+        [[z, one, two], [z, two, one], [z, one, one]],  # a zero column
+        [[z, two, z, one, two]],  # 1 x n
+        [[two]],
+        [[z], [two], [one], [z]],  # n x 1
+        [[z], [z]],
+        [[one, two], [z, z], [two, field.coerce(4)], [z, one]],  # zero row between
+        _omega_shaped(field, rng),
+    ]
+    for rows in cases:
+        assert_rref_matches_reference(field, rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_solve_affine_kernel_from_one_elimination(field, data):
+    rows = data.draw(matrices(field))
+    n = len(rows[0])
+    x0 = data.draw(st.lists(scalars(field), min_size=n, max_size=n))
+    rhs = [vec_dot(field, r, x0) for r in rows]
+    sol = solve_affine(field, rows, rhs)
+    assert sol.kernel == Subspace(field, n, kernel_basis(field, rows, n))
+    assert [vec_dot(field, r, sol.particular) for r in rows] == rhs
+    m = len(rows)
+    _, rank, _ = rref(field, rows)
+    if rank == m:
+        # full row rank: every right-hand side is solvable
+        assert solve_affine(field, rows, [field.one()] * m) is not None
+        return
+    # the rows of rref([rows | I]) with a pivot in the identity block carry
+    # a y with y @ rows = 0; a right-hand side with y @ rhs != 0 is inconsistent
+    aug = [list(r) + basis_vector(field, m, i) for i, r in enumerate(rows)]
+    red, _, pivots = rref(field, aug)
+    y = next(r[n:] for r, c in zip(red, pivots) if c >= n)
+    rhs_bad = [field.zero()] * m
+    rhs_bad[next(i for i, c in enumerate(y) if not field.is_zero(c))] = field.one()
+    assert solve_affine(field, rows, rhs_bad) is None
