@@ -25,10 +25,12 @@ from .errors import (
     KernelConditionFailed,
     NotAnIdeal,
     NotASubalgebra,
+    PreconditionFailed,
     ZeroVector,
 )
 from .linalg import (
     AffineSolution,
+    SkewProduct,
     Subspace,
     basis_vector,
     kernel_basis,
@@ -99,7 +101,10 @@ class AnticommAlgebra:
             c = field.coerce(c)
             if not field.is_zero(c):
                 self._omega[(i, j)] = c
-        self._dense = None
+        self._product = SkewProduct(field, dim, dim, self._bracket)
+        self._form = SkewProduct(
+            field, dim, 1, {pair: {0: c} for pair, c in self._omega.items()}
+        )
         self._gram = None
 
     def _check_pair(self, i, j):
@@ -107,22 +112,6 @@ class AnticommAlgebra:
             raise DimensionMismatch(f"pair ({i},{j}) must satisfy 0 <= i < j < dim")
 
     # -- tables ---------------------------------------------------------
-
-    def _dense_table(self):
-        if self._dense is None:
-            field, n = self.field, self.dim
-            table = [[None] * n for _ in range(n)]
-            z = zeros(field, n)
-            for i in range(n):
-                table[i][i] = list(z)
-            for i, j in combinations(range(n), 2):
-                v = zeros(field, n)
-                for k, c in self._bracket.get((i, j), {}).items():
-                    v[k] = c
-                table[i][j] = v
-                table[j][i] = [field.neg(x) for x in v]
-            self._dense = table
-        return self._dense
 
     def gram(self):
         """Matrix of the form on the basis."""
@@ -136,7 +125,7 @@ class AnticommAlgebra:
         return self._gram
 
     def basis_bracket(self, i, j):
-        return list(self._dense_table()[i][j])
+        return self._product.image(i, j)
 
     def omega_entry(self, i, j):
         if i == j:
@@ -148,38 +137,13 @@ class AnticommAlgebra:
     # -- bilinear extensions -------------------------------------------
 
     def bracket(self, x, y):
-        field, n = self.field, self.dim
+        n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatch("vector length does not match the algebra")
-        table = self._dense_table()
-        out = zeros(field, n)
-        for i in range(n):
-            xi = x[i]
-            if field.is_zero(xi):
-                continue
-            for j in range(n):
-                yj = y[j]
-                if field.is_zero(yj) or i == j:
-                    continue
-                c = field.mul(xi, yj)
-                row = table[i][j]
-                for k in range(n):
-                    if not field.is_zero(row[k]):
-                        out[k] = field.add(out[k], field.mul(c, row[k]))
-        return out
+        return self._product(x, y)
 
     def omega(self, x, y):
-        field = self.field
-        s = field.zero()
-        for (i, j), c in self._omega.items():
-            s = field.add(
-                s,
-                field.mul(
-                    c,
-                    field.sub(field.mul(x[i], y[j]), field.mul(x[j], y[i])),
-                ),
-            )
-        return s
+        return self._form(x, y)[0]
 
     def jacobian(self, x, y, z):
         field = self.field
@@ -801,7 +765,7 @@ class OmegaAlgebra(AnticommAlgebra):
         super().__init__(field, dim, bracket, omega)
         check = self._first_violation()
         if check is not None:
-            raise ValueError(
+            raise PreconditionFailed(
                 f"the defining law fails on basis triple {check.triple}: "
                 f"residual {[field.format(x) for x in check.residual]}"
             )

@@ -341,7 +341,7 @@ def from_json_dict(obj):
         raise SchemaError("missing required keys 'field' and 'dim'")
     field = field_from_json(obj["field"])
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise SchemaError("'dim' must be a nonnegative integer")
     bracket = {}
     for key, row in obj.get("bracket", {}).items():

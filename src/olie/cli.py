@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import catalog
 from .algebra import Violation
@@ -486,89 +487,95 @@ def build_parser():
     parser.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("OLIE_WORKERS", "1")),
-        help="worker processes for scans (output is worker-count independent)",
+        default=None,
+        help="worker processes for scans (default: OLIE_WORKERS, else 1; "
+        "output is worker-count independent)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate an algebra file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("info", help="basic invariants of an algebra file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("derive", help="derivation space for a fixed lambda")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", help="comma-separated covector")
     group.add_argument("--solve-lambda", action="store_true")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("extend", help="codimension-1 extension")
     p.add_argument("file")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--derivation", required=True, help="derivation JSON file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("classify", help="structural verdict")
     p.add_argument("file")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("identity", help="check an identity on an algebra")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--name", help=f"one of: {', '.join(builtin_names())}")
     group.add_argument("--expr", help="s-expression term")
-    p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("h2", help="second cohomology dimension")
     p.add_argument("file")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=cmd_h2)
 
     p = sub.add_parser("deform", help="first-order deformation directions")
     p.add_argument("file")
-    p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("cohomology-selftest", help="square-of-differential checks")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=5)
-    p.set_defaults(func=cmd_cohomology_selftest)
 
     p = sub.add_parser("scan-dim3", help="alpha-vanishing scan over random dim-3 instances")
     p.add_argument("--field", required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_scan_dim3)
 
     p = sub.add_parser("scan-structure", help="classification scan over extension chains")
     p.add_argument("--field", required=True)
     p.add_argument("--dims", default="4..6", help="inclusive range, e.g. 4..6")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_scan_structure)
 
     p = sub.add_parser("catalog", help="named instances")
     psub = p.add_subparsers(dest="action", required=True)
-    pl = psub.add_parser("list")
-    pl.set_defaults(func=cmd_catalog, action="list")
+    psub.add_parser("list")
     ps = psub.add_parser("show")
     ps.add_argument("name")
     ps.add_argument("-o", "--output")
-    ps.set_defaults(func=cmd_catalog, action="show")
 
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@cache
+def _parser():
+    return build_parser()
+
+
+def _default_workers():
+    text = os.environ.get("OLIE_WORKERS", "1")
     try:
-        return args.func(args)
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad OLIE_WORKERS {text!r} (expected an integer)") from None
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    # the parser is built once per process, so the command function is
+    # looked up by name when it runs, not bound when the parser was built:
+    # a rebinding of ``cmd_<command>`` takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
+    try:
+        if args.workers is None:
+            args.workers = _default_workers()
+        return command(args)
     except InputError as exc:
         _error(args, exc, kind="input")
         return 3

@@ -394,20 +394,19 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
         else:
             row[nphi + pos[(j, i)]] = field.sub(row[nphi + pos[(j, i)]], c)
 
-    e = [basis_vector(field, n, i) for i in range(n)]
+    table = [[alg.basis_bracket(k, c) for c in range(n)] for k in range(n)]
     rows = []
     for x, y, z in combinations(range(n), 3):
         for l in range(n):
             row = zeros(field, nun)
             for (a, b, c) in ((x, y, z), (z, x, y), (y, z, x)):
                 # phi1([e_a, e_b], e_c)_l
-                br = alg.basis_bracket(a, b)
+                br = table[a][b]
                 for k in range(n):
                     phi_coeff(row, k, c, l, br[k])
                 # [phi1(e_a, e_b), e_c]_l = sum_k phi1(a,b)_k [e_k, e_c]_l
                 for k in range(n):
-                    ck = alg.bracket(e[k], e[c])[l]
-                    phi_coeff(row, a, b, k, ck)
+                    phi_coeff(row, a, b, k, table[k][c][l])
                 # - w1(e_a, e_b) delta_{c l}
                 if c == l:
                     omega_coeff(row, a, b, field.neg(field.one()))

@@ -12,11 +12,18 @@ lexicographic order in general, increasing tuples only for identities
 flagged alternating (a signed-permutation sum vanishes identically when
 two arguments repeat, so the lexicographically first counterexample is
 unchanged; this fast path is unit-tested against full enumeration).
+
+Evaluation runs a :class:`Program`: the term compiled once into a node
+list in which each distinct subterm appears once (``degree5`` has 960
+bracket nodes as a tree and 440 as a program).  An :class:`Identity`
+compiles on first use and keeps its programs, and built-in identities
+are built once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .algebra import AnticommAlgebra
@@ -27,7 +34,7 @@ from .errors import (
     NotMultilinear,
     UnknownIdentity,
 )
-from .linalg import basis_vector, vec_is_zero, zeros
+from .linalg import basis_vector, vec_is_zero
 
 # term node tags
 VAR, BRACKET, OMEGA, SCALE, SUM, INT = "var", "b", "w", "s", "+", "int"
@@ -147,6 +154,15 @@ class Identity:
         self.result_type = term_type(self.lhs)
         if self.multilinear:
             check_multilinear(self.lhs, self.num_vars)
+        self._programs = {}
+
+    def compiled(self, direct=False):
+        """The compiled ``lhs`` (or ``direct``) term, built on first use."""
+        program = self._programs.get(direct)
+        if program is None:
+            program = compile_term(self.direct if direct else self.lhs)
+            self._programs[direct] = program
+        return program
 
 
 # -- parsing ---------------------------------------------------------------
@@ -259,55 +275,99 @@ def format_term(term):
 # -- evaluation ------------------------------------------------------------
 
 
-def _eval(alg: AnticommAlgebra, term, env):
+@dataclass(frozen=True)
+class Program:
+    """A term compiled into a hash-consed node list.
+
+    Each distinct subterm is one node, and every node comes after the
+    nodes it reads, so the root is last.  A node is a tuple: ``(VAR, k)``,
+    ``(INT, k)``, ``(SUM, (i, ...))``, or ``(tag, i, j)`` for the bracket,
+    the form and scaling, where ``i``, ``j`` are node indices.
+    """
+
+    nodes: tuple
+    num_vars: int
+
+
+def compile_term(term):
+    """Compile a term into a :class:`Program`; equal subterms share a node."""
+    nodes, index = [], {}
+
+    def visit(t):
+        tag = t[0]
+        if tag in (VAR, INT):
+            key = t
+        elif tag == SUM:
+            key = (SUM, tuple(visit(u) for u in t[1]))
+        elif tag in (BRACKET, OMEGA, SCALE):
+            key = (tag, visit(t[1]), visit(t[2]))
+        else:
+            raise IdentityTypeError(f"unknown node {tag!r}")
+        at = index.get(key)
+        if at is None:
+            at = index[key] = len(nodes)
+            nodes.append(key)
+        return at
+
+    visit(term)
+    num_vars = max((k for tag, k, *_ in nodes if tag == VAR), default=0)
+    return Program(tuple(nodes), num_vars)
+
+
+def _program(ident, direct):
+    """The compiled term of an identity (its direct form if asked and
+    present) or of a bare term, with the arity it is evaluated at."""
+    if not isinstance(ident, Identity):
+        program = compile_term(ident)
+        return program, program.num_vars
+    if direct and ident.direct is not None:
+        return ident.compiled(direct=True), ident.direct_num_vars
+    program = ident.compiled()
+    return program, program.num_vars
+
+
+def _run(alg: AnticommAlgebra, program, args):
+    """The root value of a program with ``x_k`` bound to ``args[k - 1]``."""
     field = alg.field
-    tag = term[0]
-    if tag == VAR:
-        return env[term[1]]
-    if tag == INT:
-        return field.coerce(term[1])
-    if tag == BRACKET:
-        return alg.bracket(_eval(alg, term[1], env), _eval(alg, term[2], env))
-    if tag == OMEGA:
-        return alg.omega(_eval(alg, term[1], env), _eval(alg, term[2], env))
-    if tag == SCALE:
-        c = _eval(alg, term[1], env)
-        return [field.mul(c, x) for x in _eval(alg, term[2], env)]
-    if tag == SUM:
-        parts = [_eval(alg, t, env) for t in term[1]]
-        if isinstance(parts[0], list):
-            out = zeros(field, alg.dim)
-            for p in parts:
-                out = [field.add(a, x) for a, x in zip(out, p)]
-            return out
-        total = field.zero()
-        for p in parts:
-            total = field.add(total, p)
-        return total
-    raise IdentityTypeError(f"unknown node {tag!r}")
+    vals = []
+    for node in program.nodes:
+        tag = node[0]
+        if tag == BRACKET:
+            value = alg.bracket(vals[node[1]], vals[node[2]])
+        elif tag == SCALE:
+            c = vals[node[1]]
+            value = [field.mul(c, x) for x in vals[node[2]]]
+        elif tag == SUM:
+            parts = [vals[i] for i in node[1]]
+            zero = field.zero()
+            if isinstance(parts[0], list):
+                value = [field.coerce(sum(col, zero)) for col in zip(*parts)]
+            else:
+                value = field.coerce(sum(parts, zero))
+        elif tag == VAR:
+            value = args[node[1] - 1]
+        elif tag == INT:
+            value = field.coerce(node[1])
+        else:
+            value = alg.omega(vals[node[1]], vals[node[2]])
+        vals.append(value)
+    return vals[-1]
 
 
 def evaluate(alg: AnticommAlgebra, ident, assignment, direct=False):
     """Evaluate on basis vectors selected by 0-based indices."""
-    term = ident.lhs if isinstance(ident, Identity) else ident
-    nvars = max_var(term)
-    if direct and isinstance(ident, Identity) and ident.direct is not None:
-        term = ident.direct
-        nvars = ident.direct_num_vars
+    program, nvars = _program(ident, direct)
     if len(assignment) != nvars:
         raise ArityMismatch(f"need {nvars} indices, got {len(assignment)}")
-    env = {
-        k + 1: basis_vector(alg.field, alg.dim, i) for k, i in enumerate(assignment)
-    }
-    return _eval(alg, term, env)
+    field, n = alg.field, alg.dim
+    return _run(alg, program, [basis_vector(field, n, i) for i in assignment])
 
 
 def evaluate_on_vectors(alg: AnticommAlgebra, ident, vectors, direct=False):
-    term = ident.lhs if isinstance(ident, Identity) else ident
-    if direct and isinstance(ident, Identity) and ident.direct is not None:
-        term = ident.direct
-    env = {k + 1: list(v) for k, v in enumerate(vectors)}
-    return _eval(alg, term, env)
+    program, nvars = _program(ident, direct)
+    if len(vectors) < nvars:
+        raise ArityMismatch(f"need {nvars} vectors, got {len(vectors)}")
+    return _run(alg, program, [list(v) for v in vectors])
 
 
 def _is_zero_value(field, value):
@@ -501,10 +561,16 @@ def builtin_names():
 
 
 def builtin(name, **params):
-    try:
-        factory = _BUILTIN_FACTORIES[name]
-    except KeyError:
+    """A built-in identity.  Each is built (and checked for
+    multilinearity) once per process and then shared, so callers must
+    not mutate it."""
+    if name not in _BUILTIN_FACTORIES:
         raise UnknownIdentity(
             f"unknown identity {name!r}; known: {', '.join(builtin_names())}"
-        ) from None
-    return factory(**params)
+        )
+    return _builtin(name, tuple(sorted(params.items())))
+
+
+@lru_cache(maxsize=64)
+def _builtin(name, params):
+    return _BUILTIN_FACTORIES[name](**dict(params))

@@ -14,6 +14,10 @@ the end).  Both return the canonical reduced row-echelon form, so the
 result depends only on the row space and the row count, never on the
 kernel.  Subspaces are stored as reduced row-echelon bases, so equality
 of subspaces is equality of their canonical representations.
+
+:class:`SkewProduct` is the matching kernel for alternating bilinear
+maps given on basis pairs (an algebra's bracket and its form): int
+arithmetic on the nonzero coordinates only, over either field.
 """
 
 from __future__ import annotations
@@ -116,6 +120,77 @@ def zero_matrix(field, rows, cols):
 
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
+
+
+class SkewProduct:
+    """An alternating bilinear map K^n x K^n -> K^m given on basis pairs.
+
+    ``entries`` maps pairs ``i < j`` to sparse images ``{k: c}``; the
+    signed pair table holds both ``(i, j)`` and ``(j, i)``, and a product
+    loops only over the nonzero coordinates of its two operands.  Over
+    GF(p) the table holds ints, products are accumulated as ints and
+    reduced once per output entry.  Over Q the table is scaled to
+    integers by a common denominator ``D`` and each operand by its own,
+    so the inner loop adds ints and one ``Fraction(v, dx*dy*D)`` is
+    built per nonzero output entry.  Results are canonical scalars.
+    """
+
+    __slots__ = ("field", "out_dim", "_rows", "_den")
+
+    def __init__(self, field, dim, out_dim, entries):
+        self.field = field
+        self.out_dim = out_dim
+        den = 1
+        if not field.char:
+            den = lcm(*[c.denominator for image in entries.values() for c in image.values()])
+        rows = [[()] * dim for _ in range(dim)]
+        for (i, j), image in entries.items():
+            pairs = tuple((k, c.numerator * (den // c.denominator)) for k, c in image.items())
+            rows[i][j] = pairs
+            rows[j][i] = tuple((k, -c) for k, c in pairs)
+        self._rows = rows
+        self._den = den
+
+    def image(self, i, j):
+        """The product of the basis vectors ``i`` and ``j``."""
+        p = self.field.char
+        out = zeros(self.field, self.out_dim)
+        for k, c in self._rows[i][j]:
+            out[k] = c % p if p else Fraction(c, self._den)
+        return out
+
+    def __call__(self, x, y):
+        p = self.field.char
+        if p:
+            xs = [(i, a) for i, a in enumerate(x) if a]
+            ys = [(j, b) for j, b in enumerate(y) if b]
+        else:
+            xs, dx = _int_support(x)
+            ys, dy = _int_support(y)
+        rows, acc = self._rows, [0] * self.out_dim
+        for i, a in xs:
+            row = rows[i]
+            for j, b in ys:
+                pairs = row[j]
+                if pairs:
+                    ab = a * b
+                    for k, c in pairs:
+                        acc[k] += ab * c
+        if p:
+            return [v % p for v in acc]
+        den = dx * dy * self._den
+        zero = Fraction(0)
+        return [Fraction(v, den) if v else zero for v in acc]
+
+
+def _int_support(v):
+    """The nonzero coordinates of a rational vector as ``(index, int)``
+    pairs over their least common denominator, and that denominator."""
+    support = [(i, a) for i, a in enumerate(v) if a]
+    den = lcm(*[a.denominator for _, a in support])
+    if den == 1:
+        return [(i, a.numerator) for i, a in support], 1
+    return [(i, a.numerator * (den // a.denominator)) for i, a in support], den
 
 
 def mat_eq(field, a, b):

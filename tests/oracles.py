@@ -105,6 +105,72 @@ def rref_reference(field, rows):
     return m, r, pivots
 
 
+def bracket_reference(alg, x, y):
+    """The dense triple loop over a signed table of basis brackets, one
+    field-method call per scalar: the reference the sparse bracket
+    kernels are checked against."""
+    field, n = alg.field, alg.dim
+    table = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), image in alg._bracket.items():
+        for k, c in image.items():
+            table[i][j][k] = c
+            table[j][i][k] = field.neg(c)
+    out = [field.zero()] * n
+    for i in range(n):
+        if field.is_zero(x[i]):
+            continue
+        for j in range(n):
+            if field.is_zero(y[j]) or i == j:
+                continue
+            c = field.mul(x[i], y[j])
+            for k in range(n):
+                if not field.is_zero(table[i][j][k]):
+                    out[k] = field.add(out[k], field.mul(c, table[i][j][k]))
+    return out
+
+
+def omega_reference(alg, x, y):
+    """The form on two vectors, summed over the stored pairs i < j."""
+    field = alg.field
+    s = field.zero()
+    for (i, j), c in alg._omega.items():
+        cross = field.sub(field.mul(x[i], y[j]), field.mul(x[j], y[i]))
+        s = field.add(s, field.mul(c, cross))
+    return s
+
+
+def eval_reference(alg, term, env):
+    """Tree-walking evaluation of an identity term, with ``env`` mapping
+    variable numbers to vectors and every bracket and form value taken
+    from the references above."""
+    field = alg.field
+    tag = term[0]
+    if tag == "var":
+        return env[term[1]]
+    if tag == "int":
+        return field.coerce(term[1])
+    if tag == "b":
+        return bracket_reference(
+            alg, eval_reference(alg, term[1], env), eval_reference(alg, term[2], env)
+        )
+    if tag == "w":
+        return omega_reference(
+            alg, eval_reference(alg, term[1], env), eval_reference(alg, term[2], env)
+        )
+    if tag == "s":
+        c = eval_reference(alg, term[1], env)
+        return [field.mul(c, x) for x in eval_reference(alg, term[2], env)]
+    if tag == "+":
+        parts = [eval_reference(alg, t, env) for t in term[1]]
+        if isinstance(parts[0], list):
+            out = [field.zero()] * alg.dim
+            for part in parts:
+                out = [field.add(a, x) for a, x in zip(out, part)]
+            return out
+        return sum_scalars(field, parts)
+    raise ValueError(f"unknown node {tag!r}")
+
+
 def matrix_rank(field, rows):
     if getattr(field, "char", 0):
         return rank_gf(rows, field.char)

@@ -3,13 +3,20 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from olie import GF, QQ, AnticommAlgebra, OmegaAlgebra, Subspace, Violation
 from olie import catalog
-from olie.errors import KernelConditionFailed, NotASubalgebra, ZeroVector
+from olie.errors import (
+    KernelConditionFailed,
+    NotASubalgebra,
+    PreconditionError,
+    PreconditionFailed,
+    ZeroVector,
+)
 from olie.linalg import basis_vector, vec_is_zero
 
-from oracles import multiplication_algebra_dim
+from oracles import bracket_reference, multiplication_algebra_dim, omega_reference
 
 
 def vec(field, *entries):
@@ -45,6 +52,97 @@ def test_jacobian_vanishes_on_lie(sl2):
     for _ in range(10):
         x, y, z = (vec(QQ, *[rng.randint(-2, 2) for _ in range(3)]) for _ in range(3))
         assert vec_is_zero(QQ, sl2.jacobian(x, y, z))
+
+
+def test_omega_algebra_rejects_a_violation_as_precondition_failure():
+    table = {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}}
+    with pytest.raises(PreconditionFailed) as exc:
+        OmegaAlgebra(QQ, 3, table, {(1, 2): 1})
+    assert isinstance(exc.value, PreconditionError)
+    assert str(exc.value).startswith("the defining law fails on basis triple (0, 1, 2)")
+
+
+# -- the sparse bracket kernels against the dense reference loop ----------------
+
+FIELDS = [QQ, GF(5), GF(7)]
+
+
+def scalars(field):
+    """Scalars with many zeros: over Q mixed denominators and signs."""
+    if field.char:
+        nonzero = st.integers(min_value=1, max_value=field.char - 1)
+    else:
+        nonzero = st.builds(
+            F,
+            st.integers(min_value=-9, max_value=9).filter(bool),
+            st.integers(min_value=1, max_value=6),
+        )
+    return st.one_of(st.just(field.zero()), nonzero)
+
+
+@st.composite
+def algebras(draw, field, max_dim=5):
+    """A random (not necessarily valid) table with a random form."""
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    bracket, omega = {}, {}
+    for pair in combinations(range(n), 2):
+        image = draw(st.dictionaries(st.integers(0, n - 1), scalars(field), max_size=n))
+        bracket[pair] = image
+        omega[pair] = draw(scalars(field))
+    return AnticommAlgebra(field, n, bracket, omega)
+
+
+def vectors(field, n):
+    return st.one_of(
+        st.just([field.zero()] * n),
+        st.lists(scalars(field), min_size=n, max_size=n),
+        st.integers(0, max(n - 1, 0)).map(
+            lambda i: basis_vector(field, n, i) if n else []
+        ),
+    )
+
+
+def assert_canonical(field, values):
+    if field.char:
+        assert all(type(x) is int and 0 <= x < field.char for x in values)
+    else:
+        assert all(type(x) is F for x in values)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_bracket_and_omega_match_reference(field, data):
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    x = data.draw(vectors(field, n))
+    y = data.draw(vectors(field, n))
+    got = alg.bracket(x, y)
+    assert got == bracket_reference(alg, x, y)
+    assert len(got) == n
+    assert_canonical(field, got)
+    w = alg.omega(x, y)
+    assert w == omega_reference(alg, x, y)
+    assert_canonical(field, [w])
+    for i in range(n):
+        for j in range(n):
+            image = alg.basis_bracket(i, j)
+            e_i, e_j = basis_vector(field, n, i), basis_vector(field, n, j)
+            assert image == bracket_reference(alg, e_i, e_j)
+            assert_canonical(field, image)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_bracket_kernel_small_dimensions(field):
+    for n in (0, 1):
+        alg = AnticommAlgebra(field, n)
+        z = [field.zero()] * n
+        assert alg.bracket(z, z) == z == bracket_reference(alg, z, z)
+        assert alg.omega(z, z) == field.zero()
+        assert_canonical(field, [alg.omega(z, z)])
+    one = [field.one()]
+    alg = AnticommAlgebra(field, 1)
+    assert alg.bracket(one, one) == [field.zero()] and alg.basis_bracket(0, 0) == [field.zero()]
+    assert_canonical(field, alg.bracket(one, one))
 
 
 def test_validate_catalog(s4, sl2):

@@ -253,10 +253,10 @@ def test_exit_codes(tmp_path, s4_file):
     assert code == 3
 
 
-def run_cli_process(args):
+def run_cli_process(args, **env_vars):
     """Run the console entry point in a fresh interpreter, so that an
     uncaught exception shows as a traceback on stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(olie.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(olie.__file__).parents[1]), **env_vars)
     proc = subprocess.run(
         [sys.executable, "-m", "olie.cli", *args], capture_output=True, text=True, env=env
     )
@@ -287,6 +287,42 @@ def test_non_text_scalar_in_file_is_schema_error(tmp_path, scalar):
         assert code == 3 and "Traceback" not in err
         with pytest.raises(SchemaError):
             catalog.loads(bad.read_text())
+
+
+@pytest.mark.parametrize("dim", ["true", "false", "2.0", "-1", '"3"'])
+def test_bad_dim_is_schema_error(tmp_path, dim):
+    bad = tmp_path / "dim.json"
+    bad.write_text('{"field": "Q", "dim": %s}' % dim)
+    code, out, err = run_cli_process(["info", str(bad)])
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert "'dim'" in err
+    with pytest.raises(SchemaError):
+        catalog.loads(bad.read_text())
+
+
+def test_non_integer_olie_workers_is_parse_error():
+    tail = ["scan-dim3", "--field", "gf5", "--count", "2"]
+    code, out, err = run_cli_process(tail, OLIE_WORKERS="two")
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert "OLIE_WORKERS" in err
+    # an explicit --workers never reads the variable
+    code, _, err = run_cli_process(["--workers", "1", *tail], OLIE_WORKERS="two")
+    assert code == 0 and "Traceback" not in err
+    code, _, _ = run_cli_process(tail, OLIE_WORKERS="1")
+    assert code == 0
+
+
+def test_olie_workers_is_read_at_call_time(monkeypatch):
+    tail = ["--format", "json", "scan-dim3", "--field", "gf5", "--count", "2"]
+    code, want, _ = run_cli(tail)
+    assert code == 0
+    # the parser is built once per process, so a default fixed when it
+    # was built would ignore the variable set now
+    monkeypatch.setenv("OLIE_WORKERS", "x")
+    code, out, err = run_cli(tail)
+    assert code == 3 and out == "" and "OLIE_WORKERS" in err
+    monkeypatch.setenv("OLIE_WORKERS", "1")
+    assert run_cli(tail)[:2] == (0, want)
 
 
 def test_gf_scalar_with_vanishing_denominator_is_parse_error(tmp_path):

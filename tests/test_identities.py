@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from olie import (
     QQ,
@@ -14,7 +15,7 @@ from olie import (
     holds,
     parse_identity,
 )
-from olie import catalog
+from olie import GF, AnticommAlgebra, catalog
 from olie.errors import (
     ArityMismatch,
     IdentitySyntaxError,
@@ -22,8 +23,22 @@ from olie.errors import (
     NotMultilinear,
     UnknownIdentity,
 )
-from olie.identities import format_term, max_var, parse_term
+from olie.identities import (
+    BRACKET,
+    b,
+    compile_term,
+    format_term,
+    max_var,
+    minus,
+    parse_term,
+    plus,
+    s,
+    var,
+    w,
+)
 from olie.linalg import basis_vector, vec_is_zero
+
+from oracles import eval_reference
 
 
 def test_parse_vector_term():
@@ -195,3 +210,141 @@ def test_engel_and_bin_direct_forms(sl2, n3):
     b = builtin("bin")
     val = evaluate(n3, b, (0, 1), direct=True)
     assert isinstance(val, list)
+
+
+# -- compiled node lists against the tree-walking reference --------------------
+
+
+def test_compiled_degree5_shares_subterms():
+    program = builtin("degree5").compiled()
+    brackets = [node for node in program.nodes if node[0] == BRACKET]
+    # 20 + 60 + 120 + 120 distinct left-normed brackets and 120 products
+    # [[[a,b],c],[d,e]], against 960 bracket nodes in the tree
+    assert len(brackets) == 440
+    assert program.num_vars == 5
+    assert builtin("degree5") is builtin("degree5")
+
+
+def _is_zero_value(field, value):
+    return vec_is_zero(field, value) if isinstance(value, list) else field.is_zero(value)
+
+
+def _test_algebras():
+    gf5 = GF(5)
+    chain = catalog.random_extension_chain(gf5, 1, 5)
+    assert not isinstance(chain, catalog.Stuck)
+    yield catalog.builtin_algebra("lie.sl2")
+    yield catalog.builtin_algebra("omega.n3")
+    yield catalog.builtin_algebra("omega.s4")
+    yield catalog.builtin_algebra("omega.sl2e")
+    yield catalog.reduce_mod_p(catalog.builtin_algebra("omega.s4"), 7)
+    yield chain
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtins_match_reference(name):
+    ident = builtin(name)
+    rng = random.Random(f"builtin/{name}")
+    for alg in _test_algebras():
+        field, n = alg.field, alg.dim
+        e = [basis_vector(field, n, i) for i in range(n)]
+
+        def reference(term, tup):
+            return eval_reference(alg, term, {k + 1: e[i] for k, i in enumerate(tup)})
+
+        # the enumeration order of find_counterexample
+        k = ident.num_vars
+        order = list(combinations(range(n), k) if ident.alternating else product(range(n), repeat=k))
+        if name == "degree5":  # 960 dense reference brackets a tuple
+            for tup in order[:1]:
+                assert evaluate(alg, ident, tup) == reference(ident.lhs, tup)
+        else:
+            for tup in rng.sample(order, min(6, len(order))):
+                assert evaluate(alg, ident, tup) == reference(ident.lhs, tup)
+            first = next(
+                (t for t in order if not _is_zero_value(field, reference(ident.lhs, t))), None
+            )
+            assert find_counterexample(alg, ident) == first
+        if ident.direct is not None:
+            for tup in product(range(n), repeat=ident.direct_num_vars):
+                assert evaluate(alg, ident, tup, direct=True) == reference(ident.direct, tup)
+        vectors = [[field.coerce(rng.randint(-3, 3)) for _ in range(n)] for _ in range(k)]
+        want = eval_reference(alg, ident.lhs, {j + 1: v for j, v in enumerate(vectors)})
+        assert evaluate_on_vectors(alg, ident, vectors) == want
+
+
+@st.composite
+def vector_terms(draw, names):
+    """A vector-valued term using each variable of ``names`` once."""
+    if len(names) == 1:
+        return var(names[0])
+    k = draw(st.integers(1, len(names) - 1))
+    left, right = names[:k], names[k:]
+    if len(left) >= 2 and draw(st.booleans()):
+        j = draw(st.integers(1, len(left) - 1))
+        form = w(draw(vector_terms(left[:j])), draw(vector_terms(left[j:])))
+        return s(form, draw(vector_terms(right)))
+    return b(draw(vector_terms(left)), draw(vector_terms(right)))
+
+
+@st.composite
+def multilinear_texts(draw):
+    """A random multilinear identity, as text: a sum of monomials in the
+    same variables, some scaled, some repeated, vector- or scalar-valued."""
+    nvars = draw(st.integers(1, 4))
+    scalar = nvars >= 2 and draw(st.booleans())
+    monomials = []
+    for _ in range(draw(st.integers(1, 3))):
+        names = tuple(draw(st.permutations(range(1, nvars + 1))))
+        if scalar:
+            k = draw(st.integers(1, nvars - 1))
+            mono = w(draw(vector_terms(names[:k])), draw(vector_terms(names[k:])))
+        else:
+            mono = draw(vector_terms(names))
+            c = draw(st.integers(-3, 3))
+            if c != 1:
+                mono = s(c, mono)
+        monomials.append(mono)
+    if draw(st.booleans()):
+        # repeated subterms; a scalar term cannot be scaled by -1
+        twice = plus if scalar else minus
+        monomials.append(twice(monomials[0], monomials[-1]))
+    term = plus(*monomials) if len(monomials) > 1 else monomials[0]
+    return format_term(term)
+
+
+@st.composite
+def random_tables(draw, field):
+    n = draw(st.integers(1, 4))
+    coeff = st.integers(-2, 2).map(field.coerce)
+    bracket, omega = {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket[(i, j)] = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=2))
+            omega[(i, j)] = draw(coeff)
+    return AnticommAlgebra(field, n, bracket, omega)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parsed_identities_match_reference(field, data):
+    ident = parse_identity(data.draw(multilinear_texts()))
+    alg = data.draw(random_tables(field))
+    n = alg.dim
+    scalar = st.integers(-4, 4).map(field.coerce)
+    if not field.char:
+        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    vectors = [
+        data.draw(st.lists(scalar, min_size=n, max_size=n)) for _ in range(ident.num_vars)
+    ]
+    env = {k + 1: v for k, v in enumerate(vectors)}
+    want = eval_reference(alg, ident.lhs, env)
+    got = evaluate_on_vectors(alg, ident, vectors)
+    assert got == want
+    assert type(got) is type(want)
+    tup = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=ident.num_vars, max_size=ident.num_vars)))
+    e = {k + 1: basis_vector(field, n, i) for k, i in enumerate(tup)}
+    assert evaluate(alg, ident, tup) == eval_reference(alg, ident.lhs, e)
+    assert evaluate(alg, ident.lhs, tup) == evaluate(alg, ident, tup)
+    assert compile_term(ident.lhs) == ident.compiled()
