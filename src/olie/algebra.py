@@ -30,11 +30,13 @@ from .errors import (
 )
 from .linalg import (
     AffineSolution,
+    Echelon,
     SkewProduct,
     Subspace,
     basis_vector,
+    identity_matrix,
     kernel_basis,
-    mat_mul,
+    projective_points,
     solve_affine,
     transpose,
     vec_add,
@@ -317,28 +319,25 @@ class AnticommAlgebra:
         """Smallest subspace containing the generators and closed under
         bracketing with every basis vector (spinning)."""
         field, n = self.field, self.dim
-        span = Subspace(field, n, generators)
-        e = [basis_vector(field, n, i) for i in range(n)]
-        new = span.rows
-        while new:
-            # only what the last round added is bracketed again
-            images = [self.bracket(list(row), ei) for row in new for ei in e]
-            bigger = Subspace(field, n, list(span.rows) + images)
-            # the RREF rows at pivots the old span lacks complete it to the
-            # new span: they vanish at the old pivots, so none lies in it
-            old = set(span.pivots)
-            new = [r for r, c in zip(bigger.rows, bigger.pivots) if c not in old]
-            span = bigger
-        return span
+        span = Echelon(field)
+        for v in generators:
+            if len(v) != n:
+                raise DimensionMismatch("vector length does not match the algebra")
+            span.add(v)
+        # each kept row is spun once; the rows grow while they are read
+        rows, images = span.rows, self._product.right_images
+        spun = 0
+        while spun < len(rows) < n:
+            for w in images(rows[spun]):
+                span.add(w)
+            spun += 1
+        return Subspace(field, n, rows)
 
     def is_ideal(self, sub: Subspace):
-        field, n = self.field, self.dim
-        e = [basis_vector(field, n, i) for i in range(n)]
-        for row in sub.rows:
-            for ei in e:
-                if not sub.contains(self.bracket(list(row), ei)):
-                    return False
-        return True
+        if sub.ambient != self.dim:
+            raise DimensionMismatch("subspace ambient does not match the algebra")
+        images = self._product.right_images
+        return all(sub.contains(w) for row in sub.rows for w in images(row))
 
     def is_subalgebra(self, sub: Subspace):
         rows = [list(r) for r in sub.rows]
@@ -483,37 +482,37 @@ class AnticommAlgebra:
     # -- simplicity --------------------------------------------------------
 
     def multiplication_algebra_dim(self):
-        """Dimension of the span of all words in the adjoint maps."""
+        """Dimension of the span of all words in the right multiplications
+        R_j : x -> [x, e_j].
+
+        Words are grown on the right only: the span of the kept words
+        contains every R_j and is closed under right multiplication by
+        each of them, so it holds every word.  Row i of m R_j is
+        [m_i, e_j], so one ``right_images`` call per row of a word
+        gives all n of its successors.
+        """
         field, n = self.field, self.dim
-        gens = [self.ad(basis_vector(field, n, i)) for i in range(n)]
+        full = n * n
+        span = Echelon(field)
+        images = self._product.right_images
 
-        basis_rows = []
-        pivots = []
+        def successors(word):
+            # words are flat n x n matrices, row-major
+            rows = [images(word[i * n : i * n + n]) for i in range(n)]
+            return [[x for r in rows for x in r[j]] for j in range(n)]
 
-        def reduce_add(mat):
-            v = [mat[i][j] for i in range(n) for j in range(n)]
-            for row, piv in zip(basis_rows, pivots):
-                c = v[piv]
-                if not field.is_zero(c):
-                    f = field.div(c, row[piv])
-                    v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
-            piv = next((i for i, x in enumerate(v) if not field.is_zero(x)), None)
-            if piv is None:
-                return False
-            basis_rows.append(v)
-            pivots.append(piv)
-            return True
-
-        frontier = [g for g in gens if reduce_add(g)]
+        identity = [x for row in identity_matrix(field, n) for x in row]
+        frontier = [g for g in successors(identity) if span.add(g)]
         while frontier:
             fresh = []
-            for m in frontier:
-                for g in gens:
-                    for prod in (mat_mul(field, m, g), mat_mul(field, g, m)):
-                        if reduce_add(prod):
-                            fresh.append(prod)
+            for word in frontier:
+                for succ in successors(word):
+                    if span.add(succ):
+                        if span.rank == full:
+                            return full
+                        fresh.append(succ)
             frontier = fresh
-        return len(basis_rows)
+        return span.rank
 
     def _enumerable_vector_count(self, cap):
         field, n = self.field, self.dim
@@ -521,24 +520,6 @@ class AnticommAlgebra:
             return None
         total = field.char**n
         return total if total <= cap else None
-
-    def _projective_vectors(self):
-        """All nonzero vectors up to scale: first nonzero coordinate is 1."""
-        field, n = self.field, self.dim
-        p = field.char
-        for lead in range(n):
-            prefix = zeros(field, lead) + [field.one()]
-
-            def rec(pos, cur):
-                if pos == n:
-                    yield list(cur)
-                    return
-                for v in range(p):
-                    cur.append(v % p)
-                    yield from rec(pos + 1, cur)
-                    cur.pop()
-
-            yield from rec(lead + 1, prefix)
 
     def simplicity(self, enum_cap=10**6):
         """Three-valued simplicity verdict.
@@ -594,29 +575,12 @@ class AnticommAlgebra:
             if found is not None:
                 return SimplicityVerdict("not_simple", found, "spun ideal")
         if exhaustive:
-            for v in self._projective_vectors():
+            for v in projective_points(field.char, n):
                 found = try_vec(v)
                 if found is not None:
                     return SimplicityVerdict("not_simple", found, "spun ideal")
             return SimplicityVerdict("simple", certificate="exhaustive spinning")
         return SimplicityVerdict("unknown")
-
-    @staticmethod
-    def _projective_coeffs(p, k):
-        """Nonzero coefficient tuples of length k up to scale."""
-        for lead in range(k):
-            tail = k - lead - 1
-
-            def rec(pos, cur):
-                if pos == tail:
-                    yield [0] * lead + [1] + list(cur)
-                    return
-                for v in range(p):
-                    cur.append(v)
-                    yield from rec(pos + 1, cur)
-                    cur.pop()
-
-            yield from rec(0, [])
 
     def find_abelian_ideal(self, enum_cap=10**6):
         """A nonzero abelian ideal, or None.
@@ -676,15 +640,15 @@ class AnticommAlgebra:
             if check(sub):
                 return sub
         if self._enumerable_vector_count(enum_cap) is not None:
-            certified = self._first_violation() is None
-            if certified:
+            # an OmegaAlgebra was certified when it was built
+            if isinstance(self, OmegaAlgebra) or self._first_violation() is None:
                 # codim >= 2: scan spun closures of the radical's lines
                 base = [list(r) for r in ker.rows]
-                for coeffs in self._projective_coeffs(field.char, ker.dim):
+                for coeffs in projective_points(field.char, ker.dim):
                     v = zeros(field, n)
                     for c, row in zip(coeffs, base):
                         if c:
-                            v = vec_add(field, v, vec_scale(field, field.coerce(c), row))
+                            v = vec_add(field, v, vec_scale(field, c, row))
                     spun = self.ideal_closure([v])
                     if spun.dim < n and check(spun):
                         return spun
@@ -692,8 +656,7 @@ class AnticommAlgebra:
                 # projective covectors on the quotient
                 reps = com.quotient_reps()
                 q = len(reps)
-                for coeffs in self._projective_coeffs(field.char, q):
-                    covector = [field.coerce(c) for c in coeffs]
+                for covector in projective_points(field.char, q):
                     extra = []
                     for combo in kernel_basis(field, [covector], q):
                         v = zeros(field, n)
@@ -705,7 +668,7 @@ class AnticommAlgebra:
                     if sub.dim == n - 1 and check(sub):
                         return sub
                 return None
-            for v in self._projective_vectors():
+            for v in projective_points(field.char, n):
                 sub = Subspace(field, n, [v])
                 if check(sub):
                     return sub

@@ -373,10 +373,20 @@ def dumps(alg: AnticommAlgebra) -> str:
 
 def loads(text: str) -> AnticommAlgebra:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno, position=exc.colno) from None
     return from_json_dict(obj)
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key given twice at any level."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load(path) -> AnticommAlgebra:

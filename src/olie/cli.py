@@ -29,7 +29,13 @@ from .extensions import (
     infinitesimal_deformations,
 )
 from .fields import field_from_tag
-from .identities import builtin, builtin_names, find_counterexample, parse_identity
+from .identities import (
+    builtin,
+    builtin_names,
+    builtin_parameters,
+    find_counterexample,
+    parse_identity,
+)
 from .structure import alpha_vanishing_scan, classify
 
 
@@ -212,7 +218,12 @@ def cmd_identity(args):
                 vals = [int(v) for v in raw.split(",")]
             except ValueError:
                 raise ParseError(f"bad identity parameters {raw!r} (expected integers)") from None
-            params = dict(zip(("alpha", "beta", "gamma"), vals))
+            keys = builtin_parameters(name)
+            if len(vals) > len(keys):
+                raise ParseError(
+                    f"identity {name!r} takes at most {len(keys)} parameter(s), got {len(vals)}"
+                )
+            params = dict(zip(keys, vals))
         ident = builtin(name, **params)
     else:
         ident = parse_identity(args.expr, name="expr")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from inspect import signature
 from itertools import combinations, permutations, product
 
 from .algebra import AnticommAlgebra
@@ -560,15 +561,25 @@ def builtin_names():
     return sorted(_BUILTIN_FACTORIES)
 
 
+def builtin_parameters(name):
+    """The parameter names of a built-in identity, in order."""
+    return tuple(signature(_factory(name)).parameters)
+
+
 def builtin(name, **params):
     """A built-in identity.  Each is built (and checked for
     multilinearity) once per process and then shared, so callers must
     not mutate it."""
+    _factory(name)  # an unknown name raises here, not inside the cache
+    return _builtin(name, tuple(sorted(params.items())))
+
+
+def _factory(name):
     if name not in _BUILTIN_FACTORIES:
         raise UnknownIdentity(
             f"unknown identity {name!r}; known: {', '.join(builtin_names())}"
         )
-    return _builtin(name, tuple(sorted(params.items())))
+    return _BUILTIN_FACTORIES[name]
 
 
 @lru_cache(maxsize=64)

@@ -14,6 +14,9 @@ the end).  Both return the canonical reduced row-echelon form, so the
 result depends only on the row space and the row count, never on the
 kernel.  Subspaces are stored as reduced row-echelon bases, so equality
 of subspaces is equality of their canonical representations.
+:class:`Echelon` is the incremental form of the same kernels, for
+spinning loops that add one vector at a time and ask whether the rank
+grew.
 
 :class:`SkewProduct` is the matching kernel for alternating bilinear
 maps given on basis pairs (an algebra's bracket and its form): int
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch
 from .fields import same_field
@@ -82,6 +87,10 @@ def mat_vec(field, m, v):
 
 
 def mat_mul(field, a, b):
+    p = field.char
+    if p:
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
     n, k = len(a), len(b)
     ncols = len(b[0]) if b else 0
     out = [zeros(field, ncols) for _ in range(n)]
@@ -120,6 +129,16 @@ def zero_matrix(field, rows, cols):
 
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
+
+
+def projective_points(p, k):
+    """The nonzero vectors of GF(p)^k up to scale, as int lists whose
+    first nonzero entry is 1: lead position ascending, then the tail in
+    lexicographic order."""
+    for lead in range(k):
+        head = [0] * lead + [1]
+        for tail in product(range(p), repeat=k - lead - 1):
+            yield head + list(tail)
 
 
 class SkewProduct:
@@ -181,6 +200,27 @@ class SkewProduct:
         den = dx * dy * self._den
         zero = Fraction(0)
         return [Fraction(v, den) if v else zero for v in acc]
+
+    def right_images(self, x):
+        """The products ``[x, e_j]`` for every basis vector ``e_j``, in one
+        pass over the signed pair table: the right multiplications of
+        the basis applied to ``x``."""
+        p, dim, m = self.field.char, len(self._rows), self.out_dim
+        if p:
+            xs = [(i, a) for i, a in enumerate(x) if a]
+        else:
+            xs, dx = _int_support(x)
+        accs = [[0] * m for _ in range(dim)]
+        rows = self._rows
+        for i, a in xs:
+            for acc, pairs in zip(accs, rows[i]):
+                for k, c in pairs:
+                    acc[k] += a * c
+        if p:
+            return [[v % p for v in acc] for acc in accs]
+        den = dx * self._den
+        zero = Fraction(0)
+        return [[Fraction(v, den) if v else zero for v in acc] for acc in accs]
 
 
 def _int_support(v):
@@ -293,6 +333,74 @@ def _rref_q(rows):
     return out, r, pivots
 
 
+class Echelon:
+    """A row echelon basis grown one vector at a time.
+
+    ``add(v)`` reduces ``v`` by the rows kept so far, in insertion
+    order, and keeps the remainder when it is nonzero, so ``rank``
+    counts the vectors that raised it.  Over GF(p) rows are ints with
+    the pivot scaled to 1 and ``% p`` taken once per added vector; over
+    Q they are primitive integer rows, reduced fraction-free as in
+    :func:`rref`.  ``rows`` spans the same space as the accepted
+    vectors; ``Subspace(field, n, rows)`` is its canonical form.
+    """
+
+    __slots__ = ("_p", "rows", "_pivots")
+
+    def __init__(self, field):
+        self._p = field.char
+        self.rows = []
+        self._pivots = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, v):
+        """Reduce ``v`` and keep it if it lies outside the span; returns
+        whether it was kept."""
+        p = self._p
+        if p:
+            v = _reduce_gf(p, self.rows, self._pivots, v)
+            piv = next((i for i, a in enumerate(v) if a), None)
+            if piv is None:
+                return False
+            if v[piv] != 1:
+                inv = pow(v[piv], p - 2, p)
+                v = [a * inv % p for a in v]
+        else:
+            den = lcm(*[a.denominator for a in v])
+            v = [a.numerator * (den // a.denominator) for a in v]
+            for row, piv in zip(self.rows, self._pivots):
+                b = v[piv]
+                if b:
+                    a = row[piv]
+                    g = gcd(a, b)
+                    ag, bg = a // g, b // g
+                    v = [ag * x - bg * y for x, y in zip(v, row)]
+            g = gcd(*v)
+            if not g:
+                return False
+            if g > 1:
+                v = [a // g for a in v]
+            piv = next(i for i, a in enumerate(v) if a)
+        self.rows.append(v)
+        self._pivots.append(piv)
+        return True
+
+
+def _reduce_gf(p, rows, pivots, v):
+    """``v`` minus multiples of int rows with pivot entries 1, as canonical
+    residues.  Each row must vanish at the pivots of the rows before it,
+    so one pass in order clears every pivot and one final ``% p``
+    suffices."""
+    for row, piv in zip(rows, pivots):
+        c = v[piv] % p
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return [a % p for a in v]
+
+
 def _kernel_from_rref(field, red, pivots, ncols):
     """Kernel basis read off an RREF whose first ``ncols`` columns are the
     reduced system; one vector per free column, in column order."""
@@ -339,11 +447,6 @@ class Subspace:
         return len(self.rows)
 
     @property
-    def pivots(self):
-        """Pivot columns of the RREF basis, one per row."""
-        return self._pivots
-
-    @property
     def codim(self):
         return self.ambient - len(self.rows)
 
@@ -359,6 +462,8 @@ class Subspace:
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
         field = self.field
+        if field.char:
+            return _reduce_gf(field.char, self.rows, self._pivots, v)
         v = list(v)
         for row, piv in zip(self.rows, self._pivots):
             c = v[piv]
@@ -367,7 +472,7 @@ class Subspace:
         return v
 
     def contains(self, v):
-        return vec_is_zero(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other):
         self._check_compatible(other)

@@ -28,6 +28,7 @@ from .linalg import (
     identity_matrix,
     kernel_basis,
     mat_mul,
+    projective_points,
     transpose,
     vec_add,
     vec_is_zero,
@@ -527,7 +528,7 @@ def _abelian_witness(alg: AnticommAlgebra, extra=(), enum_cap=10**6):
     if (best is None or best.codim > 3) and alg._enumerable_vector_count(enum_cap):
         # last resort over a small prime field: largest abelian subalgebra
         # among spans of projective vectors, grown greedily
-        for v in alg._projective_vectors():
+        for v in projective_points(field.char, n):
             members = [list(v)]
             for j in range(n):
                 cand = e[j]
@@ -604,28 +605,13 @@ def _hyperplanes_over_subspace(alg, core: Subspace, cap=10**6):
             yield Subspace(field, n, list(core.rows) + [vec])
         return
     if field.char and (field.char ** q - 1) // (field.char - 1) <= cap:
-        p = field.char
         # lines in the quotient, projectively normalized
-        for lead in range(q):
-            tail_len = q - lead - 1
-
-            def rec(pos, coeffs):
-                if pos == tail_len:
-                    vec = zeros(field, n)
-                    vec = vec_add(field, vec, reps[lead])
-                    for t, c in enumerate(coeffs):
-                        vec = vec_add(
-                            field, vec, vec_scale(field, c, reps[lead + 1 + t])
-                        )
-                    yield vec
-                    return
-                for c in range(p):
-                    coeffs.append(c % p)
-                    yield from rec(pos + 1, coeffs)
-                    coeffs.pop()
-
-            for vec in rec(0, []):
-                yield Subspace(field, n, list(core.rows) + [vec])
+        for coeffs in projective_points(field.char, q):
+            vec = zeros(field, n)
+            for c, rep in zip(coeffs, reps):
+                if c:
+                    vec = vec_add(field, vec, vec_scale(field, c, rep))
+            yield Subspace(field, n, list(core.rows) + [vec])
     else:
         seeds = [basis_vector(field, n, i) for i in range(n)]
         seeds.extend(list(r) for r in alg.commutant().rows)

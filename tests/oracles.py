@@ -105,6 +105,27 @@ def rref_reference(field, rows):
     return m, r, pivots
 
 
+def mat_mul_reference(field, a, b):
+    """Matrix product, one field-method call per scalar."""
+    ncols = len(b[0]) if b else 0
+    return [
+        [sum_scalars(field, [field.mul(row[t], b[t][j]) for t in range(len(b))]) for j in range(ncols)]
+        for row in a
+    ]
+
+
+def reduce_reference(field, rows, v):
+    """``v`` reduced by the rows of an RREF basis, one field-method call
+    per scalar."""
+    v = list(v)
+    for row in rows:
+        piv = next(i for i, x in enumerate(row) if not field.is_zero(x))
+        c = v[piv]
+        if not field.is_zero(c):
+            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+    return v
+
+
 def bracket_reference(alg, x, y):
     """The dense triple loop over a signed table of basis brackets, one
     field-method call per scalar: the reference the sparse bracket
@@ -127,6 +148,27 @@ def bracket_reference(alg, x, y):
                 if not field.is_zero(table[i][j][k]):
                     out[k] = field.add(out[k], field.mul(c, table[i][j][k]))
     return out
+
+
+def ideal_closure_reference(alg, generators):
+    """RREF rows of the ideal closure of the generators: bracket every row
+    of the span with every basis vector and re-eliminate, round after
+    round until the rank stops growing, with the reference bracket and
+    elimination."""
+    field, n = alg.field, alg.dim
+    e = [[field.one() if t == i else field.zero() for t in range(n)] for i in range(n)]
+
+    def span(vectors):
+        red, rank, _ = rref_reference(field, vectors)
+        return red[:rank]
+
+    rows = span(list(generators))
+    while True:
+        images = [bracket_reference(alg, r, ei) for r in rows for ei in e]
+        bigger = span(rows + images)
+        if len(bigger) == len(rows):
+            return bigger
+        rows = bigger
 
 
 def omega_reference(alg, x, y):

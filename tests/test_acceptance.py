@@ -48,6 +48,7 @@ from olie.cli import main as cli_main
 from olie.extensions import Cochain
 from olie.linalg import (
     basis_vector,
+    projective_points,
     vec_add,
     vec_is_zero,
     vec_mat,
@@ -475,7 +476,7 @@ def holdout_closures(structure_scan):
             continue
         alg = catalog.random_extension_chain(field, f["seed"], f["dim"])
         closures = {}
-        for v in alg._projective_vectors():
+        for v in projective_points(field.char, alg.dim):
             closure = alg.ideal_closure([v])
             closures.setdefault(tuple(closure.rows), closure)
         out.append((f["dim"], f["seed"], alg, list(closures.values())))

@@ -14,9 +14,14 @@ from olie.errors import (
     PreconditionFailed,
     ZeroVector,
 )
-from olie.linalg import basis_vector, vec_is_zero
+from olie.linalg import SkewProduct, basis_vector, projective_points, vec_is_zero
 
-from oracles import bracket_reference, multiplication_algebra_dim, omega_reference
+from oracles import (
+    bracket_reference,
+    ideal_closure_reference,
+    multiplication_algebra_dim,
+    omega_reference,
+)
 
 
 def vec(field, *entries):
@@ -129,6 +134,38 @@ def test_bracket_and_omega_match_reference(field, data):
             e_i, e_j = basis_vector(field, n, i), basis_vector(field, n, j)
             assert image == bracket_reference(alg, e_i, e_j)
             assert_canonical(field, image)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_right_images_match_reference(field, data):
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    x = data.draw(vectors(field, n))
+    images = SkewProduct(field, n, n, alg._bracket).right_images(x)
+    assert len(images) == n
+    for j, image in enumerate(images):
+        assert image == bracket_reference(alg, x, basis_vector(field, n, j))
+        assert_canonical(field, image)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_multiplication_algebra_dim_matches_oracle_on_random_tables(field, data):
+    alg = data.draw(algebras(field, max_dim=4))
+    assert alg.multiplication_algebra_dim() == multiplication_algebra_dim(alg)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_ideal_closure_matches_reference(field, data):
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    gens = data.draw(st.lists(vectors(field, n), max_size=3))
+    closure = alg.ideal_closure(gens)
+    assert [list(r) for r in closure.rows] == ideal_closure_reference(alg, gens)
+    assert closure == Subspace(field, n, closure.basis())
+    assert_canonical(field, [x for r in closure.rows for x in r])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -533,7 +570,7 @@ def test_find_abelian_ideal_complete_over_gf(gf5):
             continue
         got = alg.find_abelian_ideal()
         brute = None
-        for v in alg._projective_vectors():
+        for v in projective_points(5, alg.dim):
             sp = alg.ideal_closure([v])
             if 0 < sp.dim < alg.dim:
                 rows = [list(r) for r in sp.rows]
@@ -545,6 +582,27 @@ def test_find_abelian_ideal_complete_over_gf(gf5):
                     brute = sp
                     break
         assert (got is None) == (brute is None)
+
+
+def test_find_abelian_ideal_certifies_only_uncertified_algebras(gf5, monkeypatch):
+    # seed 28 at dim 5 has no abelian ideal, so the complete search runs
+    alg = catalog.random_extension_chain(gf5, 28, 5)
+    assert isinstance(alg, OmegaAlgebra)
+    plain = AnticommAlgebra(gf5, alg.dim, alg._bracket, alg._omega)
+    calls = []
+    original = AnticommAlgebra._first_violation
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    # restrict() certifies the subalgebras it builds; only the algebra
+    # searched is counted
+    monkeypatch.setattr(AnticommAlgebra, "_first_violation", counted)
+    assert alg.find_abelian_ideal() is None
+    assert not any(c is alg for c in calls)
+    assert plain.find_abelian_ideal() is None
+    assert sum(c is plain for c in calls) == 1
 
 
 # -- serialization -----------------------------------------------------------

@@ -277,6 +277,36 @@ def test_identity_bad_parameters_is_parse_error(s4_file):
     assert code == 3 and "Traceback" not in err
 
 
+def test_identity_parameters_to_parameterless_builtin_is_parse_error(s4_file):
+    code, out, err = run_cli_process(["identity", s4_file, "--name", "two-basic:1"])
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert "two-basic" in err
+
+
+def test_identity_too_many_parameters_is_parse_error(s4_file):
+    code, out, err = run_cli_process(["identity", s4_file, "--name", "abg:1,2,3,4"])
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert "at most 3" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"field": "Q", "dim": 2, "dim": 3}',
+        '{"field": "Q", "dim": 3, "bracket": {"1,2": {"3": "1", "3": "2"}}}',
+        '{"field": "Q", "dim": 3, "omega": {"1,2": "1", "1,2": "2"}}',
+    ],
+)
+def test_duplicate_json_key_is_schema_error(tmp_path, text):
+    bad = tmp_path / "dup.json"
+    bad.write_text(text)
+    code, out, err = run_cli_process(["info", str(bad)])
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert "duplicate key" in err
+    with pytest.raises(SchemaError):
+        catalog.loads(text)
+
+
 @pytest.mark.parametrize("scalar", ["1.5", "true", "null"])
 def test_non_text_scalar_in_file_is_schema_error(tmp_path, scalar):
     for key in ("bracket", "omega"):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,16 +8,26 @@ from hypothesis import given, strategies as st
 from olie import GF, QQ, Subspace
 from olie.errors import DimensionMismatch
 from olie.linalg import (
+    Echelon,
     basis_vector,
     identity_matrix,
     kernel_basis,
+    mat_mul,
+    projective_points,
     rref,
     solve_affine,
     vec_dot,
     vec_mat,
 )
 
-from oracles import matrix_rank, rank_gf, rank_q, rref_reference
+from oracles import (
+    mat_mul_reference,
+    matrix_rank,
+    rank_gf,
+    rank_q,
+    reduce_reference,
+    rref_reference,
+)
 
 
 def test_rref_identity():
@@ -278,3 +289,102 @@ def test_solve_affine_kernel_from_one_elimination(field, data):
     rhs_bad = [field.zero()] * m
     rhs_bad[next(i for i, c in enumerate(y) if not field.is_zero(c))] = field.one()
     assert solve_affine(field, rows, rhs_bad) is None
+
+
+# -- the incremental echelon and the GF(p) fast paths ---------------------------
+
+
+def oracle_rank(field, rows):
+    if not rows:
+        return 0
+    return rank_gf(rows, field.char) if field.char else rank_q(rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_echelon_matches_rank_oracles(field, data):
+    rows = data.draw(matrices(field, max_rows=9))
+    n = len(rows[0])
+    frozen = [list(r) for r in rows]
+    ech = Echelon(field)
+    for k, row in enumerate(rows):
+        grew = oracle_rank(field, rows[: k + 1]) > oracle_rank(field, rows[:k])
+        assert ech.add(row) == grew
+        assert ech.rank == oracle_rank(field, rows[: k + 1])
+    assert rows == frozen
+    assert Subspace(field, n, ech.rows) == Subspace(field, n, rows)
+    # kept rows: canonical residues with pivot 1 over GF(p), primitive
+    # integer rows over Q
+    for row in ech.rows:
+        assert all(type(x) is int for x in row)
+        if field.char:
+            assert all(0 <= x < field.char for x in row)
+            assert next(x for x in row if x) == 1
+        else:
+            assert math.gcd(*row) == 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_echelon_edge_cases(field):
+    ech = Echelon(field)
+    assert not ech.add([]) and ech.rank == 0
+    ech = Echelon(field)
+    z, one = field.zero(), field.one()
+    assert not ech.add([z, z])
+    assert ech.add([z, one]) and not ech.add([z, field.coerce(3)])
+    assert ech.add([one, one]) and ech.rank == 2
+    assert not ech.add([field.coerce(2), z])
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(7)], ids=str)
+@given(data=st.data())
+def test_mat_mul_gf_matches_reference(field, data):
+    a = data.draw(matrices(field))
+    k = len(a[0])
+    m = data.draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(scalars(field), min_size=m, max_size=m)
+    b = data.draw(st.lists(row, min_size=k, max_size=k))
+    got = mat_mul(field, a, b)
+    assert got == mat_mul_reference(field, a, b)
+    assert all(type(x) is int and 0 <= x < field.char for r in got for x in r)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_subspace_reduce_matches_reference(field, data):
+    rows = data.draw(matrices(field))
+    n = len(rows[0])
+    sub = Subspace(field, n, rows)
+    v = data.draw(st.lists(scalars(field), min_size=n, max_size=n))
+    want = reduce_reference(field, sub.rows, v)
+    got = sub.reduce(v)
+    assert got == want
+    if field.char:
+        assert all(type(x) is int and 0 <= x < field.char for x in got)
+    assert sub.contains(v) == all(field.is_zero(x) for x in want)
+    assert all(sub.contains(r) for r in rows)
+
+
+def _projective_recursive(p, k):
+    """The recursive enumeration the searches used before ``projective_points``."""
+    for lead in range(k):
+        tail = k - lead - 1
+
+        def rec(pos, cur):
+            if pos == tail:
+                yield [0] * lead + [1] + list(cur)
+                return
+            for v in range(p):
+                cur.append(v)
+                yield from rec(pos + 1, cur)
+                cur.pop()
+
+        yield from rec(0, [])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projective_points_order(p):
+    for k in range(5):
+        points = list(projective_points(p, k))
+        assert points == list(_projective_recursive(p, k))
+        assert len(points) == (p**k - 1) // (p - 1)
