@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import mul
 
 from .errors import DimensionMismatch
 from .fields import same_field
@@ -87,10 +86,6 @@ def mat_vec(field, m, v):
 
 
 def mat_mul(field, a, b):
-    p = field.char
-    if p:
-        cols = list(zip(*b))
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
     n, k = len(a), len(b)
     ncols = len(b[0]) if b else 0
     out = [zeros(field, ncols) for _ in range(n)]

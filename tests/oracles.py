@@ -105,15 +105,6 @@ def rref_reference(field, rows):
     return m, r, pivots
 
 
-def mat_mul_reference(field, a, b):
-    """Matrix product, one field-method call per scalar."""
-    ncols = len(b[0]) if b else 0
-    return [
-        [sum_scalars(field, [field.mul(row[t], b[t][j]) for t in range(len(b))]) for j in range(ncols)]
-        for row in a
-    ]
-
-
 def reduce_reference(field, rows, v):
     """``v`` reduced by the rows of an RREF basis, one field-method call
     per scalar."""

@@ -12,7 +12,6 @@ from olie.linalg import (
     basis_vector,
     identity_matrix,
     kernel_basis,
-    mat_mul,
     projective_points,
     rref,
     solve_affine,
@@ -21,7 +20,6 @@ from olie.linalg import (
 )
 
 from oracles import (
-    mat_mul_reference,
     matrix_rank,
     rank_gf,
     rank_q,
@@ -334,19 +332,6 @@ def test_echelon_edge_cases(field):
     assert ech.add([z, one]) and not ech.add([z, field.coerce(3)])
     assert ech.add([one, one]) and ech.rank == 2
     assert not ech.add([field.coerce(2), z])
-
-
-@pytest.mark.parametrize("field", [GF(5), GF(7)], ids=str)
-@given(data=st.data())
-def test_mat_mul_gf_matches_reference(field, data):
-    a = data.draw(matrices(field))
-    k = len(a[0])
-    m = data.draw(st.integers(min_value=1, max_value=6))
-    row = st.lists(scalars(field), min_size=m, max_size=m)
-    b = data.draw(st.lists(row, min_size=k, max_size=k))
-    got = mat_mul(field, a, b)
-    assert got == mat_mul_reference(field, a, b)
-    assert all(type(x) is int and 0 <= x < field.char for r in got for x in r)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
