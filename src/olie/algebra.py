@@ -11,6 +11,19 @@ residual on every basis triple (sufficient, since both sides are
 trilinear and alternating; this reduction is unit-tested against full
 triple enumeration).
 
+Certification runs in :meth:`AnticommAlgebra.validate` and in the
+public :class:`OmegaAlgebra` constructor.  Three constructions from a
+certified algebra are trusted instead of certified again:
+
+- a subalgebra (``restrict``): the law holds on all of the algebra, so
+  on every triple of the subalgebra;
+- the quotient by an ideal inside the radical of the form
+  (``quotient``): bracket and form descend, and the residual of three
+  classes is the class of the residual of representatives, zero;
+- a codimension-1 extension (``extensions.extend_codim1``): on the new
+  triples the law is exactly the multiplicativity of lambda and the
+  derivation relation, which it checks (the paper's criterion).
+
 The adjoint map of ``h`` is the right multiplication ``x -> [x, h]``;
 its matrix follows the row convention of :mod:`olie.linalg`.
 """
@@ -202,7 +215,7 @@ class AnticommAlgebra:
         violation = self._first_violation()
         if violation is not None:
             return violation
-        return OmegaAlgebra(self.field, self.dim, self._bracket, self._omega)
+        return OmegaAlgebra._trusted(self.field, self.dim, self._bracket, self._omega)
 
     def is_valid(self):
         return self._first_violation() is None
@@ -347,28 +360,20 @@ class AnticommAlgebra:
                     return False
         return True
 
+    def is_abelian_subspace(self, sub: Subspace):
+        """Do the basis rows of ``sub`` bracket to zero pairwise?  Then
+        [sub, sub] = 0, so ``sub`` is also a subalgebra."""
+        field = self.field
+        return all(
+            vec_is_zero(field, self.bracket(list(u), list(v)))
+            for u, v in combinations(sub.rows, 2)
+        )
+
     def restrict(self, sub: Subspace):
         """Subalgebra on the canonical basis of ``sub``."""
         if not self.is_subalgebra(sub):
             raise NotASubalgebra("the subspace is not closed under the bracket")
-        field = self.field
-        rows = [list(r) for r in sub.rows]
-        m = len(rows)
-        bracket = {}
-        omega = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                coords = sub.coords(self.bracket(rows[a], rows[b]))
-                entry = {k: c for k, c in enumerate(coords) if not field.is_zero(c)}
-                if entry:
-                    bracket[(a, b)] = entry
-                w = self.omega(rows[a], rows[b])
-                if not field.is_zero(w):
-                    omega[(a, b)] = w
-        out = AnticommAlgebra(field, m, bracket, omega)
-        if isinstance(self, OmegaAlgebra):
-            return OmegaAlgebra.certify(out)
-        return out
+        return self._induced(sub.basis(), sub.coords)
 
     def quotient(self, ideal: Subspace):
         """Quotient by an ideal contained in the radical of the form."""
@@ -379,24 +384,38 @@ class AnticommAlgebra:
                 "the form does not vanish on the ideal's pairings; "
                 "it does not descend to the quotient"
             )
-        field = self.field
-        reps = ideal.quotient_reps()
-        m = len(reps)
+        return self._induced(ideal.quotient_reps(), ideal.quotient_coords)
+
+    def _induced(self, reps, coords):
+        """The algebra on the basis ``reps`` whose bracket has the
+        coordinates ``coords`` of the ambient bracket and whose form is
+        the ambient form: a subalgebra or a quotient, trusted when
+        ``self`` is certified (see the module docstring)."""
+        field, m = self.field, len(reps)
         bracket = {}
         omega = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                coords = ideal.quotient_coords(self.bracket(reps[a], reps[b]))
-                entry = {k: c for k, c in enumerate(coords) if not field.is_zero(c)}
-                if entry:
-                    bracket[(a, b)] = entry
-                w = self.omega(reps[a], reps[b])
-                if not field.is_zero(w):
-                    omega[(a, b)] = w
-        out = AnticommAlgebra(field, m, bracket, omega)
+        for a, b in combinations(range(m), 2):
+            image = coords(self.bracket(reps[a], reps[b]))
+            entry = {k: c for k, c in enumerate(image) if not field.is_zero(c)}
+            if entry:
+                bracket[(a, b)] = entry
+            w = self.omega(reps[a], reps[b])
+            if not field.is_zero(w):
+                omega[(a, b)] = w
         if isinstance(self, OmegaAlgebra):
-            return OmegaAlgebra.certify(out)
-        return out
+            return OmegaAlgebra._trusted(field, m, bracket, omega)
+        return AnticommAlgebra(field, m, bracket, omega)
+
+    def _abelian_part(self, sub: Subspace):
+        """The abelian part of the almost-abelian decomposition of the
+        subalgebra ``sub``, in ambient coordinates; None when ``sub`` is
+        not a subalgebra or not almost abelian."""
+        if not self.is_subalgebra(sub):
+            return None
+        dec = self._induced(sub.basis(), sub.coords).almost_abelian_decomposition()
+        if dec.kind != "almost_abelian":
+            return None
+        return Subspace(self.field, self.dim, sub.lift(dec.abelian_part.rows))
 
     # -- multiplicativity and related solves ------------------------------
 
@@ -599,29 +618,15 @@ class AnticommAlgebra:
         field, n = self.field, self.dim
 
         def check(sub):
-            if sub is None or sub.dim == 0:
-                return False
-            if not self.is_ideal(sub):
-                return False
-            rows = [list(r) for r in sub.rows]
-            for a in range(len(rows)):
-                for b in range(a + 1, len(rows)):
-                    if not vec_is_zero(field, self.bracket(rows[a], rows[b])):
-                        return False
-            return True
+            return sub.dim > 0 and self.is_ideal(sub) and self.is_abelian_subspace(sub)
 
         candidates = []
         candidates.append(self.center())
         ker = self.omega_kernel()
         candidates.append(ker)
-        if ker.dim > 0 and self.is_subalgebra(ker):
-            dec = self.restrict(ker).almost_abelian_decomposition()
-            if dec.kind == "almost_abelian":
-                part_rows = [
-                    vec_mat(field, list(r), [list(b) for b in ker.rows])
-                    for r in dec.abelian_part.rows
-                ]
-                candidates.append(Subspace(field, n, part_rows))
+        part = self._abelian_part(ker)
+        if part is not None:
+            candidates.append(part)
         lam_set = self.multiplicative_lambda()
         if lam_set is not None:
             for lam in lam_set.points():
@@ -643,13 +648,8 @@ class AnticommAlgebra:
             # an OmegaAlgebra was certified when it was built
             if isinstance(self, OmegaAlgebra) or self._first_violation() is None:
                 # codim >= 2: scan spun closures of the radical's lines
-                base = [list(r) for r in ker.rows]
                 for coeffs in projective_points(field.char, ker.dim):
-                    v = zeros(field, n)
-                    for c, row in zip(coeffs, base):
-                        if c:
-                            v = vec_add(field, v, vec_scale(field, c, row))
-                    spun = self.ideal_closure([v])
+                    spun = self.ideal_closure([vec_mat(field, coeffs, ker.rows)])
                     if spun.dim < n and check(spun):
                         return spun
                 # codim 1: hyperplanes over the commutant, as kernels of
@@ -657,13 +657,10 @@ class AnticommAlgebra:
                 reps = com.quotient_reps()
                 q = len(reps)
                 for covector in projective_points(field.char, q):
-                    extra = []
-                    for combo in kernel_basis(field, [covector], q):
-                        v = zeros(field, n)
-                        for c, rep in zip(combo, reps):
-                            if not field.is_zero(c):
-                                v = vec_add(field, v, vec_scale(field, c, rep))
-                        extra.append(v)
+                    extra = [
+                        vec_mat(field, combo, reps)
+                        for combo in kernel_basis(field, [covector], q)
+                    ]
                     sub = Subspace(field, n, list(com.rows) + extra)
                     if sub.dim == n - 1 and check(sub):
                         return sub
@@ -722,7 +719,14 @@ class AnticommAlgebra:
 
 
 class OmegaAlgebra(AnticommAlgebra):
-    """An algebra whose construction certified the defining law."""
+    """An algebra known to satisfy the defining law.
+
+    The constructor certifies its tables.  ``validate`` and the trusted
+    constructions (a subalgebra, the quotient by an ideal inside the
+    radical, a codimension-1 extension of a certified algebra by the
+    paper's criterion; see the module docstring) build one through
+    ``_trusted`` without checking again.
+    """
 
     def __init__(self, field, dim, bracket=None, omega=None):
         super().__init__(field, dim, bracket, omega)
@@ -734,8 +738,11 @@ class OmegaAlgebra(AnticommAlgebra):
             )
 
     @classmethod
-    def certify(cls, alg: AnticommAlgebra):
-        return cls(alg.field, alg.dim, alg._bracket, alg._omega)
+    def _trusted(cls, field, dim, bracket=None, omega=None):
+        """An algebra from tables that satisfy the law by construction."""
+        out = cls.__new__(cls)
+        AnticommAlgebra.__init__(out, field, dim, bracket, omega)
+        return out
 
     def validate(self):
         return self

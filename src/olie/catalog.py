@@ -26,7 +26,7 @@ from .errors import (
     UnknownName,
 )
 from .extensions import extend_codim1
-from .fields import field_from_json
+from .fields import field_from_json, scalar_from_json
 from .linalg import mat_mul, mat_sub, mat_eq, vec_add, vec_is_zero, vec_scale, zeros
 
 
@@ -308,6 +308,10 @@ def random_extension_chain(field, seed, target_dim):
 
 # -- JSON files --------------------------------------------------------------
 
+# the largest dimension a file may declare: a table holds dim^2 pair
+# slots and certification walks C(dim, 3) basis triples
+MAX_DIM = 64
+
 
 def _parse_pair_key(key, dim):
     parts = key.split(",")
@@ -322,15 +326,6 @@ def _parse_pair_key(key, dim):
     return i - 1, j - 1
 
 
-def _scalar(field, value, where):
-    """A scalar of a JSON file: a string, or an integer (not a bool)."""
-    if isinstance(value, str):
-        return field.parse(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return field.coerce(value)
-    raise SchemaError(f"{where}: scalar {value!r} must be a string or an integer")
-
-
 def from_json_dict(obj):
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
@@ -343,6 +338,8 @@ def from_json_dict(obj):
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise SchemaError("'dim' must be a nonnegative integer")
+    if dim > MAX_DIM:
+        raise SchemaError(f"'dim' {dim} exceeds the limit of {MAX_DIM}")
     bracket = {}
     for key, row in obj.get("bracket", {}).items():
         pair = _parse_pair_key(key, dim)
@@ -356,12 +353,12 @@ def from_json_dict(obj):
                 raise SchemaError(f"bad coefficient index {kk!r}") from None
             if not 1 <= k <= dim:
                 raise SchemaError(f"coefficient index {kk!r} out of range")
-            entry[k - 1] = _scalar(field, text, f"bracket {key!r}")
+            entry[k - 1] = scalar_from_json(field, text, f"bracket {key!r}")
         bracket[pair] = entry
     omega = {}
     for key, text in obj.get("omega", {}).items():
         pair = _parse_pair_key(key, dim)
-        omega[pair] = _scalar(field, text, f"omega {key!r}")
+        omega[pair] = scalar_from_json(field, text, f"omega {key!r}")
     return AnticommAlgebra(field, dim, bracket, omega)
 
 

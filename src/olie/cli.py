@@ -66,6 +66,15 @@ def _load(path):
     return catalog.load(path)
 
 
+def _load_valid(path, message):
+    """The file's algebra, certified once; a violation of the law is a
+    precondition error with ``message``."""
+    alg = _load(path).validate()
+    if isinstance(alg, Violation):
+        raise PreconditionError(message)
+    return alg
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -160,10 +169,7 @@ def cmd_derive(args):
 
 
 def cmd_extend(args):
-    alg = _load(args.file)
-    if isinstance(alg.validate(), Violation):
-        raise PreconditionError("the base algebra is not valid")
-    alg = alg.validate()
+    alg = _load_valid(args.file, "the base algebra is not valid")
     field = alg.field
     with open(args.derivation, encoding="utf-8") as handle:
         try:
@@ -187,10 +193,8 @@ def cmd_extend(args):
 
 
 def cmd_classify(args):
-    alg = _load(args.file)
-    if isinstance(alg.validate(), Violation):
-        raise PreconditionError("classification needs a valid algebra")
-    verdict = classify(alg.validate())
+    alg = _load_valid(args.file, "classification needs a valid algebra")
+    verdict = classify(alg)
     payload = verdict.to_json_dict(alg.field)
     lines = [f"case: {verdict.case}"]
     if verdict.kernel_type:
@@ -254,10 +258,8 @@ def cmd_h2(args):
 
 
 def cmd_deform(args):
-    alg = _load(args.file)
-    if isinstance(alg.validate(), Violation):
-        raise PreconditionError("the algebra is not valid")
-    space = infinitesimal_deformations(alg.validate())
+    alg = _load_valid(args.file, "the algebra is not valid")
+    space = infinitesimal_deformations(alg)
     payload = {
         "dimension": len(space.basis),
         "omega1_projection_dim": space.omega1_projection_dim,
@@ -276,10 +278,7 @@ def cmd_deform(args):
 
 
 def cmd_cohomology_selftest(args):
-    alg = _load(args.file)
-    if isinstance(alg.validate(), Violation):
-        raise PreconditionError("the algebra is not valid")
-    alg = alg.validate()
+    alg = _load_valid(args.file, "the algebra is not valid")
     field, n = alg.field, alg.dim
     lam_set = alg.multiplicative_lambda()
     if lam_set is None:
@@ -379,11 +378,7 @@ def _scan_structure_one(field_tag, seed, dim):
     witness_ok = False
     if verdict.abelian_small_codim is not None:
         sub = verdict.abelian_small_codim
-        witness_ok = (
-            sub.codim <= 3
-            and alg.is_subalgebra(sub)
-            and alg.restrict(sub).is_abelian()
-        )
+        witness_ok = sub.codim <= 3 and alg.is_abelian_subspace(sub)
     out["witness_ok"] = witness_ok
     if alg.dim >= 5:
         out["not_simple_ok"] = alg.simplicity().kind != "simple"
@@ -478,11 +473,7 @@ def cmd_catalog(args):
         catalog.save(alg, args.output)
         _emit(args, {"written": args.output}, [f"wrote {args.name} to {args.output}"])
         return 0
-    text = catalog.dumps(alg)
-    if args.format == "json":
-        print(text, end="")
-    else:
-        print(text, end="")
+    print(catalog.dumps(alg), end="")
     return 0
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import AlmostAbelianResult, AnticommAlgebra
-from .errors import DimensionMismatch, NotALieAlgebra, PreconditionFailed
+from .errors import DimensionMismatch, NotALieAlgebra, PreconditionFailed, SchemaError
+from .fields import scalar_from_json
 from .linalg import (
     Subspace,
     basis_vector,
@@ -55,17 +56,26 @@ class AlphaLambdaDerivation:
 
     @classmethod
     def from_json_dict(cls, field, obj, dim):
+        """The data of a derivation file, its scalars read as in algebra
+        files; a malformed file is a schema error, a well-formed one of
+        the wrong size a dimension mismatch."""
+        if not isinstance(obj, dict):
+            raise SchemaError("top level of a derivation file must be an object")
         rows = obj.get("D")
         alpha = obj.get("alpha", ["0"] * dim)
         lam = obj.get("lambda", ["0"] * dim)
-        if rows is None or len(rows) != dim or any(len(r) != dim for r in rows):
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise SchemaError("'D' must be a list of rows, each a list")
+        if not isinstance(alpha, list) or not isinstance(lam, list):
+            raise SchemaError("'alpha' and 'lambda' must be lists")
+        if len(rows) != dim or any(len(r) != dim for r in rows):
             raise DimensionMismatch("derivation matrix shape does not match dim")
         if len(alpha) != dim or len(lam) != dim:
             raise DimensionMismatch("covector length does not match dim")
         return cls(
-            [[field.coerce(x) for x in row] for row in rows],
-            [field.coerce(x) for x in alpha],
-            [field.coerce(x) for x in lam],
+            [[scalar_from_json(field, x, "D") for x in row] for row in rows],
+            [scalar_from_json(field, x, "alpha") for x in alpha],
+            [scalar_from_json(field, x, "lambda") for x in lam],
         )
 
 

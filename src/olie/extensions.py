@@ -55,10 +55,15 @@ def is_multiplicative_for(alg: AnticommAlgebra, lam):
     return True
 
 
-def extend_codim1(alg: OmegaAlgebra, lam, matrix, alpha):
+def extend_codim1(alg: AnticommAlgebra, lam, matrix, alpha):
     """Extension of dimension n+1 by derivation data; the new basis
     vector is appended last.  Raises when lam is not multiplicative or
-    (D, alpha) is not a derivation for it."""
+    (D, alpha) is not a derivation for it.
+
+    On the triples through the new vector the law is exactly these two
+    conditions, so the extension of an :class:`OmegaAlgebra` is trusted;
+    that of a plain table is certified, since the law may fail on the
+    base."""
     field, n = alg.field, alg.dim
     lam = [field.coerce(x) for x in lam]
     alpha = [field.coerce(x) for x in alpha]
@@ -80,6 +85,8 @@ def extend_codim1(alg: OmegaAlgebra, lam, matrix, alpha):
             bracket[(i, n)] = entry
         if not field.is_zero(alpha[i]):
             omega[(i, n)] = alpha[i]
+    if isinstance(alg, OmegaAlgebra):
+        return OmegaAlgebra._trusted(field, n + 1, bracket, omega)
     return OmegaAlgebra(field, n + 1, bracket, omega)
 
 

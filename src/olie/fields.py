@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, ParseError, UnsupportedCharacteristic
+from .errors import (
+    DivisionByZero,
+    FieldMismatch,
+    ParseError,
+    SchemaError,
+    UnsupportedCharacteristic,
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -208,6 +214,15 @@ def field_from_json(obj):
     if isinstance(obj, dict) and set(obj) == {"GF"}:
         return PrimeField(obj["GF"])
     raise ParseError(f"bad field description {obj!r}")
+
+
+def scalar_from_json(field, value, where):
+    """A scalar of a JSON file: a string, or an integer (not a bool)."""
+    if isinstance(value, str):
+        return field.parse(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return field.coerce(value)
+    raise SchemaError(f"{where}: scalar {value!r} must be a string or an integer")
 
 
 def field_from_tag(tag: str):

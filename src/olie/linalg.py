@@ -485,6 +485,11 @@ class Subspace:
             return None
         return cs
 
+    def lift(self, coords):
+        """The ambient vectors with the given coordinates in the RREF
+        basis: the inverse of :meth:`coords`, one vector per entry."""
+        return [vec_mat(self.field, c, self.rows) for c in coords]
+
     def sum(self, other):
         self._check_compatible(other)
         return Subspace(self.field, self.ambient, list(self.rows) + list(other.rows))
@@ -502,14 +507,7 @@ class Subspace:
             row = [u[coord] for u in a] + [field.neg(v[coord]) for v in b]
             stacked.append(row)
         combos = kernel_basis(field, stacked, len(a) + len(b))
-        vectors = []
-        for combo in combos:
-            v = zeros(field, self.ambient)
-            for c, u in zip(combo[: len(a)], a):
-                if not field.is_zero(c):
-                    v = vec_add(field, v, vec_scale(field, c, u))
-            vectors.append(v)
-        return Subspace(field, self.ambient, vectors)
+        return Subspace(field, self.ambient, self.lift(c[: len(a)] for c in combos))
 
     def complement_reps(self):
         """Standard basis vectors at the non-pivot columns.

@@ -42,13 +42,8 @@ from .linalg import (
 
 
 def _check_abelian_subalgebra(alg, sub):
-    if not alg.is_subalgebra(sub):
-        raise NotAbelianSubalgebra("the subspace is not a subalgebra")
-    rows = [list(r) for r in sub.rows]
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if not vec_is_zero(alg.field, alg.bracket(rows[a], rows[b])):
-                raise NotAbelianSubalgebra("the subspace is not abelian")
+    if not alg.is_abelian_subspace(sub):
+        raise NotAbelianSubalgebra("the subspace is not an abelian subalgebra")
 
 
 def _check_commuting_adjoints(alg, sub):
@@ -78,11 +73,6 @@ def _restrict_operator(field, matrix, block: Subspace):
     return rows
 
 
-def _block_to_ambient(field, block: Subspace, vectors):
-    base = [list(r) for r in block.rows]
-    return [vec_mat(field, v, base) for v in vectors]
-
-
 def _mat_power(field, m, k):
     n = len(m)
     out = identity_matrix(field, n)
@@ -107,9 +97,8 @@ def fitting_decomposition(alg: AnticommAlgebra, sub: Subspace):
         k = null.dim
         tk = _mat_power(field, t, k)
         ker = kernel_basis(field, transpose(tk), k)
-        image = [list(r) for r in tk]
-        one_vectors.extend(_block_to_ambient(field, null, image))
-        null = Subspace(field, n, _block_to_ambient(field, null, ker))
+        one_vectors.extend(null.lift(tk))
+        null = Subspace(field, n, null.lift(ker))
     return null, Subspace(field, n, one_vectors)
 
 
@@ -125,25 +114,6 @@ class RootDecomposition:
             if vals == tuple(values):
                 return space
         return None
-
-
-def _eigenvalues_gf(field, matrix):
-    """All eigenvalues of a matrix over a small prime field, by trial."""
-    n = len(matrix)
-    out = []
-    for lam in range(field.char):
-        shifted = [
-            [
-                field.sub(matrix[i][j], lam if i == j else field.zero())
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        power = _mat_power(field, shifted, n)
-        ker = kernel_basis(field, transpose(power), n)
-        if ker:
-            out.append((lam % field.char, ker))
-    return out
 
 
 def _char_poly_q(field, matrix):
@@ -233,14 +203,23 @@ def _rational_roots(field, coeffs):
     return roots, False
 
 
-def _eigenvalues_q(field, matrix):
+def _eigenspaces(field, matrix):
+    """(eigenvalue, generalized eigenspace basis) pairs, the candidates
+    being every element of a small prime field or the rational roots of
+    the characteristic polynomial; None when the candidates are not
+    known to include every eigenvalue."""
     n = len(matrix)
-    coeffs = _char_poly_q(field, matrix)
-    roots, leftover = _rational_roots(field, coeffs)
-    if leftover:
+    if field.char == 0:
+        roots, leftover = _rational_roots(field, _char_poly_q(field, matrix))
+        if leftover:
+            return None
+        candidates = sorted(set(roots))
+    elif field.char <= 4096:
+        candidates = range(field.char)
+    else:
         return None
     out = []
-    for lam in sorted(set(roots)):
+    for lam in candidates:
         shifted = [
             [
                 field.sub(matrix[i][j], lam if i == j else field.zero())
@@ -268,19 +247,14 @@ def root_decomposition(alg: AnticommAlgebra, sub: Subspace):
         fresh = []
         for block, values in blocks:
             t = _restrict_operator(field, matrix, block)
-            if field.char == 0:
-                eig = _eigenvalues_q(field, t)
-            elif field.char <= 4096:
-                eig = _eigenvalues_gf(field, t)
-            else:
-                eig = None
+            eig = _eigenspaces(field, t)
             if eig is None:
                 return RootDecomposition(False, [], null, one)
             total = sum(len(ker) for _, ker in eig)
             if total != block.dim:
                 return RootDecomposition(False, [], null, one)
             for lam, ker in eig:
-                space = Subspace(field, n, _block_to_ambient(field, block, ker))
+                space = Subspace(field, n, block.lift(ker))
                 fresh.append((space, values + (lam,)))
         blocks = fresh
     roots = sorted(
@@ -447,7 +421,7 @@ def filtration(alg: AnticommAlgebra, start: Subspace):
             for col in range(n):
                 conditions.append([images[t][col] for t in range(len(base))])
         coords = kernel_basis(field, conditions, len(base))
-        nxt = Subspace(field, n, [vec_mat(field, c, base) for c in coords])
+        nxt = Subspace(field, n, cur.lift(coords))
         if nxt.dim == cur.dim:
             break
         chain.append(nxt)
@@ -498,12 +472,7 @@ def _abelian_witness(alg: AnticommAlgebra, extra=(), enum_cap=10**6):
         candidates.append(Subspace(field, n, [e[i] for i in members]))
     ker = alg.omega_kernel()
     candidates.append(ker)
-    if ker.dim and alg.is_subalgebra(ker):
-        dec = alg.restrict(ker).almost_abelian_decomposition()
-        if dec.kind == "almost_abelian":
-            base = [list(r) for r in ker.rows]
-            rows = [vec_mat(field, list(r), base) for r in dec.abelian_part.rows]
-            candidates.append(Subspace(field, n, rows))
+    candidates.append(alg._abelian_part(ker))
     candidates.extend(extra)
     candidates.append(alg.center())
 
@@ -511,15 +480,8 @@ def _abelian_witness(alg: AnticommAlgebra, extra=(), enum_cap=10**6):
 
     def consider(sub):
         nonlocal best
-        if sub is None or sub.dim == 0:
+        if sub is None or sub.dim == 0 or not alg.is_abelian_subspace(sub):
             return
-        if not alg.is_subalgebra(sub):
-            return
-        rows = [list(r) for r in sub.rows]
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                if not vec_is_zero(field, alg.bracket(rows[a], rows[b])):
-                    return
         if best is None or sub.dim > best.dim:
             best = sub
 
@@ -607,11 +569,7 @@ def _hyperplanes_over_subspace(alg, core: Subspace, cap=10**6):
     if field.char and (field.char ** q - 1) // (field.char - 1) <= cap:
         # lines in the quotient, projectively normalized
         for coeffs in projective_points(field.char, q):
-            vec = zeros(field, n)
-            for c, rep in zip(coeffs, reps):
-                if c:
-                    vec = vec_add(field, vec, vec_scale(field, c, rep))
-            yield Subspace(field, n, list(core.rows) + [vec])
+            yield Subspace(field, n, list(core.rows) + [vec_mat(field, coeffs, reps)])
     else:
         seeds = [basis_vector(field, n, i) for i in range(n)]
         seeds.extend(list(r) for r in alg.commutant().rows)
@@ -635,30 +593,23 @@ def classify(alg: AnticommAlgebra, enum_cap=10**6):
     ker = alg.omega_kernel()
     rank = n - ker.dim
     extra_witnesses = []
-    if rank == 2 and ker.dim and alg.is_subalgebra(ker):
-        dec = alg.restrict(ker).almost_abelian_decomposition()
-        if dec.kind == "almost_abelian":
-            base = [list(r) for r in ker.rows]
-            part = Subspace(
-                field,
-                n,
-                [vec_mat(field, list(r), base) for r in dec.abelian_part.rows],
+    part = alg._abelian_part(ker) if rank == 2 else None
+    if part is not None:
+        extra_witnesses.append(part)
+        try:
+            null, _one = fitting_decomposition(alg, part)
+            nilpotent = null.is_full()
+        except PreconditionFailed:
+            nilpotent = False
+        if nilpotent:
+            return ClassificationVerdict(
+                "kernel_codim_two",
+                kernel_type="almost_abelian",
+                nilpotent_action=True,
+                abelian_small_codim=_abelian_witness(
+                    alg, extra_witnesses, enum_cap=enum_cap
+                ),
             )
-            extra_witnesses.append(part)
-            try:
-                null, _one = fitting_decomposition(alg, part)
-                nilpotent = null.is_full()
-            except PreconditionFailed:
-                nilpotent = False
-            if nilpotent:
-                return ClassificationVerdict(
-                    "kernel_codim_two",
-                    kernel_type="almost_abelian",
-                    nilpotent_action=True,
-                    abelian_small_codim=_abelian_witness(
-                        alg, extra_witnesses, enum_cap=enum_cap
-                    ),
-                )
 
     # search for a codimension-1 Lie subalgebra; any such subalgebra
     # contains the radical of the form (dim >= 4, non-Lie), so extending
@@ -693,18 +644,7 @@ def classify(alg: AnticommAlgebra, enum_cap=10**6):
                 if witness is not None:
                     break
     if witness is not None:
-        extra = list(extra_witnesses)
-        extra.append(witness)
-        wdec = alg.restrict(witness).almost_abelian_decomposition()
-        if wdec.kind == "almost_abelian":
-            base = [list(r) for r in witness.rows]
-            extra.append(
-                Subspace(
-                    field,
-                    n,
-                    [vec_mat(field, list(r), base) for r in wdec.abelian_part.rows],
-                )
-            )
+        extra = [*extra_witnesses, witness, alg._abelian_part(witness)]
         return ClassificationVerdict(
             "codim_one_lie_subalgebra",
             witness=witness,

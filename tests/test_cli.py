@@ -387,3 +387,82 @@ def test_identical_invocations_byte_identical(s4_file):
     _, out1, _ = run_cli(args)
     _, out2, _ = run_cli(args)
     assert out1 == out2
+
+
+N3_TO_S4 = {
+    "D": [["0", "0", "-1"], ["1", "0", "0"], ["0", "0", "0"]],
+    "alpha": ["0", "2", "0"],
+    "lambda": ["2", "0", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("[]", 3),
+        ('{"D": [["0", "0", "-1"], ["1", 1.5, "0"], ["0", "0", "0"]]}', 3),
+        ('{"D": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], "alpha": [true, 0, 0]}', 3),
+        ('{"D": "ab"}', 3),
+        ('{"D": ["abc", "def", "ghi"]}', 3),
+        ('{"D": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], "alpha": "000"}', 3),
+        ('{"D": [["0", "0"], ["0", "0"]]}', 4),
+    ],
+)
+def test_malformed_derivation_file(tmp_path, text, want):
+    base = tmp_path / "n3.json"
+    catalog.save(catalog.builtin_algebra("omega.n3"), base)
+    der = tmp_path / "der.json"
+    der.write_text(text)
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli_process(
+        ["extend", str(base), "--derivation", str(der), "-o", str(out_path)]
+    )
+    assert code == want and "Traceback" not in err and out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("dim", [catalog.MAX_DIM + 1, 10**8])
+def test_dim_above_the_limit_is_schema_error(tmp_path, dim):
+    bad = tmp_path / "big.json"
+    bad.write_text('{"field": "Q", "dim": %d}' % dim)
+    code, out, err = run_cli_process(["check", str(bad)])
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert str(catalog.MAX_DIM) in err
+    assert catalog.loads('{"field": "Q", "dim": %d}' % catalog.MAX_DIM).dim == catalog.MAX_DIM
+
+
+@pytest.fixture
+def certifications(monkeypatch):
+    """The algebras ``_first_violation`` runs on while the test runs."""
+    calls = []
+    original = olie.AnticommAlgebra._first_violation
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(olie.AnticommAlgebra, "_first_violation", counted)
+    return calls
+
+
+def test_each_command_certifies_its_file_once(tmp_path, s4_file, sl2_file, certifications):
+    n3 = tmp_path / "n3.json"
+    catalog.save(catalog.builtin_algebra("omega.n3"), n3)
+    der = tmp_path / "der.json"
+    der.write_text(json.dumps(N3_TO_S4))
+    chain = tmp_path / "chain.json"
+    catalog.save(catalog.random_extension_chain(GF(5), 0, 5), chain)
+    commands = [
+        ["check", s4_file],
+        ["info", s4_file],
+        ["extend", str(n3), "--derivation", str(der), "-o", str(tmp_path / "ext.json")],
+        ["classify", s4_file],
+        ["classify", str(chain)],
+        ["deform", sl2_file],
+        ["cohomology-selftest", s4_file],
+    ]
+    for argv in commands:
+        certifications.clear()
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+        assert len(certifications) == 1, argv

@@ -31,6 +31,7 @@ from olie.errors import (
     NotARepresentation,
     NotMultiplicative,
     NotOmegaAssociative,
+    PreconditionFailed,
 )
 from olie.linalg import basis_vector, vec_is_zero, zero_matrix
 
@@ -91,6 +92,22 @@ def test_extension_rejects_bad_data(n3, sl2):
     h_to_e[2][0] = F(1)
     with pytest.raises(NotADerivation):
         extend_codim1(sl2, [0, 0, 0], h_to_e, [0, -1, 0])
+
+
+def test_extension_of_an_uncertified_base_is_certified(n3):
+    # the table of omega.n3 without its form breaks the law on (1,2,3);
+    # zero data pass both extension checks, so only the certification
+    # of the result catches it
+    skeleton = AnticommAlgebra(QQ, 3, n3._bracket)
+    assert not skeleton.is_valid()
+    with pytest.raises(PreconditionFailed):
+        extend_codim1(skeleton, [0, 0, 0], zero_matrix(QQ, 3, 3), [0, 0, 0])
+    # a plain table that satisfies the law extends as before
+    plain = AnticommAlgebra(QQ, 3, n3._bracket, n3._omega)
+    D = [[0, 0, -1], [1, 0, 0], [0, 0, 0]]
+    assert extend_codim1(plain, [2, 0, 0], D, [0, 2, 0]) == extend_codim1(
+        n3, [2, 0, 0], D, [0, 2, 0]
+    )
 
 
 def test_extension_lie_iff_alpha_zero_and_lambda_kills_commutant(gf5):
