@@ -9,11 +9,16 @@ same pairs.  The defining residual of the two-form Jacobi law is
 and an :class:`OmegaAlgebra` is an algebra certified to have zero
 residual on every basis triple (sufficient, since both sides are
 trilinear and alternating; this reduction is unit-tested against full
-triple enumeration).
+triple enumeration).  Every law-derived check reads the Jacobian of
+each increasing basis triple i < j < k off the sparse table
+(``_basis_jacobians``).  Its e_k coordinate must be w(e_i, e_j), so
+from dimension 3 on the form is read off the bracket and is unique
+when it exists; on repeated arguments the law forces skewness in
+characteristic 0 and p >= 5.
 
 Certification runs in :meth:`AnticommAlgebra.validate` and in the
-public :class:`OmegaAlgebra` constructor.  Three constructions from a
-certified algebra are trusted instead of certified again:
+public :class:`OmegaAlgebra` constructor.  Four constructions are
+trusted instead of certified again:
 
 - a subalgebra (``restrict``): the law holds on all of the algebra, so
   on every triple of the subalgebra;
@@ -22,7 +27,9 @@ certified algebra are trusted instead of certified again:
   classes is the class of the residual of representatives, zero;
 - a codimension-1 extension (``extensions.extend_codim1``): on the new
   triples the law is exactly the multiplicativity of lambda and the
-  derivation relation, which it checks (the paper's criterion).
+  derivation relation, which it checks (the paper's criterion);
+- a random dimension-3 instance (``catalog.random_dim3``): its form
+  comes from :meth:`AnticommAlgebra.omega_space`, which checked the law.
 
 The adjoint map of ``h`` is the right multiplication ``x -> [x, h]``;
 its matrix follows the row convention of :mod:`olie.linalg`.
@@ -194,17 +201,34 @@ class AnticommAlgebra:
 
     # -- validity -------------------------------------------------------
 
-    def _first_violation(self):
+    def _basis_jacobians(self):
+        """Yield ``((i, j, k), J)`` for each increasing basis triple, J the
+        Jacobian [[e_i,e_j],e_k] + [[e_k,e_i],e_j] + [[e_j,e_k],e_i]; each
+        term is one sparse product of a basis bracket with e_k."""
         field, n = self.field, self.dim
+        e = identity_matrix(field, n)
+        image, product = self._product.image, self._product
         for i, j, k in combinations(range(n), 3):
-            res = self.jacobi_residual(
-                basis_vector(field, n, i),
-                basis_vector(field, n, j),
-                basis_vector(field, n, k),
-            )
+            a = product(image(i, j), e[k])
+            b = product(image(k, i), e[j])
+            c = product(image(j, k), e[i])
+            yield (i, j, k), [field.add(field.add(x, y), z) for x, y, z in zip(a, b, c)]
+
+    def _violation(self, w):
+        """The first increasing basis triple on which the law fails for the
+        form ``w(i, j)`` on basis indices, as a :class:`Violation`, or
+        None."""
+        field = self.field
+        for (i, j, k), res in self._basis_jacobians():
+            res[k] = field.sub(res[k], w(i, j))
+            res[j] = field.sub(res[j], w(k, i))
+            res[i] = field.sub(res[i], w(j, k))
             if not vec_is_zero(field, res):
                 return Violation((i, j, k), res)
         return None
+
+    def _first_violation(self):
+        return self._violation(self.omega_entry)
 
     def validate(self):
         """Certify the defining law on all increasing basis triples.
@@ -221,18 +245,8 @@ class AnticommAlgebra:
         return self._first_violation() is None
 
     def is_lie(self):
-        field, n = self.field, self.dim
-        for i, j, k in combinations(range(n), 3):
-            if not vec_is_zero(
-                field,
-                self.jacobian(
-                    basis_vector(field, n, i),
-                    basis_vector(field, n, j),
-                    basis_vector(field, n, k),
-                ),
-            ):
-                return False
-        return True
+        field = self.field
+        return all(vec_is_zero(field, jac) for _, jac in self._basis_jacobians())
 
     def is_abelian(self):
         return not self._bracket
@@ -245,31 +259,16 @@ class AnticommAlgebra:
         = dw(t,z,y)x + dw(z,t,x)y + dw(y,x,t)z + dw(x,y,z)t.
         """
         field, n = self.field, self.dim
-        e = [basis_vector(field, n, i) for i in range(n)]
+        w, dw, e = self.omega_entry, self.d_omega, identity_matrix(field, n)
         for a, b, c, d in combinations(range(n), 4):
             x, y, z, t = e[a], e[b], e[c], e[d]
-            lhs = zeros(field, n)
-            for coeff, (u, v) in (
-                (self.omega(z, t), (x, y)),
-                (self.omega(t, y), (x, z)),
-                (self.omega(y, z), (x, t)),
-                (self.omega(x, t), (y, z)),
-                (self.omega(z, x), (y, t)),
-                (self.omega(x, y), (z, t)),
-            ):
-                if field.is_zero(coeff):
-                    continue
-                lhs = vec_add(field, lhs, vec_scale(field, coeff, self.bracket(u, v)))
-            rhs = zeros(field, n)
-            for coeff, v in (
-                (self.d_omega(t, z, y), x),
-                (self.d_omega(z, t, x), y),
-                (self.d_omega(y, x, t), z),
-                (self.d_omega(x, y, z), t),
-            ):
-                if field.is_zero(coeff):
-                    continue
-                rhs = vec_add(field, rhs, vec_scale(field, coeff, v))
+            lhs = vec_mat(
+                field,
+                [w(c, d), w(d, b), w(b, c), w(a, d), w(c, a), w(a, b)],
+                [self.basis_bracket(u, v) for u, v in combinations((a, b, c, d), 2)],
+            )
+            dws = [dw(t, z, y), dw(z, t, x), dw(y, x, t), dw(x, y, z)]
+            rhs = vec_mat(field, dws, [x, y, z, t])
             if not vec_is_zero(field, vec_sub(field, lhs, rhs)):
                 return False
         return True
@@ -286,31 +285,37 @@ class AnticommAlgebra:
         return self.dim - self.omega_kernel().dim
 
     def omega_space(self):
-        """All bilinear forms making the bracket satisfy the defining law.
+        """All bilinear forms making the bracket satisfy the defining law,
+        as an affine set in row-major coordinates w[i][j], or None.
 
-        The n^2 form entries are unknowns and the law is imposed on all
-        index triples (repetitions included), which forces skewness.
-        Unknown order: row-major w[i][j].
+        On repeated arguments the law forces skewness (characteristic 0
+        or p >= 5), and below dimension 3 every skew form works.  From
+        dimension 3 on, the e_k coordinate of the law on e_i, e_j, e_k
+        is w(e_i, e_j) = J(e_i, e_j, e_k)_k, so the form is read off the
+        first triple holding each pair and is the unique solution when
+        it passes the law.
         """
         field, n = self.field, self.dim
-        e = [basis_vector(field, n, i) for i in range(n)]
-        rows, rhs = [], []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    jac = self.jacobian(e[i], e[j], e[k])
-                    for l in range(n):
-                        row = zeros(field, n * n)
-                        # w(ei,ej) ek[l] + w(ek,ei) ej[l] + w(ej,ek) ei[l]
-                        if k == l:
-                            row[i * n + j] = field.add(row[i * n + j], field.one())
-                        if j == l:
-                            row[k * n + i] = field.add(row[k * n + i], field.one())
-                        if i == l:
-                            row[j * n + k] = field.add(row[j * n + k], field.one())
-                        rows.append(row)
-                        rhs.append(jac[l])
-        return solve_affine(field, rows, rhs)
+        if n < 3:
+            units = []
+            for i, j in combinations(range(n), 2):
+                u = zeros(field, n * n)
+                u[i * n + j], u[j * n + i] = field.one(), field.neg(field.one())
+                units.append(u)
+            return AffineSolution(zeros(field, n * n), Subspace(field, n * n, units))
+        w = {}
+        for (i, j, k), jac in self._basis_jacobians():
+            w.setdefault((i, j), jac[k])
+            w.setdefault((i, k), field.neg(jac[j]))
+            w.setdefault((j, k), jac[i])
+            if len(w) == n * (n - 1) // 2:
+                break
+        particular = zeros(field, n * n)
+        for (i, j), c in w.items():
+            particular[i * n + j], particular[j * n + i] = c, field.neg(c)
+        if self._violation(lambda i, j: particular[i * n + j]) is not None:
+            return None
+        return AffineSolution(particular, Subspace.zero(field, n * n))
 
     # -- spans and ideals --------------------------------------------------
 

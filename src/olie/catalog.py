@@ -27,7 +27,7 @@ from .errors import (
 )
 from .extensions import extend_codim1
 from .fields import field_from_json, scalar_from_json
-from .linalg import mat_mul, mat_sub, mat_eq, vec_add, vec_is_zero, vec_scale, zeros
+from .linalg import mat_mul, mat_sub, mat_eq, vec_add, vec_is_zero, vec_mat, vec_scale, zeros
 
 
 @dataclass
@@ -234,7 +234,9 @@ def _random_scalar(field, rng):
 
 def random_dim3(field, seed):
     """Random dim-3 instance: random structure constants, with the form
-    solved for (unique in dimension 3); deterministic per (field, seed)."""
+    solved for (unique in dimension 3, and checked against the law by
+    ``omega_space``, so the result is trusted); deterministic per
+    (field, seed)."""
     rng = _rng(field, seed, "dim3")
     bracket = {}
     for i, j in combinations(range(3), 2):
@@ -254,7 +256,7 @@ def random_dim3(field, seed):
         c = w[i * 3 + j]
         if not field.is_zero(c):
             omega[(i, j)] = c
-    return OmegaAlgebra(field, 3, bracket, omega)
+    return OmegaAlgebra._trusted(field, 3, bracket, omega)
 
 
 @dataclass
@@ -285,17 +287,12 @@ def random_extension_chain(field, seed, target_dim):
         if not basis:
             return Stuck("only the zero derivation", alg.dim)
         for _ in range(8):
-            matrix = [zeros(field, alg.dim) for _ in range(alg.dim)]
-            alpha = zeros(field, alg.dim)
-            for der in basis:
-                c = _random_scalar(field, rng)
-                if field.is_zero(c):
-                    continue
-                for i in range(alg.dim):
-                    matrix[i] = vec_add(
-                        field, matrix[i], vec_scale(field, c, der.matrix[i])
-                    )
-                alpha = vec_add(field, alpha, vec_scale(field, c, der.alpha))
+            coeffs = [_random_scalar(field, rng) for _ in basis]
+            matrix = [
+                vec_mat(field, coeffs, [der.matrix[i] for der in basis])
+                for i in range(alg.dim)
+            ]
+            alpha = vec_mat(field, coeffs, [der.alpha for der in basis])
             if not all(vec_is_zero(field, row) for row in matrix) or not vec_is_zero(
                 field, alpha
             ):
@@ -340,6 +337,9 @@ def from_json_dict(obj):
         raise SchemaError("'dim' must be a nonnegative integer")
     if dim > MAX_DIM:
         raise SchemaError(f"'dim' {dim} exceeds the limit of {MAX_DIM}")
+    for name in ("bracket", "omega"):
+        if not isinstance(obj.get(name, {}), dict):
+            raise SchemaError(f"'{name}' must be an object")
     bracket = {}
     for key, row in obj.get("bracket", {}).items():
         pair = _parse_pair_key(key, dim)

@@ -61,6 +61,9 @@ class AlphaLambdaDerivation:
         the wrong size a dimension mismatch."""
         if not isinstance(obj, dict):
             raise SchemaError("top level of a derivation file must be an object")
+        unknown = set(obj) - {"D", "alpha", "lambda"}
+        if unknown:
+            raise SchemaError(f"unknown keys {sorted(unknown)}")
         rows = obj.get("D")
         alpha = obj.get("alpha", ["0"] * dim)
         lam = obj.get("lambda", ["0"] * dim)

@@ -39,6 +39,7 @@ from .linalg import (
     solve_affine,
     vec_mat,
     vec_sub,
+    zero_matrix,
     zeros,
 )
 
@@ -193,48 +194,6 @@ class Cochain:
                 data[key] = val
         return cls(field, dim, degree, data)
 
-    def value(self, idx_tuple):
-        """Value on basis vectors with arbitrary index order."""
-        field = self.field
-        idx = list(idx_tuple)
-        if len(set(idx)) != len(idx):
-            return field.zero()
-        sign = field.one()
-        # insertion sort tracking the permutation sign
-        for a in range(1, len(idx)):
-            b = a
-            while b > 0 and idx[b - 1] > idx[b]:
-                idx[b - 1], idx[b] = idx[b], idx[b - 1]
-                sign = field.neg(sign)
-                b -= 1
-        return field.mul(sign, self.data.get(tuple(idx), field.zero()))
-
-    def eval(self, vectors):
-        """Multilinear alternating evaluation on arbitrary vectors."""
-        field, k = self.field, self.degree
-        if len(vectors) != k:
-            raise DimensionMismatch("wrong number of arguments")
-        total = field.zero()
-        if k == 0:
-            raise DimensionMismatch("degree-0 cochains are plain scalars")
-
-        def rec(pos, idxs, coeff):
-            nonlocal total
-            if pos == k:
-                total = field.add(total, field.mul(coeff, self.value(tuple(idxs))))
-                return
-            vec = vectors[pos]
-            for i in range(self.dim):
-                c = vec[i]
-                if field.is_zero(c):
-                    continue
-                idxs.append(i)
-                rec(pos + 1, idxs, field.mul(coeff, c))
-                idxs.pop()
-
-        rec(0, [], field.one())
-        return total
-
 
 def cochain_differential(alg: AnticommAlgebra, lam, cochain):
     """Differential of a cochain for the 1-dimensional module action
@@ -249,39 +208,17 @@ def cochain_differential(alg: AnticommAlgebra, lam, cochain):
     exist in dimension 4.  Over a Lie base every square vanishes.
     """
     field, n = alg.field, alg.dim
-    lam = [field.coerce(x) for x in lam]
-    if not is_multiplicative_for(alg, lam):
-        raise NotMultiplicative("lambda does not reproduce the form on brackets")
-    if not isinstance(cochain, Cochain):
-        c = field.coerce(cochain)
-        data = {(i,): field.mul(lam[i], c) for i in range(n)}
-        return Cochain.from_values(field, n, 1, data)
-    k = cochain.degree
-    if k > 3:
-        raise DimensionMismatch("differentials are provided for inputs of degree <= 3")
-    out = {}
-    e = [basis_vector(field, n, i) for i in range(n)]
-    for idx in combinations(range(n), k + 1):
-        total = field.zero()
-        sign_i = field.one()
-        for a in range(k + 1):
-            rest = idx[:a] + idx[a + 1 :]
-            total = field.add(
-                total,
-                field.mul(sign_i, field.mul(lam[idx[a]], cochain.value(rest))),
-            )
-            sign_i = field.neg(sign_i)
-        for a, b in combinations(range(k + 1), 2):
-            rest = tuple(idx[t] for t in range(k + 1) if t not in (a, b))
-            sign = field.neg(field.one()) if (a + b) % 2 else field.one()
-            bracket_vec = alg.bracket(e[idx[a]], e[idx[b]])
-            if k == 0:
-                val = field.zero()  # no slots left; term absent in degree 0
-            else:
-                val = cochain.eval([bracket_vec] + [e[t] for t in rest])
-            total = field.add(total, field.mul(sign, val))
-        if not field.is_zero(total):
-            out[idx] = total
+    if isinstance(cochain, Cochain):
+        k = cochain.degree
+        if k > 3:
+            raise DimensionMismatch("differentials are provided for inputs of degree <= 3")
+        zero = field.zero()
+        coeffs = [cochain.data.get(key, zero) for key in _cochain_keys(n, k)]
+    else:
+        k, coeffs = 0, [field.coerce(cochain)]
+    image = vec_mat(field, coeffs, _differential_matrix(alg, lam, k))
+    keys = _cochain_keys(n, k + 1)
+    out = {key: v for key, v in zip(keys, image) if not field.is_zero(v)}
     return Cochain(field, n, k + 1, out)
 
 
@@ -290,19 +227,36 @@ def _cochain_keys(n, k):
 
 
 def _differential_matrix(alg, lam, k):
-    """Matrix of the degree-k differential C^k -> C^(k+1), row convention."""
+    """Matrix of the degree-k differential C^k -> C^(k+1), row convention.
+
+    Column ``idx`` collects, for each position a, (-1)^a lam(e_idx[a])
+    at the key without position a, and for each pair a < b of positions
+    each coefficient C^m of [e_idx[a], e_idx[b]] with m outside the rest
+    of ``idx``, at the key sorted({m} + rest), with sign (-1)^(a+b)
+    times the sign of the sort.  Raises when lam is not multiplicative.
+    """
     field, n = alg.field, alg.dim
-    src = _cochain_keys(n, k)
+    lam = [field.coerce(x) for x in lam]
+    if not is_multiplicative_for(alg, lam):
+        raise NotMultiplicative("lambda does not reproduce the form on brackets")
+    src = {key: t for t, key in enumerate(_cochain_keys(n, k))}
     dst = _cochain_keys(n, k + 1)
-    dst_pos = {key: t for t, key in enumerate(dst)}
-    rows = []
-    for key in src:
-        c = Cochain.from_values(field, n, k, {key: field.one()})
-        dc = cochain_differential(alg, lam, c)
-        row = zeros(field, len(dst))
-        for kk, v in dc.data.items():
-            row[dst_pos[kk]] = v
-        rows.append(row)
+    rows = zero_matrix(field, len(src), len(dst))
+    for col, idx in enumerate(dst):
+        for a in range(k + 1):
+            term = lam[idx[a]] if a % 2 == 0 else field.neg(lam[idx[a]])
+            row = rows[src[idx[:a] + idx[a + 1 :]]]
+            row[col] = field.add(row[col], term)
+        for a, b in combinations(range(k + 1), 2):
+            rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
+            for m, c in enumerate(alg.basis_bracket(idx[a], idx[b])):
+                if field.is_zero(c) or m in rest:
+                    continue
+                below = sum(r < m for r in rest)
+                if (a + b + below) % 2:
+                    c = field.neg(c)
+                row = rows[src[rest[:below] + (m,) + rest[below:]]]
+                row[col] = field.add(row[col], c)
     return rows
 
 

@@ -31,11 +31,11 @@ from .linalg import (
     projective_points,
     transpose,
     vec_add,
+    vec_dot,
     vec_is_zero,
     vec_mat,
     vec_scale,
     vec_sub,
-    zeros,
 )
 
 # -- commuting-family decompositions -------------------------------------
@@ -361,26 +361,16 @@ def binomial_identity_check(alg: AnticommAlgebra, sub: Subspace, n_max: int):
                                 )
                             )
                         for npow in range(1, n_max + 1):
-                            total = field.zero()
-                            vec_total = zeros(field, dim)
+                            coeffs, pairs = [], []
                             for i in range(npow + 1):
-                                coeff = field.coerce(comb(npow, i))
-                                total = field.add(
-                                    total,
-                                    field.mul(
-                                        coeff,
-                                        alg.omega(powers_x[npow - i], powers_y[i]),
-                                    ),
-                                )
-                                vec_total = vec_add(
-                                    field,
-                                    vec_total,
-                                    vec_scale(
-                                        field,
-                                        coeff,
-                                        alg.bracket(powers_x[npow - i], powers_y[i]),
-                                    ),
-                                )
+                                coeffs.append(field.coerce(comb(npow, i)))
+                                pairs.append((powers_x[npow - i], powers_y[i]))
+                            total = vec_dot(
+                                field, coeffs, [alg.omega(u, v) for u, v in pairs]
+                            )
+                            vec_total = vec_mat(
+                                field, coeffs, [alg.bracket(u, v) for u, v in pairs]
+                            )
                             ab_pow = field.one()
                             for _ in range(npow):
                                 ab_pow = field.mul(ab_pow, ab)
@@ -458,18 +448,17 @@ class ClassificationVerdict:
 def _abelian_witness(alg: AnticommAlgebra, extra=(), enum_cap=10**6):
     """Best abelian subalgebra of small codimension among candidates."""
     field, n = alg.field, alg.dim
-    candidates = []
-
-    # greedy growth from each basis vector
     e = [basis_vector(field, n, i) for i in range(n)]
-    for start in range(n):
+
+    def grown(start):
+        # start, then each basis vector commuting with all taken so far
         members = [start]
-        for j in range(n):
-            if j in members:
-                continue
-            if all(vec_is_zero(field, alg.bracket(e[a], e[j])) for a in members):
-                members.append(j)
-        candidates.append(Subspace(field, n, [e[i] for i in members]))
+        for ej in e:
+            if all(vec_is_zero(field, alg.bracket(m, ej)) for m in members):
+                members.append(ej)
+        return Subspace(field, n, members)
+
+    candidates = [grown(ei) for ei in e]
     ker = alg.omega_kernel()
     candidates.append(ker)
     candidates.append(alg._abelian_part(ker))
@@ -491,14 +480,7 @@ def _abelian_witness(alg: AnticommAlgebra, extra=(), enum_cap=10**6):
         # last resort over a small prime field: largest abelian subalgebra
         # among spans of projective vectors, grown greedily
         for v in projective_points(field.char, n):
-            members = [list(v)]
-            for j in range(n):
-                cand = e[j]
-                if all(
-                    vec_is_zero(field, alg.bracket(m, cand)) for m in members
-                ):
-                    members.append(cand)
-            consider(Subspace(field, n, members))
+            consider(grown(v))
             if best is not None and best.codim <= 3:
                 break
     return best
@@ -614,15 +596,17 @@ def classify(alg: AnticommAlgebra, enum_cap=10**6):
     # search for a codimension-1 Lie subalgebra; any such subalgebra
     # contains the radical of the form (dim >= 4, non-Lie), so extending
     # the radical is a complete search over a small prime field
-    witness = None
-    for cand in _hyperplanes_over_subspace(alg, ker, enum_cap):
-        if cand.dim != n - 1:
-            continue
-        if not alg.is_subalgebra(cand):
-            continue
-        if alg.restrict(cand).is_lie():
-            witness = cand
-            break
+    def lie_hyperplane(cand):
+        # one subalgebra check per candidate; restrict() would repeat it
+        return (
+            cand.dim == n - 1
+            and alg.is_subalgebra(cand)
+            and alg._induced(cand.basis(), cand.coords).is_lie()
+        )
+
+    witness = next(
+        filter(lie_hyperplane, _hyperplanes_over_subspace(alg, ker, enum_cap)), None
+    )
     if witness is None and field.char == 0:
         # candidate kernels of alpha covectors from derivation solutions
         lam_set = alg.multiplicative_lambda()
@@ -634,11 +618,7 @@ def classify(alg: AnticommAlgebra, enum_cap=10**6):
                     cand = Subspace(
                         field, n, kernel_basis(field, [der.alpha], n)
                     )
-                    if (
-                        cand.dim == n - 1
-                        and alg.is_subalgebra(cand)
-                        and alg.restrict(cand).is_lie()
-                    ):
+                    if lie_hyperplane(cand):
                         witness = cand
                         break
                 if witness is not None:

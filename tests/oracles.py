@@ -8,7 +8,7 @@ and dimensions are frozen against these routines.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def _to_int_rows(rows):
@@ -170,6 +170,154 @@ def omega_reference(alg, x, y):
         cross = field.sub(field.mul(x[i], y[j]), field.mul(x[j], y[i]))
         s = field.add(s, field.mul(c, cross))
     return s
+
+
+def _basis(field, n):
+    return [[field.one() if t == i else field.zero() for t in range(n)] for i in range(n)]
+
+
+def jacobian_reference(alg, x, y, z):
+    """[[x,y],z] + [[z,x],y] + [[y,z],x] from six reference brackets."""
+    parts = [
+        bracket_reference(alg, bracket_reference(alg, u, v), t)
+        for u, v, t in ((x, y, z), (z, x, y), (y, z, x))
+    ]
+    return [sum_scalars(alg.field, col) for col in zip(*parts)]
+
+
+def first_violation_reference(alg):
+    """``(triple, residual)`` for the first increasing basis triple on which
+    the law fails, or None: the six-bracket law loop on the reference
+    bracket and form."""
+    field, n = alg.field, alg.dim
+    e = _basis(field, n)
+    for i, j, k in combinations(range(n), 3):
+        x, y, z = e[i], e[j], e[k]
+        jac = jacobian_reference(alg, x, y, z)
+        wxy, wzx, wyz = (omega_reference(alg, u, v) for u, v in ((x, y), (z, x), (y, z)))
+        res = [
+            field.sub(jl, sum_scalars(field, [field.mul(wxy, zl), field.mul(wzx, yl), field.mul(wyz, xl)]))
+            for jl, xl, yl, zl in zip(jac, x, y, z)
+        ]
+        if not all(field.is_zero(v) for v in res):
+            return (i, j, k), res
+    return None
+
+
+def is_lie_reference(alg):
+    field, n = alg.field, alg.dim
+    e = _basis(field, n)
+    return all(
+        field.is_zero(v)
+        for i, j, k in combinations(range(n), 3)
+        for v in jacobian_reference(alg, e[i], e[j], e[k])
+    )
+
+
+def omega_space_reference(alg):
+    """``(particular, kernel rows)`` of the forms, in row-major coordinates
+    w[i][j], satisfying the law on all n^3 index triples (repetitions
+    included): n^4 equations in n^2 unknowns solved by
+    ``rref_reference``.  The particular point is zero at the free
+    columns and the kernel rows are the canonical RREF basis; None when
+    the system is inconsistent."""
+    field, n = alg.field, alg.dim
+    ncols = n * n
+    e = _basis(field, n)
+    aug = []
+    for i, j, k in product(range(n), repeat=3):
+        jac = jacobian_reference(alg, e[i], e[j], e[k])
+        for l in range(n):
+            # w(ei,ej) ek[l] + w(ek,ei) ej[l] + w(ej,ek) ei[l]
+            row = [field.zero()] * ncols + [jac[l]]
+            for col, hit in ((i * n + j, k == l), (k * n + i, j == l), (j * n + k, i == l)):
+                if hit:
+                    row[col] = field.add(row[col], field.one())
+            aug.append(row)
+    red, _, pivots = rref_reference(field, aug)
+    if ncols in pivots:
+        return None
+    particular = [field.zero()] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = red[r][ncols]
+    kernel = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for r, c in enumerate(pivots):
+            v[c] = field.neg(red[r][free])
+        kernel.append(v)
+    red, rank, _ = rref_reference(field, kernel)
+    return particular, red[:rank]
+
+
+def _cochain_value(field, data, idx):
+    """A cochain stored on increasing keys, on basis indices in any order."""
+    idx = list(idx)
+    if len(set(idx)) != len(idx):
+        return field.zero()
+    sign = field.one()
+    # insertion sort tracking the permutation sign
+    for a in range(1, len(idx)):
+        b = a
+        while b > 0 and idx[b - 1] > idx[b]:
+            idx[b - 1], idx[b] = idx[b], idx[b - 1]
+            sign = field.neg(sign)
+            b -= 1
+    return field.mul(sign, data.get(tuple(idx), field.zero()))
+
+
+def _cochain_eval(field, n, data, vectors):
+    """Multilinear alternating evaluation, recursing over the nonzero
+    coordinates of each argument."""
+    total = field.zero()
+
+    def rec(pos, idxs, coeff):
+        nonlocal total
+        if pos == len(vectors):
+            total = field.add(total, field.mul(coeff, _cochain_value(field, data, idxs)))
+            return
+        for i in range(n):
+            c = vectors[pos][i]
+            if not field.is_zero(c):
+                rec(pos + 1, idxs + [i], field.mul(coeff, c))
+
+    rec(0, [], field.one())
+    return total
+
+
+def cochain_differential_reference(alg, lam, data, k):
+    """The differential of the degree-k cochain with values ``data`` on
+    increasing keys (``{(): c}`` in degree 0), as a dict on the nonzero
+    (k+1)-keys: the alternating-sum formula evaluated key by key, the
+    bracket terms through the multilinear evaluation."""
+    field, n = alg.field, alg.dim
+    lam = [field.coerce(x) for x in lam]
+    e = _basis(field, n)
+    out = {}
+    for idx in combinations(range(n), k + 1):
+        total = field.zero()
+        for a in range(k + 1):
+            term = field.mul(lam[idx[a]], _cochain_value(field, data, idx[:a] + idx[a + 1 :]))
+            total = field.add(total, term if a % 2 == 0 else field.neg(term))
+        for a, b in combinations(range(k + 1), 2):
+            rest = [e[t] for p, t in enumerate(idx) if p not in (a, b)]
+            val = _cochain_eval(field, n, data, [bracket_reference(alg, e[idx[a]], e[idx[b]])] + rest)
+            total = field.add(total, field.neg(val) if (a + b) % 2 else val)
+        if not field.is_zero(total):
+            out[idx] = total
+    return out
+
+
+def differential_matrix_reference(alg, lam, k):
+    """Rows of the degree-k differential, one per basis k-cochain."""
+    field, n = alg.field, alg.dim
+    dst = list(combinations(range(n), k + 1))
+    rows = []
+    for key in combinations(range(n), k):
+        dc = cochain_differential_reference(alg, lam, {key: field.one()}, k)
+        rows.append([dc.get(t, field.zero()) for t in dst])
+    return rows
 
 
 def eval_reference(alg, term, env):

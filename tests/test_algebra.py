@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from olie import GF, QQ, AnticommAlgebra, OmegaAlgebra, Subspace, Violation
 from olie import catalog
@@ -18,10 +18,14 @@ from olie.linalg import SkewProduct, basis_vector, projective_points, vec_is_zer
 
 from oracles import (
     bracket_reference,
+    first_violation_reference,
     ideal_closure_reference,
+    is_lie_reference,
     multiplication_algebra_dim,
     omega_reference,
+    omega_space_reference,
 )
+from strategies import FIELDS, algebras, assert_canonical, scalars
 
 
 def vec(field, *entries):
@@ -69,33 +73,6 @@ def test_omega_algebra_rejects_a_violation_as_precondition_failure():
 
 # -- the sparse bracket kernels against the dense reference loop ----------------
 
-FIELDS = [QQ, GF(5), GF(7)]
-
-
-def scalars(field):
-    """Scalars with many zeros: over Q mixed denominators and signs."""
-    if field.char:
-        nonzero = st.integers(min_value=1, max_value=field.char - 1)
-    else:
-        nonzero = st.builds(
-            F,
-            st.integers(min_value=-9, max_value=9).filter(bool),
-            st.integers(min_value=1, max_value=6),
-        )
-    return st.one_of(st.just(field.zero()), nonzero)
-
-
-@st.composite
-def algebras(draw, field, max_dim=5):
-    """A random (not necessarily valid) table with a random form."""
-    n = draw(st.integers(min_value=0, max_value=max_dim))
-    bracket, omega = {}, {}
-    for pair in combinations(range(n), 2):
-        image = draw(st.dictionaries(st.integers(0, n - 1), scalars(field), max_size=n))
-        bracket[pair] = image
-        omega[pair] = draw(scalars(field))
-    return AnticommAlgebra(field, n, bracket, omega)
-
 
 def vectors(field, n):
     return st.one_of(
@@ -105,13 +82,6 @@ def vectors(field, n):
             lambda i: basis_vector(field, n, i) if n else []
         ),
     )
-
-
-def assert_canonical(field, values):
-    if field.char:
-        assert all(type(x) is int and 0 <= x < field.char for x in values)
-    else:
-        assert all(type(x) is F for x in values)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -275,6 +245,51 @@ def test_omega_space_skewness_and_uniqueness_random():
                         )
             if dim >= 3:
                 assert sol.dim == 0
+
+
+# -- the law read off the sparse table against the six-bracket loop ------------
+
+
+@st.composite
+def law_tables(draw, field):
+    """A random table of dimension 0-6 (sparse to dense, mostly not
+    valid), or a plain copy of a certified extension chain of dimension
+    3-6."""
+    if draw(st.booleans()):
+        chain = catalog.random_extension_chain(
+            field, draw(st.integers(0, 30)), draw(st.integers(3, 6))
+        )
+        if not isinstance(chain, catalog.Stuck):
+            return AnticommAlgebra(field, chain.dim, chain._bracket, chain._omega)
+    return draw(algebras(field, max_dim=6))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_law_checks_match_six_bracket_oracle(field, data):
+    alg = data.draw(law_tables(field))
+    got, want = alg._first_violation(), first_violation_reference(alg)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.triple, got.residual) == want
+        assert_canonical(field, got.residual)
+    assert alg.is_lie() == is_lie_reference(alg)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_omega_space_matches_full_system_oracle(field, data):
+    alg = data.draw(law_tables(field))
+    got, want = alg.omega_space(), omega_space_reference(alg)
+    assert (got is None) == (want is None)
+    if got is not None:
+        particular, kernel = want
+        assert got.particular == particular
+        assert got.kernel.ambient == alg.dim**2
+        assert [list(r) for r in got.kernel.rows] == kernel
+        assert_canonical(field, got.particular + [x for r in got.kernel.rows for x in r])
 
 
 def test_omega_kernel_examples(s4, sl2, sl2e):

@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import olie
 from olie import GF, catalog
 from olie.cli import main
-from olie.errors import ParseError, SchemaError
+from olie.errors import OlieError, ParseError, SchemaError
 
 
 def run_cli(args):
@@ -330,6 +332,81 @@ def test_bad_dim_is_schema_error(tmp_path, dim):
         catalog.loads(bad.read_text())
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"field": "Q", "dim": 2, "bracket": [1]}', "'bracket'"),
+        ('{"field": "Q", "dim": 2, "omega": "x"}', "'omega'"),
+    ],
+)
+def test_non_object_table_is_schema_error(tmp_path, text, key):
+    bad = tmp_path / "table.json"
+    bad.write_text(text)
+    code, out, err = run_cli_process(["info", str(bad)])
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert key in err
+    with pytest.raises(SchemaError):
+        catalog.loads(text)
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 7),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.sampled_from(["Q", "0", "1", "-1/2", "1/0", "x", "1,2", "2,3", "3"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["1", "2", "1,2", "1,3", "2,3", "GF", "a"]), inner, max_size=3),
+    max_leaves=6,
+)
+PAIR_KEYS = st.sampled_from(["1,2", "1,3", "2,3", "3,4", "2,1", "0,1", "a"])
+INDEX_KEYS = st.sampled_from(["1", "2", "3", "4", "0", "x"])
+FILE_SCALARS = st.sampled_from(["1", "-2", "1/2", "0", "1/0", "x"]) | JSON_LEAVES
+
+
+@st.composite
+def algebra_files(draw):
+    """The data of an algebra file: a table drawn around the schema, with
+    one key replaced by an arbitrary JSON value or dropped, or a stray
+    key added, or the whole file an arbitrary value."""
+    obj = {
+        "field": draw(st.sampled_from(["Q", {"GF": 5}, {"GF": 7}])),
+        "dim": draw(st.integers(0, 5)),
+        "bracket": draw(st.dictionaries(PAIR_KEYS, st.dictionaries(INDEX_KEYS, FILE_SCALARS))),
+        "omega": draw(st.dictionaries(PAIR_KEYS, FILE_SCALARS)),
+    }
+    key = draw(st.sampled_from(["bracket", "omega", "field", "dim", "stray", "file", None]))
+    if key == "file":
+        return draw(JSON_VALUES)
+    if key == "stray":
+        obj[draw(st.sampled_from(["x", "alpha"]))] = draw(JSON_VALUES)
+    elif key is not None and draw(st.integers(0, 3)):
+        obj[key] = draw(JSON_VALUES)
+    elif key is not None:
+        del obj[key]
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=algebra_files())
+def test_fuzzed_algebra_file_gets_a_documented_exit_code(obj):
+    text = json.dumps(obj)
+    try:
+        catalog.loads(text)
+        want = (0, 1)
+    except OlieError:
+        want = (3, 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "alg.json"
+        path.write_text(text)
+        code, _, err = run_cli(["check", str(path)])
+    assert code in want, (text, err)
+
+
 def test_non_integer_olie_workers_is_parse_error():
     tail = ["scan-dim3", "--field", "gf5", "--count", "2"]
     code, out, err = run_cli_process(tail, OLIE_WORKERS="two")
@@ -418,6 +495,22 @@ def test_malformed_derivation_file(tmp_path, text, want):
         ["extend", str(base), "--derivation", str(der), "-o", str(out_path)]
     )
     assert code == want and "Traceback" not in err and out == ""
+    assert not out_path.exists()
+
+
+def test_unknown_key_in_derivation_file_is_schema_error(tmp_path):
+    # the misspelt "alfa" was read as a zero alpha, and the all-zero data
+    # are a derivation of the abelian base, so a wrong extension was written
+    base = tmp_path / "abelian.json"
+    base.write_text('{"field": "Q", "dim": 2}')
+    der = tmp_path / "der.json"
+    der.write_text('{"D": [["0", "0"], ["0", "0"]], "alfa": ["1", "0"]}')
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli_process(
+        ["extend", str(base), "--derivation", str(der), "-o", str(out_path)]
+    )
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert "alfa" in err
     assert not out_path.exists()
 
 

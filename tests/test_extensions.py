@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from olie import (
     QQ,
@@ -33,9 +35,16 @@ from olie.errors import (
     NotOmegaAssociative,
     PreconditionFailed,
 )
-from olie.linalg import basis_vector, vec_is_zero, zero_matrix
+from olie.extensions import _differential_matrix
+from olie.linalg import basis_vector, vec_dot, vec_is_zero, zero_matrix
 
-from oracles import deformation_dims_oracle, h2_oracle
+from oracles import (
+    cochain_differential_reference,
+    deformation_dims_oracle,
+    differential_matrix_reference,
+    h2_oracle,
+)
+from strategies import FIELDS, algebras, assert_canonical, scalars
 
 
 def first_coords(field, n, m):
@@ -275,6 +284,41 @@ def test_square_of_differential_on_one_cochains(gf5):
     assert checked >= 20
 
 
+@st.composite
+def multiplicative_data(draw, field):
+    """A random table of dimension 0-6 with a random covector lam and the
+    form w(x, y) = lam([x, y]), for which lam is multiplicative."""
+    table = draw(algebras(field, max_dim=6))
+    n = table.dim
+    lam = draw(st.lists(scalars(field), min_size=n, max_size=n))
+    omega = {
+        (i, j): vec_dot(field, table.basis_bracket(i, j), lam)
+        for i, j in combinations(range(n), 2)
+    }
+    return AnticommAlgebra(field, n, table._bracket, omega), lam
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_differentials_match_per_key_oracle(field, data):
+    alg, lam = data.draw(multiplicative_data(field))
+    n = alg.dim
+    for k in range(4):
+        got = _differential_matrix(alg, lam, k)
+        assert got == differential_matrix_reference(alg, lam, k)
+        assert_canonical(field, [x for row in got for x in row])
+    k = data.draw(st.integers(0, 3))
+    values = data.draw(st.lists(scalars(field), min_size=comb(n, k), max_size=comb(n, k)))
+    cochain = Cochain.from_values(field, n, k, dict(zip(combinations(range(n), k), values)))
+    want = cochain_differential_reference(alg, lam, cochain.data, k)
+    assert cochain_differential(alg, lam, cochain).data == want
+    c = data.draw(scalars(field))
+    assert cochain_differential(alg, lam, c).data == cochain_differential_reference(
+        alg, lam, {(): c}, 0
+    )
+
+
 def test_h2_examples(n3):
     assert h2_dimension(AnticommAlgebra(QQ, 1), [0]) == 0
     assert h2_dimension(n3, [2, 0, 0]) == 0 == h2_oracle(n3, [2, 0, 0])
@@ -339,7 +383,6 @@ def test_random_cocycle_extensions_validate(gf5):
         if lam_set is None:
             continue
         lam = lam_set.particular
-        from olie.extensions import _differential_matrix
         from olie.linalg import kernel_basis
 
         d2 = _differential_matrix(alg, lam, 2)

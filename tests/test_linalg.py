@@ -26,6 +26,7 @@ from oracles import (
     reduce_reference,
     rref_reference,
 )
+from strategies import FIELDS, scalars
 
 
 def test_rref_identity():
@@ -175,22 +176,6 @@ def test_row_convention_apply():
 
 
 # -- the rref kernels against the field-generic reference ---------------------
-
-FIELDS = [QQ, GF(5), GF(7)]
-
-
-def scalars(field):
-    """Scalars with many zeros: over Q mixed denominators and signs."""
-    if field.char:
-        nonzero = st.integers(min_value=1, max_value=field.char - 1)
-    else:
-        nonzero = st.builds(
-            F,
-            st.integers(min_value=-9, max_value=9).filter(bool),
-            st.integers(min_value=1, max_value=6),
-        )
-    return st.one_of(st.just(field.zero()), nonzero)
-
 
 @st.composite
 def matrices(draw, field, max_rows=7, max_cols=7):
