@@ -54,6 +54,7 @@ from .linalg import (
     SkewProduct,
     Subspace,
     basis_vector,
+    from_scaled,
     identity_matrix,
     kernel_basis,
     projective_points,
@@ -165,7 +166,21 @@ class AnticommAlgebra:
         return self._product(x, y)
 
     def omega(self, x, y):
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise DimensionMismatch("vector length does not match the algebra")
         return self._form(x, y)[0]
+
+    def bracket_scaled(self, x, y):
+        """The bracket of two scaled vectors (see ``linalg.to_scaled``),
+        as a scaled vector; lengths are the caller's to check."""
+        return self._product.scaled(x, y)
+
+    def omega_scaled(self, x, y):
+        """The form on two scaled vectors, as a scaled scalar
+        ``(int, den)``; lengths are the caller's to check."""
+        (v,), den = self._form.scaled(x, y)
+        return v, den
 
     def jacobian(self, x, y, z):
         field = self.field
@@ -204,15 +219,11 @@ class AnticommAlgebra:
     def _basis_jacobians(self):
         """Yield ``((i, j, k), J)`` for each increasing basis triple, J the
         Jacobian [[e_i,e_j],e_k] + [[e_k,e_i],e_j] + [[e_j,e_k],e_i]; each
-        term is one sparse product of a basis bracket with e_k."""
-        field, n = self.field, self.dim
-        e = identity_matrix(field, n)
-        image, product = self._product.image, self._product
-        for i, j, k in combinations(range(n), 3):
-            a = product(image(i, j), e[k])
-            b = product(image(k, i), e[j])
-            c = product(image(j, k), e[i])
-            yield (i, j, k), [field.add(field.add(x, y), z) for x, y, z in zip(a, b, c)]
+        three terms are added as ints in one pass over the signed pair
+        rows of the sparse table."""
+        field, jacobian = self.field, self._product.basis_jacobian
+        for ijk in combinations(range(self.dim), 3):
+            yield ijk, from_scaled(field, *jacobian(*ijk))
 
     def _violation(self, w):
         """The first increasing basis triple on which the law fails for the

@@ -18,6 +18,14 @@ list in which each distinct subterm appears once (``degree5`` has 960
 bracket nodes as a tree and 440 as a program).  An :class:`Identity`
 compiles on first use and keeps its programs, and built-in identities
 are built once per process.
+
+A program runs on scaled values (``linalg.to_scaled``): every node holds
+ints over one denominator, ``ints/den`` over Q and residues with ``den``
+1 over GF(p).  Brackets and forms multiply denominators, a sum brings
+its parts to the lcm of theirs, and nothing is reduced on the way, so
+the run builds no ``Fraction``; ``evaluate`` and ``evaluate_on_vectors``
+turn the root into canonical scalars, one ``Fraction`` per nonzero
+coordinate.  Both check their inputs' shape once, on entry.
 """
 
 from __future__ import annotations
@@ -26,16 +34,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from inspect import signature
 from itertools import combinations, permutations, product
+from math import lcm
 
 from .algebra import AnticommAlgebra
 from .errors import (
     ArityMismatch,
+    DimensionMismatch,
     IdentitySyntaxError,
     IdentityTypeError,
     NotMultilinear,
     UnknownIdentity,
 )
-from .linalg import basis_vector, vec_is_zero
+from .linalg import from_scaled, to_scaled, vec_is_zero
 
 # term node tags
 VAR, BRACKET, OMEGA, SCALE, SUM, INT = "var", "b", "w", "s", "+", "int"
@@ -328,31 +338,47 @@ def _program(ident, direct):
 
 
 def _run(alg: AnticommAlgebra, program, args):
-    """The root value of a program with ``x_k`` bound to ``args[k - 1]``."""
-    field = alg.field
+    """The root value of a program with ``x_k`` bound to the scaled vector
+    ``args[k - 1]``, as a scaled vector or scalar: ints over one
+    denominator, residues over GF(p)."""
+    p = alg.field.char
     vals = []
     for node in program.nodes:
         tag = node[0]
         if tag == BRACKET:
-            value = alg.bracket(vals[node[1]], vals[node[2]])
+            value = alg.bracket_scaled(vals[node[1]], vals[node[2]])
         elif tag == SCALE:
-            c = vals[node[1]]
-            value = [field.mul(c, x) for x in vals[node[2]]]
+            (c, dc), (v, dv) = vals[node[1]], vals[node[2]]
+            if p:
+                value = [c * x % p for x in v], 1
+            else:
+                value = [c * x for x in v], dc * dv
         elif tag == SUM:
             parts = [vals[i] for i in node[1]]
-            zero = field.zero()
-            if isinstance(parts[0], list):
-                value = [field.coerce(sum(col, zero)) for col in zip(*parts)]
+            den = lcm(*[d for _, d in parts])
+            if isinstance(parts[0][0], list):
+                parts = [v if d == den else [den // d * x for x in v] for v, d in parts]
+                ints = [sum(col) for col in zip(*parts)]
+                value = ([x % p for x in ints] if p else ints), den
             else:
-                value = field.coerce(sum(parts, zero))
+                total = sum(c * (den // d) for c, d in parts)
+                value = (total % p if p else total), den
         elif tag == VAR:
             value = args[node[1] - 1]
         elif tag == INT:
-            value = field.coerce(node[1])
+            value = (node[1] % p if p else node[1]), 1
         else:
-            value = alg.omega(vals[node[1]], vals[node[2]])
+            value = alg.omega_scaled(vals[node[1]], vals[node[2]])
         vals.append(value)
     return vals[-1]
+
+
+def _canonical(field, value):
+    """A scaled root value as canonical scalars."""
+    ints, den = value
+    if isinstance(ints, list):
+        return from_scaled(field, ints, den)
+    return from_scaled(field, [ints], den)[0]
 
 
 def evaluate(alg: AnticommAlgebra, ident, assignment, direct=False):
@@ -360,15 +386,21 @@ def evaluate(alg: AnticommAlgebra, ident, assignment, direct=False):
     program, nvars = _program(ident, direct)
     if len(assignment) != nvars:
         raise ArityMismatch(f"need {nvars} indices, got {len(assignment)}")
-    field, n = alg.field, alg.dim
-    return _run(alg, program, [basis_vector(field, n, i) for i in assignment])
+    n = alg.dim
+    if not all(0 <= i < n for i in assignment):
+        raise DimensionMismatch(f"basis indices {tuple(assignment)} out of range for dim {n}")
+    args = [([0] * i + [1] + [0] * (n - 1 - i), 1) for i in assignment]
+    return _canonical(alg.field, _run(alg, program, args))
 
 
 def evaluate_on_vectors(alg: AnticommAlgebra, ident, vectors, direct=False):
     program, nvars = _program(ident, direct)
     if len(vectors) < nvars:
         raise ArityMismatch(f"need {nvars} vectors, got {len(vectors)}")
-    return _run(alg, program, [list(v) for v in vectors])
+    if any(len(v) != alg.dim for v in vectors):
+        raise DimensionMismatch("vector length does not match the algebra")
+    field = alg.field
+    return _canonical(field, _run(alg, program, [to_scaled(field, v) for v in vectors]))
 
 
 def _is_zero_value(field, value):

@@ -20,7 +20,14 @@ grew.
 
 :class:`SkewProduct` is the matching kernel for alternating bilinear
 maps given on basis pairs (an algebra's bracket and its form): int
-arithmetic on the nonzero coordinates only, over either field.
+arithmetic on the nonzero coordinates only, over either field, in one
+accumulation loop.  Its ``__call__`` takes and returns canonical
+scalars.  For chains of products it also works on *scaled vectors*
+``(ints, den)``, meaning ``ints/den`` over Q and residues with ``den``
+1 over GF(p) (:func:`to_scaled`): ``scaled`` multiplies two of them and
+``basis_jacobian`` adds the three terms of a basis Jacobian, without
+building a ``Fraction``; :func:`from_scaled` turns the result into
+canonical scalars at the end.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from math import gcd, lcm
 
 from .errors import DimensionMismatch
 from .fields import same_field
+
+_ZERO = Fraction(0)
 
 
 def zeros(field, n):
@@ -146,7 +155,9 @@ class SkewProduct:
     reduced once per output entry.  Over Q the table is scaled to
     integers by a common denominator ``D`` and each operand by its own,
     so the inner loop adds ints and one ``Fraction(v, dx*dy*D)`` is
-    built per nonzero output entry.  Results are canonical scalars.
+    built per nonzero output entry.  ``__call__`` takes and returns
+    canonical scalars; :meth:`scaled` and :meth:`basis_jacobian` stay in
+    scaled vectors (see :func:`to_scaled`).
     """
 
     __slots__ = ("field", "out_dim", "_rows", "_den")
@@ -167,11 +178,10 @@ class SkewProduct:
 
     def image(self, i, j):
         """The product of the basis vectors ``i`` and ``j``."""
-        p = self.field.char
-        out = zeros(self.field, self.out_dim)
+        acc = [0] * self.out_dim
         for k, c in self._rows[i][j]:
-            out[k] = c % p if p else Fraction(c, self._den)
-        return out
+            acc[k] = c
+        return from_scaled(self.field, acc, self._den)
 
     def __call__(self, x, y):
         p = self.field.char
@@ -181,20 +191,35 @@ class SkewProduct:
         else:
             xs, dx = _int_support(x)
             ys, dy = _int_support(y)
-        rows, acc = self._rows, [0] * self.out_dim
-        for i, a in xs:
-            row = rows[i]
-            for j, b in ys:
-                pairs = row[j]
-                if pairs:
-                    ab = a * b
-                    for k, c in pairs:
-                        acc[k] += ab * c
+        acc = _accumulate(self._rows, xs, ys, [0] * self.out_dim)
         if p:
             return [v % p for v in acc]
         den = dx * dy * self._den
-        zero = Fraction(0)
-        return [Fraction(v, den) if v else zero for v in acc]
+        return [Fraction(v, den) if v else _ZERO for v in acc]
+
+    def scaled(self, x, y):
+        """The product of two scaled vectors, as a scaled vector.  Over Q
+        its denominator is ``dx*dy*D``, not reduced."""
+        (xv, dx), (yv, dy) = x, y
+        xs = [(i, a) for i, a in enumerate(xv) if a]
+        ys = [(j, b) for j, b in enumerate(yv) if b]
+        acc = _accumulate(self._rows, xs, ys, [0] * self.out_dim)
+        p = self.field.char
+        if p:
+            return [v % p for v in acc], 1
+        return acc, dx * dy * self._den
+
+    def basis_jacobian(self, i, j, k):
+        """The Jacobian [[e_i,e_j],e_k] + [[e_k,e_i],e_j] + [[e_j,e_k],e_i]
+        of three basis vectors, as a scaled vector over ``D**2``: each
+        term is the signed pair row of a basis bracket times one unit."""
+        rows, acc = self._rows, [0] * self.out_dim
+        for a, b, c in ((i, j, k), (k, i, j), (j, k, i)):
+            _accumulate(rows, rows[a][b], ((c, 1),), acc)
+        p = self.field.char
+        if p:
+            return [v % p for v in acc], 1
+        return acc, self._den * self._den
 
     def right_images(self, x):
         """The products ``[x, e_j]`` for every basis vector ``e_j``, in one
@@ -214,8 +239,45 @@ class SkewProduct:
         if p:
             return [[v % p for v in acc] for acc in accs]
         den = dx * self._den
-        zero = Fraction(0)
-        return [[Fraction(v, den) if v else zero for v in acc] for acc in accs]
+        return [[Fraction(v, den) if v else _ZERO for v in acc] for acc in accs]
+
+
+def _accumulate(rows, xs, ys, acc):
+    """Add into ``acc`` the int products of the supports ``xs`` and ``ys``
+    (``(index, int)`` pairs) through the signed pair table ``rows``: the
+    one inner loop of :class:`SkewProduct`.  Returns ``acc``."""
+    for i, a in xs:
+        row = rows[i]
+        for j, b in ys:
+            pairs = row[j]
+            if pairs:
+                ab = a * b
+                for k, c in pairs:
+                    acc[k] += ab * c
+    return acc
+
+
+def to_scaled(field, v):
+    """A vector as a scaled vector ``(ints, den)``, meaning ``ints/den``.
+
+    Over Q ``den`` is the least common denominator of the entries; over
+    GF(p) the ints are residues and ``den`` is 1.  Products and sums of
+    scaled vectors stay in ints, and :func:`from_scaled` turns the result
+    back into canonical scalars."""
+    p = field.char
+    if p:
+        return [a % p for a in v], 1
+    den = lcm(*[a.denominator for a in v])
+    return [a.numerator * (den // a.denominator) for a in v], den
+
+
+def from_scaled(field, ints, den):
+    """The canonical scalars of the scaled vector ``ints/den``: one
+    ``Fraction`` per nonzero entry over Q, residues over GF(p)."""
+    p = field.char
+    if p:
+        return [v % p for v in ints]
+    return [Fraction(v, den) if v else _ZERO for v in ints]
 
 
 def _int_support(v):

@@ -7,6 +7,7 @@ the linear systems the library builds by index formulas.  Oracle ranks
 and dimensions are frozen against these routines.
 """
 
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -117,16 +118,34 @@ def reduce_reference(field, rows, v):
     return v
 
 
+# the signed basis-bracket table of each live algebra, by id; an entry
+# leaves with its algebra (algebras compare by value, so they are not
+# hashable keys)
+_TABLES = {}
+
+
+def _signed_table(alg):
+    """The dense n x n x n table of basis brackets, both signs, built
+    once per algebra."""
+    table = _TABLES.get(id(alg))
+    if table is None:
+        field, n = alg.field, alg.dim
+        table = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), image in alg._bracket.items():
+            for k, c in image.items():
+                table[i][j][k] = c
+                table[j][i][k] = field.neg(c)
+        _TABLES[id(alg)] = table
+        weakref.finalize(alg, _TABLES.pop, id(alg), None)
+    return table
+
+
 def bracket_reference(alg, x, y):
     """The dense triple loop over a signed table of basis brackets, one
     field-method call per scalar: the reference the sparse bracket
     kernels are checked against."""
     field, n = alg.field, alg.dim
-    table = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), image in alg._bracket.items():
-        for k, c in image.items():
-            table[i][j][k] = c
-            table[j][i][k] = field.neg(c)
+    table = _signed_table(alg)
     out = [field.zero()] * n
     for i in range(n):
         if field.is_zero(x[i]):

@@ -24,9 +24,9 @@ def scalars(field):
 
 
 @st.composite
-def algebras(draw, field, max_dim=5):
+def algebras(draw, field, max_dim=5, min_dim=0):
     """A random (not necessarily valid) table with a random form."""
-    n = draw(st.integers(min_value=0, max_value=max_dim))
+    n = draw(st.integers(min_value=min_dim, max_value=max_dim))
     bracket, omega = {}, {}
     for pair in combinations(range(n), 2):
         image = draw(st.dictionaries(st.integers(0, n - 1), scalars(field), max_size=n))

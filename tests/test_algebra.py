@@ -14,7 +14,14 @@ from olie.errors import (
     PreconditionFailed,
     ZeroVector,
 )
-from olie.linalg import SkewProduct, basis_vector, projective_points, vec_is_zero
+from olie.linalg import (
+    SkewProduct,
+    basis_vector,
+    from_scaled,
+    projective_points,
+    to_scaled,
+    vec_is_zero,
+)
 
 from oracles import (
     bracket_reference,
@@ -95,6 +102,10 @@ def test_bracket_and_omega_match_reference(field, data):
     assert got == bracket_reference(alg, x, y)
     assert len(got) == n
     assert_canonical(field, got)
+    # the scaled product, converted back, is the same bracket
+    ints, den = alg._product.scaled(to_scaled(field, x), to_scaled(field, y))
+    assert field.char == 0 or (den == 1 and all(0 <= v < field.char for v in ints))
+    assert from_scaled(field, ints, den) == got
     w = alg.omega(x, y)
     assert w == omega_reference(alg, x, y)
     assert_canonical(field, [w])
@@ -120,6 +131,7 @@ def test_right_images_match_reference(field, data):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None)
 @given(data=st.data())
 def test_multiplication_algebra_dim_matches_oracle_on_random_tables(field, data):
     alg = data.draw(algebras(field, max_dim=4))

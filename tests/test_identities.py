@@ -18,6 +18,7 @@ from olie import (
 from olie import GF, AnticommAlgebra, catalog
 from olie.errors import (
     ArityMismatch,
+    DimensionMismatch,
     IdentitySyntaxError,
     IdentityTypeError,
     NotMultilinear,
@@ -39,6 +40,7 @@ from olie.identities import (
 from olie.linalg import basis_vector, vec_is_zero
 
 from oracles import eval_reference
+from strategies import FIELDS, algebras, assert_canonical
 
 
 def test_parse_vector_term():
@@ -229,6 +231,12 @@ def _is_zero_value(field, value):
     return vec_is_zero(field, value) if isinstance(value, list) else field.is_zero(value)
 
 
+def _lex_tuples(ident, n):
+    """The basis tuples in the enumeration order of find_counterexample."""
+    k = ident.num_vars
+    return combinations(range(n), k) if ident.alternating else product(range(n), repeat=k)
+
+
 def _test_algebras():
     gf5 = GF(5)
     chain = catalog.random_extension_chain(gf5, 1, 5)
@@ -252,9 +260,8 @@ def test_builtins_match_reference(name):
         def reference(term, tup):
             return eval_reference(alg, term, {k + 1: e[i] for k, i in enumerate(tup)})
 
-        # the enumeration order of find_counterexample
         k = ident.num_vars
-        order = list(combinations(range(n), k) if ident.alternating else product(range(n), repeat=k))
+        order = list(_lex_tuples(ident, n))
         if name == "degree5":  # 960 dense reference brackets a tuple
             for tup in order[:1]:
                 assert evaluate(alg, ident, tup) == reference(ident.lhs, tup)
@@ -313,24 +320,12 @@ def multilinear_texts(draw):
     return format_term(term)
 
 
-@st.composite
-def random_tables(draw, field):
-    n = draw(st.integers(1, 4))
-    coeff = st.integers(-2, 2).map(field.coerce)
-    bracket, omega = {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket[(i, j)] = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=2))
-            omega[(i, j)] = draw(coeff)
-    return AnticommAlgebra(field, n, bracket, omega)
-
-
-@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_parsed_identities_match_reference(field, data):
     ident = parse_identity(data.draw(multilinear_texts()))
-    alg = data.draw(random_tables(field))
+    alg = data.draw(algebras(field, max_dim=4, min_dim=1))
     n = alg.dim
     scalar = st.integers(-4, 4).map(field.coerce)
     if not field.char:
@@ -343,8 +338,78 @@ def test_parsed_identities_match_reference(field, data):
     got = evaluate_on_vectors(alg, ident, vectors)
     assert got == want
     assert type(got) is type(want)
+    assert_canonical(field, got if isinstance(got, list) else [got])
     tup = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=ident.num_vars, max_size=ident.num_vars)))
     e = {k + 1: basis_vector(field, n, i) for k, i in enumerate(tup)}
-    assert evaluate(alg, ident, tup) == eval_reference(alg, ident.lhs, e)
-    assert evaluate(alg, ident.lhs, tup) == evaluate(alg, ident, tup)
+    got = evaluate(alg, ident, tup)
+    assert got == eval_reference(alg, ident.lhs, e)
+    assert_canonical(field, got if isinstance(got, list) else [got])
+    assert evaluate(alg, ident.lhs, tup) == got
     assert compile_term(ident.lhs) == ident.compiled()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_find_counterexample_matches_reference(field, data):
+    ident = parse_identity(data.draw(multilinear_texts()))
+    alg = data.draw(algebras(field, max_dim=4, min_dim=1))
+    n = alg.dim
+    e = [basis_vector(field, n, i) for i in range(n)]
+    first = next(
+        (
+            tup
+            for tup in _lex_tuples(ident, n)
+            if not _is_zero_value(
+                field, eval_reference(alg, ident.lhs, {k + 1: e[i] for k, i in enumerate(tup)})
+            )
+        ),
+        None,
+    )
+    assert find_counterexample(alg, ident) == first
+
+
+def test_degree5_with_growing_denominators():
+    # every structure constant and form value has a denominator in 2..6,
+    # so the value of each node carries a product of them through the
+    # four nested brackets of [[[[a,b],c],d],e]
+    rng = random.Random("degree5/denominators")
+    n = 5
+    coeff = lambda: F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(2, 6))
+    bracket = {
+        pair: {k: coeff() for k in rng.sample(range(n), 2)} for pair in combinations(range(n), 2)
+    }
+    omega = {pair: coeff() for pair in combinations(range(n), 2)}
+    alg = AnticommAlgebra(QQ, n, bracket, omega)
+    ident = builtin("degree5")
+    e = {k + 1: basis_vector(QQ, n, k) for k in range(n)}
+    got = evaluate(alg, ident, tuple(range(n)))
+    assert got == eval_reference(alg, ident.lhs, e)
+    assert any(got) and any(x.denominator > 1 for x in got)
+    assert_canonical(QQ, got)
+    assert find_counterexample(alg, ident) == tuple(range(n))
+
+
+# -- inputs of the wrong shape --------------------------------------------------
+
+
+def test_omega_rejects_vectors_of_the_wrong_length(s4):
+    e = [basis_vector(QQ, 4, i) for i in range(4)]
+    with pytest.raises(DimensionMismatch):
+        s4.omega(e[0] + [F(0)], e[1] + [F(0)])
+    with pytest.raises(DimensionMismatch):
+        s4.omega(e[0], e[1][:3])
+
+
+def test_evaluate_on_vectors_rejects_vectors_of_the_wrong_length(s4):
+    e = [basis_vector(QQ, 4, i) for i in range(4)]
+    term = parse_term("(s (w x1 x2) x3)")
+    with pytest.raises(DimensionMismatch):
+        evaluate_on_vectors(s4, term, [e[0], e[1], [F(1)] * 7])
+
+
+def test_evaluate_rejects_basis_indices_out_of_range(s4):
+    term = parse_term("(b x1 x2)")
+    for tup in ((-1, 0), (4, 0)):
+        with pytest.raises(DimensionMismatch):
+            evaluate(s4, term, tup)
