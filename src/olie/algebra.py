@@ -11,13 +11,13 @@ residual on every basis triple (sufficient, since both sides are
 trilinear and alternating; this reduction is unit-tested against full
 triple enumeration).  Every law-derived check reads the Jacobian of
 each increasing basis triple i < j < k off the sparse table
-(``_basis_jacobians``).  Its e_k coordinate must be w(e_i, e_j), so
-from dimension 3 on the form is read off the bracket and is unique
-when it exists; on repeated arguments the law forces skewness in
-characteristic 0 and p >= 5.
+(``SkewProduct.basis_jacobian``).  Its e_k coordinate must be
+w(e_i, e_j), so from dimension 3 on the form is read off the bracket
+and is unique when it exists; on repeated arguments the law forces
+skewness in characteristic 0 and p >= 5.
 
 Certification runs in :meth:`AnticommAlgebra.validate` and in the
-public :class:`OmegaAlgebra` constructor.  Four constructions are
+public :class:`OmegaAlgebra` constructor.  Five constructions are
 trusted instead of certified again:
 
 - a subalgebra (``restrict``): the law holds on all of the algebra, so
@@ -28,6 +28,8 @@ trusted instead of certified again:
 - a codimension-1 extension (``extensions.extend_codim1``): on the new
   triples the law is exactly the multiplicativity of lambda and the
   derivation relation, which it checks (the paper's criterion);
+- a semidirect product with a module (``extensions.semidirect``): on
+  the new triples the law is the module law, which it checks;
 - a random dimension-3 instance (``catalog.random_dim3``): its form
   comes from :meth:`AnticommAlgebra.omega_space`, which checked the law.
 
@@ -59,6 +61,7 @@ from .linalg import (
     kernel_basis,
     projective_points,
     solve_affine,
+    to_scaled,
     transpose,
     vec_add,
     vec_is_zero,
@@ -216,26 +219,28 @@ class AnticommAlgebra:
 
     # -- validity -------------------------------------------------------
 
-    def _basis_jacobians(self):
-        """Yield ``((i, j, k), J)`` for each increasing basis triple, J the
-        Jacobian [[e_i,e_j],e_k] + [[e_k,e_i],e_j] + [[e_j,e_k],e_i]; each
-        three terms are added as ints in one pass over the signed pair
-        rows of the sparse table."""
-        field, jacobian = self.field, self._product.basis_jacobian
-        for ijk in combinations(range(self.dim), 3):
-            yield ijk, from_scaled(field, *jacobian(*ijk))
-
     def _violation(self, w):
         """The first increasing basis triple on which the law fails for the
         form ``w(i, j)`` on basis indices, as a :class:`Violation`, or
-        None."""
-        field = self.field
-        for (i, j, k), res in self._basis_jacobians():
-            res[k] = field.sub(res[k], w(i, j))
-            res[j] = field.sub(res[j], w(k, i))
-            res[i] = field.sub(res[i], w(j, k))
-            if not vec_is_zero(field, res):
-                return Violation((i, j, k), res)
+        None.
+
+        The residual stays in ints over ``den * wden``, den that of the
+        Jacobian and wden that of the form; ``Fraction``s are built only
+        for a violating residual.  Over GF(p) both denominators are 1 and
+        each changed entry is the difference of two residues, so it is
+        zero exactly when the residue is."""
+        field, n = self.field, self.dim
+        jacobian = self._product.basis_jacobian
+        form, wden = to_scaled(field, [w(i, j) for i in range(n) for j in range(n)])
+        for i, j, k in combinations(range(n), 3):
+            res, den = jacobian(i, j, k)
+            if wden != 1:
+                res = [v * wden for v in res]
+            res[k] -= form[i * n + j] * den
+            res[j] -= form[k * n + i] * den
+            res[i] -= form[j * n + k] * den
+            if any(res):
+                return Violation((i, j, k), from_scaled(field, res, den * wden))
         return None
 
     def _first_violation(self):
@@ -256,8 +261,8 @@ class AnticommAlgebra:
         return self._first_violation() is None
 
     def is_lie(self):
-        field = self.field
-        return all(vec_is_zero(field, jac) for _, jac in self._basis_jacobians())
+        jacobian = self._product.basis_jacobian
+        return all(not any(jacobian(*ijk)[0]) for ijk in combinations(range(self.dim), 3))
 
     def is_abelian(self):
         return not self._bracket
@@ -314,8 +319,9 @@ class AnticommAlgebra:
                 u[i * n + j], u[j * n + i] = field.one(), field.neg(field.one())
                 units.append(u)
             return AffineSolution(zeros(field, n * n), Subspace(field, n * n, units))
-        w = {}
-        for (i, j, k), jac in self._basis_jacobians():
+        w, jacobian = {}, self._product.basis_jacobian
+        for i, j, k in combinations(range(n), 3):
+            jac = from_scaled(field, *jacobian(i, j, k))
             w.setdefault((i, j), jac[k])
             w.setdefault((i, k), field.neg(jac[j]))
             w.setdefault((j, k), jac[i])
@@ -346,7 +352,11 @@ class AnticommAlgebra:
 
     def ideal_closure(self, generators):
         """Smallest subspace containing the generators and closed under
-        bracketing with every basis vector (spinning)."""
+        bracketing with every basis vector (spinning).
+
+        Spinning stops below dimension n only once every kept row has
+        been spun, so a result of dimension < n is an ideal by
+        construction; the searches test only whether it is abelian."""
         field, n = self.field, self.dim
         span = Echelon(field)
         for v in generators:
@@ -559,13 +569,19 @@ class AnticommAlgebra:
     def simplicity(self, enum_cap=10**6):
         """Three-valued simplicity verdict.
 
-        A "simple" certificate comes either from the multiplication
-        algebra being all of End(L) (with a nonzero product), which
-        rules out invariant subspaces over every extension field, or,
-        over a small prime field, from exhaustively spinning every
-        line.  A proper nonzero ideal found by spinning gives
-        "not_simple" with the first witness in candidate order; over
-        the rationals with no certificate the verdict is "unknown".
+        The search runs in three steps, each only when the one before
+        found nothing.  First a fixed list of candidate lines is spun
+        (basis vectors, their sums and differences, and the same on the
+        radical of the form); a closure is an ideal by construction
+        (see :meth:`ideal_closure`), so a proper nonzero one gives
+        "not_simple" with the first witness in candidate order.  Then
+        the multiplication algebra M(L) is computed: when it is all of
+        End(L) (with a nonzero product) no proper nonzero subspace is
+        invariant, over any extension field either, so no candidate
+        could have hit, and the verdict is "simple".  Last, over a small
+        prime field, every projective line is spun, which proves
+        "simple" or finds a witness; over the rationals the verdict is
+        "unknown".
         """
         field, n = self.field, self.dim
         if n == 0:
@@ -575,9 +591,6 @@ class AnticommAlgebra:
             if n == 1:
                 witness = Subspace.zero(field, n)
             return SimplicityVerdict("not_simple", witness, "abelian")
-
-        if self.multiplication_algebra_dim() == n * n:
-            return SimplicityVerdict("simple", certificate="full multiplication algebra")
 
         candidates = [basis_vector(field, n, i) for i in range(n)]
         for i, j in combinations(range(n), 2):
@@ -590,7 +603,6 @@ class AnticommAlgebra:
         for a, b in combinations(range(len(ker_rows)), 2):
             candidates.append(vec_add(field, ker_rows[a], ker_rows[b]))
             candidates.append(vec_sub(field, ker_rows[a], ker_rows[b]))
-        exhaustive = self._enumerable_vector_count(enum_cap) is not None
         seen = set()
 
         def try_vec(v):
@@ -609,7 +621,9 @@ class AnticommAlgebra:
             found = try_vec(v)
             if found is not None:
                 return SimplicityVerdict("not_simple", found, "spun ideal")
-        if exhaustive:
+        if self.multiplication_algebra_dim() == n * n:
+            return SimplicityVerdict("simple", certificate="full multiplication algebra")
+        if self._enumerable_vector_count(enum_cap) is not None:
             for v in projective_points(field.char, n):
                 found = try_vec(v)
                 if found is not None:
@@ -620,54 +634,61 @@ class AnticommAlgebra:
     def find_abelian_ideal(self, enum_cap=10**6):
         """A nonzero abelian ideal, or None.
 
-        Candidate subspaces (center, radical of the form and its abelian
-        part, kernels of multiplicative forms, spun basis lines) are
-        tried first.  Over a small prime field the search is then made
-        complete for a certified algebra: an abelian ideal of
-        codimension >= 2 lies inside the radical of the form and
-        contains the spun closure of each of its lines, so scanning the
-        closures of all radical lines decides that case; a codimension-1
-        abelian ideal contains the commutant, so the finitely many
-        hyperplanes over the commutant decide the rest.  A None from the
-        complete search is a definitive nonexistence answer.
+        Candidates are built and tested one at a time, and the first
+        that passes is returned: the center, the radical of the form and
+        its abelian part, the kernels of multiplicative forms, the spun
+        closures of the basis lines, the commutant, and the commutant
+        inside the radical.  A spun closure below dimension n is an
+        ideal by construction (see :meth:`ideal_closure`), and so is a
+        subspace holding the commutant, so only their abelian test
+        runs; each distinct closure is tested once per search.  Over a
+        small prime field the search is then made complete for a
+        certified algebra: an abelian ideal of codimension >= 2 lies
+        inside the radical of the form and contains the spun closure of
+        each of its lines, so scanning the closures of all radical lines
+        decides that case; a codimension-1 abelian ideal contains the
+        commutant, so the finitely many hyperplanes over the commutant
+        decide the rest.  A None from the complete search is a
+        definitive nonexistence answer.  A 1-dimensional algebra is its
+        own abelian ideal.
         """
         field, n = self.field, self.dim
+        if n == 1:
+            return Subspace.full(field, 1)
+        seen = set()
 
-        def check(sub):
-            return sub.dim > 0 and self.is_ideal(sub) and self.is_abelian_subspace(sub)
+        def closures(vectors):
+            # the new spun closures below dim n, each an ideal
+            for v in vectors:
+                spun = self.ideal_closure([v])
+                if spun.dim < n and spun not in seen:
+                    seen.add(spun)
+                    yield spun, True
 
-        candidates = []
-        candidates.append(self.center())
-        ker = self.omega_kernel()
-        candidates.append(ker)
-        part = self._abelian_part(ker)
-        if part is not None:
-            candidates.append(part)
-        lam_set = self.multiplicative_lambda()
-        if lam_set is not None:
-            for lam in lam_set.points():
-                if not vec_is_zero(field, lam):
-                    candidates.append(
-                        Subspace(field, n, kernel_basis(field, [lam], n))
-                    )
-        for i in range(n):
-            candidates.append(self.ideal_closure([basis_vector(field, n, i)]))
-        com = self.commutant()
-        candidates.append(com)
-        candidates.append(com.intersect(ker))
-        for sub in candidates:
-            if sub.dim == n:
-                continue
-            if check(sub):
-                return sub
-        if self._enumerable_vector_count(enum_cap) is not None:
+        def candidates():
+            # (subspace, whether it is an ideal by construction)
+            yield self.center(), True
+            ker = self.omega_kernel()
+            yield ker, False
+            part = self._abelian_part(ker)
+            if part is not None:
+                yield part, False
+            lam_set = self.multiplicative_lambda()
+            if lam_set is not None:
+                for lam in lam_set.points():
+                    if not vec_is_zero(field, lam):
+                        yield Subspace(field, n, kernel_basis(field, [lam], n)), False
+            yield from closures(basis_vector(field, n, i) for i in range(n))
+            com = self.commutant()
+            yield com, True
+            yield com.intersect(ker), False
+            if self._enumerable_vector_count(enum_cap) is None:
+                return
             # an OmegaAlgebra was certified when it was built
             if isinstance(self, OmegaAlgebra) or self._first_violation() is None:
                 # codim >= 2: scan spun closures of the radical's lines
-                for coeffs in projective_points(field.char, ker.dim):
-                    spun = self.ideal_closure([vec_mat(field, coeffs, ker.rows)])
-                    if spun.dim < n and check(spun):
-                        return spun
+                lines = projective_points(field.char, ker.dim)
+                yield from closures(vec_mat(field, c, ker.rows) for c in lines)
                 # codim 1: hyperplanes over the commutant, as kernels of
                 # projective covectors on the quotient
                 reps = com.quotient_reps()
@@ -677,17 +698,15 @@ class AnticommAlgebra:
                         vec_mat(field, combo, reps)
                         for combo in kernel_basis(field, [covector], q)
                     ]
-                    sub = Subspace(field, n, list(com.rows) + extra)
-                    if sub.dim == n - 1 and check(sub):
-                        return sub
-                return None
-            for v in projective_points(field.char, n):
-                sub = Subspace(field, n, [v])
-                if check(sub):
+                    yield Subspace(field, n, list(com.rows) + extra), True
+            else:
+                # a line that is an ideal is its own closure
+                yield from closures(projective_points(field.char, n))
+
+        for sub, ideal in candidates():
+            if 0 < sub.dim < n and (ideal or self.is_ideal(sub)):
+                if self.is_abelian_subspace(sub):
                     return sub
-                spun = self.ideal_closure([v])
-                if spun.dim < n and check(spun):
-                    return spun
         return None
 
     # -- conversions -------------------------------------------------------
@@ -740,7 +759,8 @@ class OmegaAlgebra(AnticommAlgebra):
     The constructor certifies its tables.  ``validate`` and the trusted
     constructions (a subalgebra, the quotient by an ideal inside the
     radical, a codimension-1 extension of a certified algebra by the
-    paper's criterion; see the module docstring) build one through
+    paper's criterion, a semidirect product of a certified algebra with
+    a module; see the module docstring) build one through
     ``_trusted`` without checking again.
     """
 

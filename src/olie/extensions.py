@@ -141,7 +141,18 @@ def check_representation(alg: AnticommAlgebra, maps):
 
 def semidirect(alg: OmegaAlgebra, maps):
     """Semidirect product with a module: [x, m] = phi(x) m, [M, M] = 0,
-    and the form extended by zero on the module."""
+    and the form extended by zero on the module.
+
+    On a certified base the result is trusted.  The residual of the law
+    is trilinear and alternating, so basis triples decide it.  On three
+    vectors of L it is the residual in L, zero.  On x, y in L and m in
+    M it is phi([x,y])m - phi(x)phi(y)m + phi(y)phi(x)m - w(x,y)m, zero
+    by the module law that ``check_representation`` tests on every
+    basis pair.  A triple with two or three vectors of M has every term
+    zero: each double bracket passes through [M, M] = 0, and the form is
+    zero on every pair meeting M.  A plain base is certified with the
+    result.
+    """
     field, n = alg.field, alg.dim
     if not check_representation(alg, maps):
         raise NotARepresentation("the matrices do not define a module")
@@ -158,6 +169,8 @@ def semidirect(alg: OmegaAlgebra, maps):
                     entry[n + b] = c
             if entry:
                 bracket[(i, n + a)] = entry
+    if isinstance(alg, OmegaAlgebra):
+        return OmegaAlgebra._trusted(field, n + m, bracket, omega)
     return OmegaAlgebra(field, n + m, bracket, omega)
 
 

@@ -4,7 +4,9 @@ Everything here is deliberately written without olie.linalg: integer
 fraction-free elimination over the rationals and plain modular
 elimination over prime fields, plus direct residual-based assembly of
 the linear systems the library builds by index formulas.  Oracle ranks
-and dimensions are frozen against these routines.
+and dimensions are frozen against these routines.  The one exception is
+the pair of eager ideal searches at the end, whose reference is the
+order of the search, not its building blocks.
 """
 
 import weakref
@@ -179,6 +181,15 @@ def ideal_closure_reference(alg, generators):
         if len(bigger) == len(rows):
             return bigger
         rows = bigger
+
+
+def is_ideal_reference(alg, rows):
+    """Whether the span of ``rows`` holds the reference bracket of each
+    row with each basis vector, decided by oracle ranks."""
+    field = alg.field
+    rows = [list(r) for r in rows]
+    images = [bracket_reference(alg, r, ei) for r in rows for ei in _basis(field, alg.dim)]
+    return matrix_rank(field, rows + images) == matrix_rank(field, rows)
 
 
 def omega_reference(alg, x, y):
@@ -588,3 +599,123 @@ def deformation_dims_oracle(alg):
     rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
     total_dim = nun - matrix_rank(field, rows)
     return total_dim
+
+
+# -- the eager ideal searches --------------------------------------------
+#
+# The order of the searches is the reference here, so these two keep the
+# eager form the library had before its searches became lazy: every
+# candidate built up front, M(L) computed before any candidate is spun,
+# and every candidate put through the full ideal test.  Their building
+# blocks (closures, subspaces, kernels) are the library's own, each held
+# to an oracle of its own above.
+
+
+def simplicity_reference(alg, enum_cap=10**6):
+    """The simplicity verdict with M(L) computed first, then the fixed
+    candidate lines spun, then every projective line."""
+    from olie.algebra import SimplicityVerdict
+    from olie.linalg import Subspace, basis_vector, projective_points, vec_add, vec_sub
+
+    field, n = alg.field, alg.dim
+    if n == 0:
+        return SimplicityVerdict("not_simple", Subspace.zero(field, 0))
+    if alg.commutant().is_zero():
+        witness = Subspace(field, n, [basis_vector(field, n, 0)])
+        if n == 1:
+            witness = Subspace.zero(field, n)
+        return SimplicityVerdict("not_simple", witness, "abelian")
+    if alg.multiplication_algebra_dim() == n * n:
+        return SimplicityVerdict("simple", certificate="full multiplication algebra")
+    candidates = [basis_vector(field, n, i) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        ei, ej = basis_vector(field, n, i), basis_vector(field, n, j)
+        candidates.append(vec_add(field, ei, ej))
+        candidates.append(vec_sub(field, ei, ej))
+    ker_rows = [list(r) for r in alg.omega_kernel().rows]
+    candidates.extend(ker_rows)
+    for a, b in combinations(range(len(ker_rows)), 2):
+        candidates.append(vec_add(field, ker_rows[a], ker_rows[b]))
+        candidates.append(vec_sub(field, ker_rows[a], ker_rows[b]))
+    exhaustive = field.char and field.char**n <= enum_cap
+    seen = set()
+
+    def try_vec(v):
+        key = tuple(field.format(x) for x in v)
+        if key in seen:
+            return None
+        seen.add(key)
+        spun = alg.ideal_closure([v])
+        return spun if 0 < spun.dim < n else None
+
+    for v in candidates:
+        if all(field.is_zero(x) for x in v):
+            continue
+        found = try_vec(v)
+        if found is not None:
+            return SimplicityVerdict("not_simple", found, "spun ideal")
+    if exhaustive:
+        for v in projective_points(field.char, n):
+            found = try_vec(v)
+            if found is not None:
+                return SimplicityVerdict("not_simple", found, "spun ideal")
+        return SimplicityVerdict("simple", certificate="exhaustive spinning")
+    return SimplicityVerdict("unknown")
+
+
+def find_abelian_ideal_reference(alg, enum_cap=10**6):
+    """The first nonzero abelian ideal in candidate order, every candidate
+    built before any is tested and each tested with the full ideal and
+    abelian checks; L itself when n = 1; None otherwise."""
+    from olie.algebra import OmegaAlgebra
+    from olie.linalg import Subspace, basis_vector, kernel_basis, projective_points, vec_mat
+
+    field, n = alg.field, alg.dim
+    if n == 1:
+        return Subspace.full(field, 1)
+
+    def check(sub):
+        return sub.dim > 0 and alg.is_ideal(sub) and alg.is_abelian_subspace(sub)
+
+    candidates = [alg.center()]
+    ker = alg.omega_kernel()
+    candidates.append(ker)
+    part = alg._abelian_part(ker)
+    if part is not None:
+        candidates.append(part)
+    lam_set = alg.multiplicative_lambda()
+    if lam_set is not None:
+        for lam in lam_set.points():
+            if any(not field.is_zero(x) for x in lam):
+                candidates.append(Subspace(field, n, kernel_basis(field, [lam], n)))
+    for i in range(n):
+        candidates.append(alg.ideal_closure([basis_vector(field, n, i)]))
+    com = alg.commutant()
+    candidates.append(com)
+    candidates.append(com.intersect(ker))
+    for sub in candidates:
+        if sub.dim < n and check(sub):
+            return sub
+    if not (field.char and field.char**n <= enum_cap):
+        return None
+    if isinstance(alg, OmegaAlgebra) or alg._first_violation() is None:
+        for coeffs in projective_points(field.char, ker.dim):
+            spun = alg.ideal_closure([vec_mat(field, coeffs, ker.rows)])
+            if spun.dim < n and check(spun):
+                return spun
+        reps = com.quotient_reps()
+        q = len(reps)
+        for covector in projective_points(field.char, q):
+            extra = [vec_mat(field, combo, reps) for combo in kernel_basis(field, [covector], q)]
+            sub = Subspace(field, n, list(com.rows) + extra)
+            if sub.dim == n - 1 and check(sub):
+                return sub
+        return None
+    for v in projective_points(field.char, n):
+        sub = Subspace(field, n, [v])
+        if check(sub):
+            return sub
+        spun = alg.ideal_closure([v])
+        if spun.dim < n and check(spun):
+            return spun
+    return None

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from olie import GF, QQ, AnticommAlgebra, OmegaAlgebra, Subspace, Violation
 from olie import catalog
@@ -25,12 +25,15 @@ from olie.linalg import (
 
 from oracles import (
     bracket_reference,
+    find_abelian_ideal_reference,
     first_violation_reference,
     ideal_closure_reference,
+    is_ideal_reference,
     is_lie_reference,
     multiplication_algebra_dim,
     omega_reference,
     omega_space_reference,
+    simplicity_reference,
 )
 from strategies import FIELDS, algebras, assert_canonical, scalars
 
@@ -148,6 +151,9 @@ def test_ideal_closure_matches_reference(field, data):
     assert [list(r) for r in closure.rows] == ideal_closure_reference(alg, gens)
     assert closure == Subspace(field, n, closure.basis())
     assert_canonical(field, [x for r in closure.rows for x in r])
+    # the searches skip the ideal test on a closure below dimension n
+    if closure.dim < n:
+        assert is_ideal_reference(alg, closure.rows)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -650,6 +656,62 @@ def test_find_abelian_ideal_certifies_only_uncertified_algebras(gf5, monkeypatch
     assert calls == []
     assert plain.find_abelian_ideal() is None
     assert len(calls) == 1 and calls[0] is plain
+
+
+def assert_same_verdict(got, want):
+    assert (got.kind, got.certificate, got.witness) == (want.kind, want.certificate, want.witness)
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(7)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), dim=st.integers(3, 6))
+def test_searches_match_eager_reference_on_chains(field, seed, dim):
+    # verdict, certificate and witness rows as when every candidate was
+    # built first and M(L) computed before any was spun
+    alg = catalog.random_extension_chain(field, seed, dim)
+    assume(not isinstance(alg, catalog.Stuck))
+    assert_same_verdict(alg.simplicity(), simplicity_reference(alg))
+    assert alg.find_abelian_ideal() == find_abelian_ideal_reference(alg)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_searches_match_eager_reference_on_random_tables(field, data):
+    # uncertified tables take the fallback scan of every line's closure
+    alg = data.draw(algebras(field, max_dim=4))
+    assert_same_verdict(alg.simplicity(), simplicity_reference(alg))
+    assert alg.find_abelian_ideal() == find_abelian_ideal_reference(alg)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_one_dimensional_algebra_is_its_own_abelian_ideal(field):
+    for alg in (AnticommAlgebra(field, 1), OmegaAlgebra(field, 1)):
+        assert alg.find_abelian_ideal() == Subspace.full(field, 1)
+    assert AnticommAlgebra(field, 0).find_abelian_ideal() is None
+
+
+def test_multiplication_algebra_is_computed_only_when_no_candidate_hits(gf5, monkeypatch):
+    calls = []
+    original = AnticommAlgebra.multiplication_algebra_dim
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(AnticommAlgebra, "multiplication_algebra_dim", counted)
+    # a non-simple chain: a candidate line spins to a proper ideal first
+    alg = catalog.random_extension_chain(gf5, 0, 5)
+    verdict = alg.simplicity()
+    assert verdict.kind == "not_simple" and verdict.certificate == "spun ideal"
+    assert calls == []
+    # simple algebras are still certified by M(L), once each
+    for name in ("lie.sl2", "omega.n3"):
+        alg = catalog.builtin_algebra(name)
+        calls.clear()
+        verdict = alg.simplicity()
+        assert verdict.is_simple and verdict.certificate == "full multiplication algebra"
+        assert calls == [alg]
 
 
 # -- serialization -----------------------------------------------------------

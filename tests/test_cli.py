@@ -6,12 +6,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import olie
-from olie import GF, catalog
+from olie import GF, QQ, AlphaLambdaDerivation, catalog
 from olie.cli import main
-from olie.errors import OlieError, ParseError, SchemaError
+from olie.errors import InputError, OlieError, ParseError, SchemaError
 
 
 def run_cli(args):
@@ -496,6 +496,61 @@ def test_malformed_derivation_file(tmp_path, text, want):
     )
     assert code == want and "Traceback" not in err and out == ""
     assert not out_path.exists()
+
+
+DER_SCALARS = st.sampled_from(["0", "1", "-1", "2", "1/2", "1/0", "x"]) | JSON_LEAVES
+
+
+@st.composite
+def derivation_files(draw):
+    """The data of a derivation file for a dimension-3 base: the file
+    that extends omega.n3 to omega.s4, or lists drawn around the schema
+    (mostly of the right sizes), with one key replaced by an arbitrary
+    JSON value or dropped, or a stray key added, or the whole file an
+    arbitrary value."""
+    sizes = st.sampled_from([3, 3, 3, 2, 4])
+    if draw(st.booleans()):
+        obj = dict(N3_TO_S4)
+    else:
+        def row():
+            size = draw(sizes)
+            return draw(st.lists(DER_SCALARS, min_size=size, max_size=size))
+
+        obj = {"D": [row() for _ in range(draw(sizes))], "alpha": row(), "lambda": row()}
+    key = draw(st.sampled_from([None, None, "D", "alpha", "lambda", "stray", "file"]))
+    if key == "file":
+        return draw(JSON_VALUES)
+    if key == "stray":
+        obj[draw(st.sampled_from(["x", "alfa", "GF"]))] = draw(JSON_VALUES)
+    elif key is not None and draw(st.integers(0, 3)):
+        obj[key] = draw(JSON_VALUES)
+    elif key is not None:
+        del obj[key]
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=derivation_files(), field=st.sampled_from([QQ, GF(5)]))
+def test_fuzzed_derivation_file_gets_a_documented_exit_code(obj, field):
+    base = catalog.builtin_algebra("omega.n3").with_field(field)
+    text = json.dumps(obj)
+    try:
+        AlphaLambdaDerivation.from_json_dict(field, json.loads(text), base.dim)
+        want = (0, 4)
+    except InputError:
+        want = (3,)
+    except OlieError:
+        want = (4,)  # well formed, of the wrong size
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        catalog.save(base, tmp / "base.json")
+        (tmp / "der.json").write_text(text)
+        out_path = tmp / "out.json"
+        argv = ["extend", str(tmp / "base.json"), "--derivation", str(tmp / "der.json")]
+        code, _, err = run_cli([*argv, "-o", str(out_path)])
+        event(f"exit {code}")
+        assert code in want, (text, err)
+        assert out_path.exists() == (code == 0), (text, err)
 
 
 def test_unknown_key_in_derivation_file_is_schema_error(tmp_path):

@@ -230,6 +230,38 @@ def test_semidirect(n3, sl2):
         semidirect(n3, adjoint_maps(n3))
 
 
+def test_semidirect_on_a_certified_base_is_trusted(n3, sl2, monkeypatch):
+    calls = []
+    original = AnticommAlgebra._first_violation
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    # the module law is the law on the new triples, so nothing is
+    # certified again; the autouse recheck still checks the results
+    monkeypatch.setattr(AnticommAlgebra, "_first_violation", counted)
+    sd = semidirect(n3, one_dim_module(n3, [2, 0, 0]))
+    big = semidirect(sl2, adjoint_maps(sl2))
+    assert isinstance(sd, OmegaAlgebra) and isinstance(big, OmegaAlgebra)
+    assert calls == []
+
+
+def test_semidirect_of_an_uncertified_base_is_certified(n3):
+    # the table of omega.n3 without its form breaks the law on (1,2,3);
+    # with a zero form the zero module passes the module law, so only
+    # the certification of the result catches it
+    skeleton = AnticommAlgebra(QQ, 3, n3._bracket)
+    assert not skeleton.is_valid()
+    assert check_representation(skeleton, one_dim_module(skeleton, [0, 0, 0]))
+    with pytest.raises(PreconditionFailed):
+        semidirect(skeleton, one_dim_module(skeleton, [0, 0, 0]))
+    # a plain table that satisfies the law builds the same product
+    plain = AnticommAlgebra(QQ, 3, n3._bracket, n3._omega)
+    module = one_dim_module(n3, [2, 0, 0])
+    assert semidirect(plain, module) == semidirect(n3, module)
+
+
 def test_representation_shape_guard(n3):
     from olie.errors import ShapeMismatch
 
