@@ -370,7 +370,7 @@ class AnticommAlgebra:
             for w in images(rows[spun]):
                 span.add(w)
             spun += 1
-        return Subspace(field, n, rows)
+        return span.subspace(n)
 
     def is_ideal(self, sub: Subspace):
         if sub.ambient != self.dim:

@@ -25,6 +25,7 @@ from .linalg import (
     kernel_basis,
     mat_mul,
     mat_sub,
+    to_scaled,
     vec_dot,
     vec_is_zero,
     vec_mat,
@@ -83,38 +84,40 @@ class AlphaLambdaDerivation:
 
 
 def _system_rows(alg: AnticommAlgebra, lam):
-    """Rows of the homogeneous system in the n^2 + n unknowns
-    (d_00 .. d_{n-1,n-1} row-major, then alpha_0 .. alpha_{n-1})."""
+    """Int rows of the homogeneous system in the n^2 + n unknowns
+    (d_00 .. d_{n-1,n-1} row-major, then alpha_0 .. alpha_{n-1}): the
+    equation of each pair i < j and coordinate l, times ``D * dl``.
+
+    The structure constants are read off the signed pair table over its
+    denominator ``D``, and lambda is the scaled vector ``ints/dl``, so
+    every coefficient is an int (over GF(p) a residue up to sign)."""
     field, n = alg.field, alg.dim
-    lam = [field.coerce(x) for x in lam]
     if len(lam) != n:
         raise DimensionMismatch("lambda length does not match the algebra")
-    nun = n * n + n
+    table, den = alg._product.signed_table()
+    lam, dl = to_scaled(field, lam)
+    unit, nn = den * dl, n * n
     rows = []
-    c3 = [[alg.basis_bracket(i, j) for j in range(n)] for i in range(n)]
     for i, j in combinations(range(n), 2):
-        cij = c3[i][j]
-        for l in range(n):
-            row = zeros(field, nun)
-            for k in range(n):
-                # D([e_i,e_j]) contributes C_ij^k d_kl
-                if not field.is_zero(cij[k]):
-                    row[k * n + l] = field.add(row[k * n + l], cij[k])
-                # -[D(e_i), e_j] contributes -C_kj^l d_ik
-                ckj = c3[k][j][l]
-                if not field.is_zero(ckj):
-                    row[i * n + k] = field.sub(row[i * n + k], ckj)
-                # +[D(e_j), e_i] contributes +C_ki^l d_jk
-                cki = c3[k][i][l]
-                if not field.is_zero(cki):
-                    row[j * n + k] = field.add(row[j * n + k], cki)
-            row[i * n + l] = field.sub(row[i * n + l], lam[j])
-            row[j * n + l] = field.add(row[j * n + l], lam[i])
-            if i == l:
-                row[n * n + j] = field.sub(row[n * n + j], field.one())
-            if j == l:
-                row[n * n + i] = field.add(row[n * n + i], field.one())
-            rows.append(row)
+        block = [[0] * (nn + n) for _ in range(n)]
+        # D([e_i,e_j]) contributes C_ij^k d_kl
+        for k, c in table[i][j]:
+            c *= dl
+            for l, row in enumerate(block):
+                row[k * n + l] += c
+        # -[D(e_i), e_j] contributes -C_kj^l d_ik, +[D(e_j), e_i] +C_ki^l d_jk
+        for k in range(n):
+            for l, c in table[k][j]:
+                block[l][i * n + k] -= c * dl
+            for l, c in table[k][i]:
+                block[l][j * n + k] += c * dl
+        lj, li = lam[j] * den, lam[i] * den
+        for l, row in enumerate(block):
+            row[i * n + l] -= lj
+            row[j * n + l] += li
+        block[i][nn + j] -= unit
+        block[j][nn + i] += unit
+        rows.extend(block)
     return rows
 
 

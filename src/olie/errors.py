@@ -15,16 +15,17 @@ class FieldMismatch(OlieError):
     pass
 
 
-class UnsupportedCharacteristic(OlieError):
-    """Raised for GF(p) with p not prime or p < 5."""
-
-
 class DivisionByZero(OlieError, ZeroDivisionError):
     pass
 
 
 class InputError(OlieError):
     """Bad external input: files, expressions, encodings."""
+
+
+class UnsupportedCharacteristic(InputError):
+    """Raised for GF(p) with p not prime or p < 5; a field tag or file
+    naming one is bad input."""
 
 
 class ParseError(InputError):

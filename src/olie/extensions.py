@@ -350,41 +350,7 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
     pos = {pair: t for t, pair in enumerate(pairs)}
     nphi = len(pairs) * n
     nun = nphi + len(pairs)
-
-    def phi_coeff(row, i, j, k, c):
-        # coefficient of phi1(e_i, e_j)_k, with antisymmetry folded in
-        if i == j or field.is_zero(c):
-            return
-        if i < j:
-            row[pos[(i, j)] * n + k] = field.add(row[pos[(i, j)] * n + k], c)
-        else:
-            row[pos[(j, i)] * n + k] = field.sub(row[pos[(j, i)] * n + k], c)
-
-    def omega_coeff(row, i, j, c):
-        if i == j or field.is_zero(c):
-            return
-        if i < j:
-            row[nphi + pos[(i, j)]] = field.add(row[nphi + pos[(i, j)]], c)
-        else:
-            row[nphi + pos[(j, i)]] = field.sub(row[nphi + pos[(j, i)]], c)
-
-    table = [[alg.basis_bracket(k, c) for c in range(n)] for k in range(n)]
-    rows = []
-    for x, y, z in combinations(range(n), 3):
-        for l in range(n):
-            row = zeros(field, nun)
-            for (a, b, c) in ((x, y, z), (z, x, y), (y, z, x)):
-                # phi1([e_a, e_b], e_c)_l
-                br = table[a][b]
-                for k in range(n):
-                    phi_coeff(row, k, c, l, br[k])
-                # [phi1(e_a, e_b), e_c]_l = sum_k phi1(a,b)_k [e_k, e_c]_l
-                for k in range(n):
-                    phi_coeff(row, a, b, k, table[k][c][l])
-                # - w1(e_a, e_b) delta_{c l}
-                if c == l:
-                    omega_coeff(row, a, b, field.neg(field.one()))
-            rows.append(row)
+    rows = _deformation_rows(alg, pos)
     sols = kernel_basis(field, rows, nun)
     basis = []
     omega_block = []
@@ -407,6 +373,43 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
         omega_block.append(v[nphi:])
     _, wrank, _ = rref(field, omega_block)
     return DeformationSpace(basis, wrank)
+
+
+def _deformation_rows(alg: AnticommAlgebra, pos):
+    """Int rows of the first-order deformation system, times ``D``: the
+    equation of each basis triple x < y < z and coordinate l.  Unknown
+    ``pos[i, j] * n + k`` is phi1(e_i, e_j)_k and ``n * len(pos) +
+    pos[i, j]`` is w1(e_i, e_j), for i < j; the structure constants are
+    read off the signed pair table over its denominator ``D``."""
+    n = alg.dim
+    table, den = alg._product.signed_table()
+    nphi = len(pos) * n
+    nun = nphi + len(pos)
+
+    def slot(i, j):
+        # the pair unknown of (i, j) and the sign antisymmetry gives it
+        return (pos[i, j], 1) if i < j else (pos[j, i], -1)
+
+    rows = []
+    for x, y, z in combinations(range(n), 3):
+        block = [[0] * nun for _ in range(n)]
+        for a, b, c in ((x, y, z), (z, x, y), (y, z, x)):
+            # phi1([e_a, e_b], e_c)_l = sum_k C_ab^k phi1(e_k, e_c)_l
+            for k, cv in table[a][b]:
+                if k != c:
+                    t, sign = slot(k, c)
+                    cv *= sign
+                    for l, row in enumerate(block):
+                        row[t * n + l] += cv
+            # [phi1(e_a, e_b), e_c]_l = sum_k phi1(e_a, e_b)_k C_kc^l
+            t, sign = slot(a, b)
+            for k in range(n):
+                for l, cv in table[k][c]:
+                    block[l][t * n + k] += sign * cv
+            # - w1(e_a, e_b) delta_{c l}
+            block[c][nphi + t] -= sign * den
+        rows.extend(block)
+    return rows
 
 
 # -- the two-form associativity law --------------------------------------

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a field object.
+"""Exact linear algebra over a field object.
 
 Vectors are plain lists of scalars, matrices are lists of rows.  Linear
 maps on the algebra side use the row convention: the matrix row ``i`` is
@@ -7,16 +7,19 @@ with :func:`vec_mat`.  ``kernel_basis`` and ``solve_affine`` use the
 usual column convention ``m @ x``.
 
 Every elimination goes through :func:`rref`, which dispatches on
-``field.char`` to one of two exact kernels: int rows with the modular
-arithmetic inline over GF(p), and fraction-free integer rows with
-per-row content removal over Q (``Fraction`` values are built only at
-the end).  Both return the canonical reduced row-echelon form, so the
-result depends only on the row space and the row count, never on the
-kernel.  Subspaces are stored as reduced row-echelon bases, so equality
-of subspaces is equality of their canonical representations.
-:class:`Echelon` is the incremental form of the same kernels, for
-spinning loops that add one vector at a time and ask whether the rank
-grew.
+``field.char`` to one exact kernel per field.  Over GF(p) it is dense
+Gauss-Jordan on int rows with the modular arithmetic inline.  Over Q it
+is sparse and fraction-free: each row is a primitive integer row held as
+a ``{column: int}`` dict of its nonzero entries, rows are added one at a
+time to a set of kept rows that stays in reduced form, and ``Fraction``
+values are built only for the output.  Both kernels accept rows of
+canonical scalars or of Python ints, and both return the canonical
+reduced row-echelon form, so the result depends only on the row space
+and the row count, never on the kernel.  Subspaces are stored as reduced
+row-echelon bases, so equality of subspaces is equality of their
+canonical representations.  :class:`Echelon` is the incremental form of
+the same eliminations, for spinning loops that add one vector at a time
+and ask whether the rank grew.
 
 :class:`SkewProduct` is the matching kernel for alternating bilinear
 maps given on basis pairs (an algebra's bracket and its form): int
@@ -27,7 +30,9 @@ scalars.  For chains of products it also works on *scaled vectors*
 1 over GF(p) (:func:`to_scaled`): ``scaled`` multiplies two of them and
 ``basis_jacobian`` adds the three terms of a basis Jacobian, without
 building a ``Fraction``; :func:`from_scaled` turns the result into
-canonical scalars at the end.
+canonical scalars at the end.  Linear systems read off the bracket
+(derivations, deformations) take its signed pair table directly
+(:meth:`SkewProduct.signed_table`) and build int rows.
 """
 
 from __future__ import annotations
@@ -175,6 +180,13 @@ class SkewProduct:
             rows[j][i] = tuple((k, -c) for k, c in pairs)
         self._rows = rows
         self._den = den
+
+    def signed_table(self):
+        """The signed pair table and its denominator ``D``: ``table[i][j]``
+        holds the ``(k, c)`` pairs with ``e_i e_j = sum c/D e_k``, for
+        every ordered pair.  Over GF(p) ``D`` is 1 and each ``c`` is a
+        residue up to sign.  Callers only read it."""
+        return self._rows, self._den
 
     def image(self, i, j):
         """The product of the basis vectors ``i`` and ``j``."""
@@ -339,55 +351,79 @@ def _rref_gf(p, rows):
 
 
 def _rref_q(rows):
-    """Fraction-free Gauss-Jordan over Q.
+    """Sparse fraction-free Gauss-Jordan over Q, one row at a time.
 
-    Each nonzero row is scaled to a primitive integer row; a pivot row
-    ``a`` clears column ``c`` of row ``b`` by ``(a_c/g) b - (b_c/g) a``
-    with ``g = gcd(a_c, b_c)``, and the result is made primitive again.
-    Every row stays a nonzero multiple of a row of ordinary Gauss-Jordan
-    elimination, so dividing each pivot row by its pivot gives the
-    (unique) RREF.
+    Each input row becomes a primitive integer row, held as a
+    ``{column: int}`` dict of its nonzero entries.  The kept rows are in
+    reduced form throughout: each has its pivot at its leading column
+    and is zero at the pivots of the others.  A new row is cleared at
+    every kept pivot it meets (:func:`_clear`) and dropped if nothing is
+    left; otherwise its leading column becomes a pivot, which is cleared
+    from the kept rows in turn.  Each kept row is then a nonzero
+    multiple of a row of the (unique) RREF, so dividing it by its pivot
+    entry gives that row; only these output entries become ``Fraction``
+    values.  Ints are accepted as scalars.
     """
     nrows, ncols = len(rows), len(rows[0])
-    m = []
+    kept = {}
     for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*ints)
-        if g:
-            m.append([x // g for x in ints] if g > 1 else ints)
-    live = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == live:
-            break
-        for i in range(r, live):
-            if m[i][c]:
-                break
-        else:
+        pairs = [(c, x.as_integer_ratio()) for c, x in enumerate(row) if x]
+        if not pairs:
             continue
-        prow = m[i]
-        m[i] = m[r]
-        m[r] = prow
-        a = prow[c]
-        for i in range(live):
-            b = m[i][c]
-            if b and i != r:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                new = [ag * x - bg * y for x, y in zip(m[i], prow)]
-                g = gcd(*new)
-                m[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-    zero = Fraction(0)
+        den = lcm(*[d for _, (_, d) in pairs])
+        if den == 1:
+            v = {c: a for c, (a, _) in pairs}
+        else:
+            v = {c: a * (den // d) for c, (a, d) in pairs}
+        g = gcd(*v.values())
+        if g > 1:
+            v = {c: x // g for c, x in v.items()}
+        hits = [(c, kept[c]) for c in v if c in kept]
+        if hits:
+            v = _clear(v, hits)
+            if not v:
+                continue
+        piv = min(v)
+        for c, r in kept.items():
+            if piv in r:
+                kept[c] = _clear(r, ((piv, v),))
+        kept[piv] = v
+    pivots = sorted(kept)
     out = []
-    for row, c in zip(m, pivots):
-        a = row[c]
-        out.append([Fraction(x, a) if x else zero for x in row])
-    out.extend([zero] * ncols for _ in range(nrows - r))
-    return out, r, pivots
+    for c in pivots:
+        r = kept[c]
+        a = r[c]
+        dense = [_ZERO] * ncols
+        for k, x in r.items():
+            dense[k] = Fraction(x, a)
+        out.append(dense)
+    out.extend([_ZERO] * ncols for _ in range(nrows - len(pivots)))
+    return out, len(pivots), pivots
+
+
+def _clear(v, hits):
+    """The primitive int row ``m v - sum t_c r``, over the ``(c, r)`` of
+    ``hits``, that vanishes at every column ``c``: ``m`` is the least
+    positive multiplier with each ``t_c = m v[c] / r[c]`` an integer.
+    Rows are dicts of nonzero entries, and each ``r`` must vanish at the
+    other columns of ``hits``."""
+    m = 1
+    for c, r in hits:
+        a = r[c]
+        m = lcm(m, a // gcd(a, v[c]))
+    out = {k: m * x for k, x in v.items()} if m != 1 else dict(v)
+    for c, r in hits:
+        t = m * v[c] // r[c]
+        for k, y in r.items():
+            x = out.get(k, 0) - t * y
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    g = gcd(*out.values())
+    if g > 1:
+        return {k: x // g for k, x in out.items()}
+    return out
 
 
 class Echelon:
@@ -399,12 +435,13 @@ class Echelon:
     the pivot scaled to 1 and ``% p`` taken once per added vector; over
     Q they are primitive integer rows, reduced fraction-free as in
     :func:`rref`.  ``rows`` spans the same space as the accepted
-    vectors; ``Subspace(field, n, rows)`` is its canonical form.
+    vectors, and :meth:`subspace` gives its canonical form.
     """
 
-    __slots__ = ("_p", "rows", "_pivots")
+    __slots__ = ("_field", "_p", "rows", "_pivots")
 
     def __init__(self, field):
+        self._field = field
         self._p = field.char
         self.rows = []
         self._pivots = []
@@ -412,6 +449,32 @@ class Echelon:
     @property
     def rank(self):
         return len(self.rows)
+
+    def subspace(self, ambient):
+        """The span as a :class:`Subspace` of K^ambient, equal to
+        ``Subspace(field, ambient, self.rows)``, by back-substitution only.
+
+        Each row vanishes at the pivots of the rows before it.  So
+        clearing each row's pivot from the rows before it, in order,
+        leaves every row zero at the other pivots: the reduced form.  Over
+        Q the sparse kernel of :func:`rref` does exactly that on these
+        rows, as no row meets a pivot kept before it; over GF(p) the
+        pivots are already 1 and the rows are cleared here."""
+        p, pivots = self._p, self._pivots
+        if not p:
+            return Subspace(self._field, ambient, self.rows)
+        rows = list(self.rows)
+        # row k is still as kept when its turn comes: earlier turns change
+        # only the rows before them
+        for k, (row, piv) in enumerate(zip(self.rows, pivots)):
+            for j in range(k):
+                c = rows[j][piv]
+                if c:
+                    rows[j] = [(x - c * y) % p for x, y in zip(rows[j], row)]
+        order = sorted(range(len(rows)), key=pivots.__getitem__)
+        return Subspace._reduced(
+            self._field, ambient, [tuple(rows[k]) for k in order], [pivots[k] for k in order]
+        )
 
     def add(self, v):
         """Reduce ``v`` and keep it if it lies outside the span; returns
@@ -468,7 +531,9 @@ def _kernel_from_rref(field, red, pivots, ncols):
         v = zeros(field, ncols)
         v[fc] = field.one()
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
+            c = red[r][fc]
+            if not field.is_zero(c):
+                v[pc] = field.neg(c)
         basis.append(v)
     return basis
 
@@ -490,6 +555,13 @@ class Subspace:
         reduced, rank, pivots = rref(field, list(vectors))
         self.rows = [tuple(r) for r in reduced[:rank]]
         self._pivots = pivots
+
+    @classmethod
+    def _reduced(cls, field, ambient, rows, pivots):
+        """A subspace from rows already in canonical reduced form."""
+        sub = object.__new__(cls)
+        sub.field, sub.ambient, sub.rows, sub._pivots = field, ambient, rows, pivots
+        return sub
 
     @classmethod
     def zero(cls, field, ambient):
@@ -646,9 +718,9 @@ class AffineSolution:
 
 def solve_affine(field, rows, rhs):
     """Solve rows @ x = rhs.  Returns an AffineSolution or None."""
-    ncols = len(rows[0]) if rows else (len(rhs) and 0)
     if not rows:
         return AffineSolution([], Subspace.zero(field, 0))
+    ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, rank, pivots = rref(field, aug)
     if ncols in pivots:

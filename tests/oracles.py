@@ -435,6 +435,90 @@ def derivation_space_dim(alg, lam):
     return nun - matrix_rank(field, rows)
 
 
+def system_rows_reference(alg, lam):
+    """The (alpha, lambda)-derivation system as dense field rows, one
+    field-method call per coefficient: the index-formula assembly the
+    library's int rows are checked against.  Unknowns d_00 ..
+    d_{n-1,n-1} row-major, then alpha_0 .. alpha_{n-1}."""
+    field, n = alg.field, alg.dim
+    lam = [field.coerce(x) for x in lam]
+    nun = n * n + n
+    rows = []
+    c3 = [[alg.basis_bracket(i, j) for j in range(n)] for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        cij = c3[i][j]
+        for l in range(n):
+            row = [field.zero()] * nun
+            for k in range(n):
+                # D([e_i,e_j]) contributes C_ij^k d_kl
+                if not field.is_zero(cij[k]):
+                    row[k * n + l] = field.add(row[k * n + l], cij[k])
+                # -[D(e_i), e_j] contributes -C_kj^l d_ik
+                ckj = c3[k][j][l]
+                if not field.is_zero(ckj):
+                    row[i * n + k] = field.sub(row[i * n + k], ckj)
+                # +[D(e_j), e_i] contributes +C_ki^l d_jk
+                cki = c3[k][i][l]
+                if not field.is_zero(cki):
+                    row[j * n + k] = field.add(row[j * n + k], cki)
+            row[i * n + l] = field.sub(row[i * n + l], lam[j])
+            row[j * n + l] = field.add(row[j * n + l], lam[i])
+            if i == l:
+                row[n * n + j] = field.sub(row[n * n + j], field.one())
+            if j == l:
+                row[n * n + i] = field.add(row[n * n + i], field.one())
+            rows.append(row)
+    return rows
+
+
+def deformation_rows_reference(alg):
+    """The first-order deformation system as dense field rows, with
+    closures over the field's scalars: the index-formula assembly the
+    library's int rows are checked against.  Unknowns phi1(e_i, e_j)_k
+    at ``t * n + k`` for the t-th pair i < j, then w1 on the pairs."""
+    field, n = alg.field, alg.dim
+    pairs = list(combinations(range(n), 2))
+    pos = {pair: t for t, pair in enumerate(pairs)}
+    nphi = len(pairs) * n
+    nun = nphi + len(pairs)
+
+    def phi_coeff(row, i, j, k, c):
+        # coefficient of phi1(e_i, e_j)_k, with antisymmetry folded in
+        if i == j or field.is_zero(c):
+            return
+        if i < j:
+            row[pos[(i, j)] * n + k] = field.add(row[pos[(i, j)] * n + k], c)
+        else:
+            row[pos[(j, i)] * n + k] = field.sub(row[pos[(j, i)] * n + k], c)
+
+    def omega_coeff(row, i, j, c):
+        if i == j or field.is_zero(c):
+            return
+        if i < j:
+            row[nphi + pos[(i, j)]] = field.add(row[nphi + pos[(i, j)]], c)
+        else:
+            row[nphi + pos[(j, i)]] = field.sub(row[nphi + pos[(j, i)]], c)
+
+    table = [[alg.basis_bracket(k, c) for c in range(n)] for k in range(n)]
+    rows = []
+    for x, y, z in combinations(range(n), 3):
+        for l in range(n):
+            row = [field.zero()] * nun
+            for (a, b, c) in ((x, y, z), (z, x, y), (y, z, x)):
+                # phi1([e_a, e_b], e_c)_l
+                br = table[a][b]
+                for k in range(n):
+                    phi_coeff(row, k, c, l, br[k])
+                # [phi1(e_a, e_b), e_c]_l = sum_k phi1(a,b)_k [e_k, e_c]_l
+                for k in range(n):
+                    phi_coeff(row, a, b, k, table[k][c][l])
+                # - w1(e_a, e_b) delta_{c l}
+                if c == l:
+                    omega_coeff(row, a, b, field.neg(field.one()))
+            rows.append(row)
+    return rows
+
+
 def multiplication_algebra_dim(alg):
     """Dimension of the associative algebra spanned by all nonempty words
     in the right multiplications R_j : x -> [x, e_j], read straight off

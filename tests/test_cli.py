@@ -10,7 +10,8 @@ from hypothesis import event, given, settings, strategies as st
 
 import olie
 from olie import GF, QQ, AlphaLambdaDerivation, catalog
-from olie.cli import main
+from olie.cli import SCAN_DIMS, SCAN_MAX_COUNT, main
+from olie.identities import builtin_names
 from olie.errors import InputError, OlieError, ParseError, SchemaError
 
 
@@ -272,6 +273,174 @@ def test_scan_structure_bad_dims_is_parse_error(dims):
     )
     assert code == 3 and "Traceback" not in err
     assert "--dims" in err
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        # dims below 3 were scanned as dim-3 chains under the wrong label
+        ["scan-structure", "--field", "gf5", "--dims", "0..2", "--count", "1"],
+        ["scan-structure", "--field", "gf5", "--dims", "2..4", "--count", "1"],
+        # no upper limit: 4..99 ran for minutes
+        ["scan-structure", "--field", "gf5", "--dims", f"4..{SCAN_DIMS[-1] + 1}", "--count", "1"],
+        ["scan-structure", "--field", "gf5", "--dims", "4..99", "--count", "1"],
+        ["scan-structure", "--field", "gf5", "--dims", "5..4", "--count", "1"],
+        ["scan-structure", "--field", "gf5", "--dims", "4..4", "--count", "-1"],
+        ["scan-structure", "--field", "gf5", "--dims", "4..4", "--count", "0"],
+        ["scan-dim3", "--field", "gf5", "--count", "-5"],
+        ["scan-dim3", "--field", "gf5", "--count", str(SCAN_MAX_COUNT + 1)],
+        # an unsupported characteristic exited 4 with kind "error"
+        ["scan-dim3", "--field", "gf4", "--count", "1"],
+        ["scan-structure", "--field", "gf6", "--dims", "4..4", "--count", "1"],
+        ["scan-dim3", "--field", "gf", "--count", "1"],
+    ],
+)
+def test_scan_arguments_out_of_range_are_input_errors(tail):
+    code, out, err = run_cli(["--format", "json", *tail])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
+def test_scan_argument_limits_are_inclusive():
+    lo = str(SCAN_DIMS[0])
+    code, out, _ = run_cli(
+        ["--format", "json", "scan-structure", "--field", "gf5", "--dims", f"{lo}..{lo}", "--count", "1"]
+    )
+    assert code in (0, 1) and json.loads(out)["dims"][lo]["count"] == 1
+    code, out, _ = run_cli(["--format", "json", "scan-dim3", "--field", "gf7", "--count", "1"])
+    assert code in (0, 1) and json.loads(out)["count"] == 1
+
+
+@pytest.mark.parametrize("p", [4, 3, 1])
+def test_unsupported_characteristic_in_a_file_is_input_error(tmp_path, p):
+    bad = tmp_path / "gf.json"
+    bad.write_text('{"field": {"GF": %d}, "dim": 2}' % p)
+    code, out, err = run_cli(["--format", "json", "check", str(bad)])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
+# each drawn around its range: about half the values valid, half not
+VALID_FIELD_TAGS = st.sampled_from(["gf5", "GF7", "q", "Q", " gf5 ", "gf11"])
+FIELD_TAGS = VALID_FIELD_TAGS | st.sampled_from(
+    ["gf4", "gf6", "gf2", "gf1", "gf0", "gf-5", "gf", "gfx", "r", ""]
+)
+VALID_COUNTS = st.sampled_from([1, 2])
+SCAN_COUNTS = VALID_COUNTS | st.sampled_from([-5, -1, 0, SCAN_MAX_COUNT + 1, 10**12])
+SEEDS = st.integers(-(10**6), 10**6) | st.sampled_from([2**64, -(2**64)])
+DIM_ENDS = st.sampled_from(["3", "4", "5", " 4"]) | st.sampled_from(
+    ["-1", "0", "2", str(SCAN_DIMS[-1] + 1), "99", "x", "", "4.5"]
+)
+VALID_SCALARS = st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "5/5", " 1"])
+SCALAR_TEXT = VALID_SCALARS | st.sampled_from(["1/0", "0/0", "x", "", "1e3", "--1", "1/-2"])
+
+
+@st.composite
+def scan_dims(draw, in_range):
+    """``--dims`` text around ``a..b``: every range it draws that the
+    parser accepts ends at dimension 5 or below."""
+    if in_range:
+        lo, hi = sorted(draw(st.lists(st.integers(3, 5), min_size=2, max_size=2)))
+        return f"{lo}..{hi}"
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=6))
+    sep = draw(st.just("..") | st.sampled_from([".", "...", "-"]))
+    return draw(DIM_ENDS) + sep + draw(DIM_ENDS)
+
+
+@st.composite
+def identity_names(draw):
+    name = draw(st.sampled_from([*builtin_names(), "", "nope", "Two-Basic"]))
+    if draw(st.booleans()):
+        params = st.sampled_from(["1", "-2", "0", "x", "", "1.5", " 3"])
+        name += ":" + ",".join(draw(st.lists(params, max_size=4)))
+    return name
+
+
+@st.composite
+def command_lines(draw, files):
+    """One ``olie`` command line with its values drawn around the
+    ``--lambda``, ``--dims``, ``--count``, ``--seed``, ``--field`` and
+    ``--name`` parameters.  Option values go in as ``--opt=value`` so a
+    drawn value that starts with ``-`` is not read as an option.  Scans
+    the parser accepts have count <= 2 and dims <= 5, and ``--workers``
+    is at most 2."""
+    lam = draw(
+        st.lists(VALID_SCALARS, min_size=3, max_size=4).map(",".join)
+        | st.lists(SCALAR_TEXT, max_size=5).map(",".join)
+        | st.text(max_size=6)
+    )
+    command = draw(
+        st.sampled_from(
+            ["scan-dim3", "scan-structure", "derive", "h2", "extend", "identity",
+             "cohomology-selftest", "catalog"]
+        )
+    )
+    if command in ("scan-dim3", "scan-structure"):
+        # half the scans are in range, so the drawn seeds reach the scan
+        in_range = draw(st.booleans())
+        field = draw(VALID_FIELD_TAGS if in_range else FIELD_TAGS)
+        count = draw(VALID_COUNTS if in_range else SCAN_COUNTS)
+        argv = [command, f"--field={field}", f"--count={count}"]
+        if command == "scan-structure":
+            argv.append(f"--dims={draw(scan_dims(in_range))}")
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(SEEDS)}")
+        workers = draw(st.sampled_from([None, -1, 0, 1, 2]))
+        return argv if workers is None else [f"--workers={workers}", *argv]
+    path = files[draw(st.sampled_from(sorted(files)))]
+    if command in ("derive", "h2"):
+        return [command, path, f"--lambda={lam}"]
+    if command == "extend":
+        return [
+            command, files["n3"], f"--derivation={files['der']}", f"--lambda={lam}",
+            f"-o={files['out']}",
+        ]
+    if command == "identity":
+        return [command, path, f"--name={draw(identity_names())}"]
+    if command == "cohomology-selftest":
+        count = draw(st.sampled_from([-3, 0, 1, 2]))
+        return [command, path, f"--seed={draw(SEEDS)}", f"--count={count}"]
+    name = draw(st.sampled_from([*catalog.catalog_names(), "", "nope", "omega"]))
+    return ["catalog", "show", name]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Algebra files, a zero derivation of omega.n3 (no lambda, so
+    ``--lambda`` decides) and an output path; any of them may be drawn
+    as a command's input file."""
+    tmp = tmp_path_factory.mktemp("fuzz-cli")
+    files = {}
+    for key, alg in (
+        ("s4", catalog.builtin_algebra("omega.s4")),
+        ("s4-gf5", catalog.builtin_algebra("omega.s4", GF(5))),
+        ("sl2", catalog.builtin_algebra("lie.sl2")),
+        ("n3", catalog.builtin_algebra("omega.n3")),
+    ):
+        files[key] = str(tmp / f"{key}.json")
+        catalog.save(alg, files[key])
+    files["der"] = str(tmp / "zero-der.json")
+    Path(files["der"]).write_text(json.dumps({"D": [["0"] * 3] * 3, "alpha": ["0"] * 3}))
+    files["out"] = str(tmp / "out.json")
+    return files
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_get_a_documented_exit_code(cli_files, data):
+    argv = data.draw(command_lines(cli_files))
+    code, _, err = run_cli(["--format", "json", *argv])
+    event(f"{next(a for a in argv if not a.startswith('-'))} exit {code}")
+    assert code in (0, 1, 3, 4), (argv, err)
+    if code in (3, 4):
+        assert json.loads(err)["error"]["kind"] in ("input", "precondition", "io")
+
+
+def test_identity_empty_name_is_input_error(s4_file):
+    # an empty --name fell through to the --expr branch and raised a TypeError
+    code, out, err = run_cli_process(["identity", s4_file, "--name", ""])
+    assert code == 3 and "Traceback" not in err and out == ""
 
 
 def test_identity_bad_parameters_is_parse_error(s4_file):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from olie import (
     QQ,
@@ -13,10 +14,11 @@ from olie import (
     ker_alpha_analysis,
 )
 from olie import catalog
-from olie.errors import NotALieAlgebra, PreconditionFailed
-from olie.linalg import identity_matrix, zero_matrix, zeros
+from olie.errors import DimensionMismatch, NotALieAlgebra, PreconditionFailed
+from olie.linalg import identity_matrix, kernel_basis, zero_matrix, zeros
 
-from oracles import derivation_space_dim
+from oracles import derivation_space_dim, system_rows_reference
+from strategies import FIELDS, algebras, scalars
 
 
 def zero_der(field, n):
@@ -162,3 +164,26 @@ def test_ker_alpha_analysis_trivial_cases(sl2, n3):
     assert ker_alpha_analysis(sl2, small).kind == "small_dim"
     with pytest.raises(NotALieAlgebra):
         ker_alpha_analysis(n3, der)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solution_space_matches_reference_rows(field, data):
+    """The int rows read off the signed pair table (over its common
+    denominator, lambda scaled to ints) have the kernel of the dense
+    field rows of the index formulas, on random tables and covectors."""
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    lam = data.draw(st.lists(scalars(field), min_size=n, max_size=n))
+    want = kernel_basis(field, system_rows_reference(alg, lam), n * n + n)
+    got = al_derivation_space(alg, lam)
+    assert [[x for row in d.matrix for x in row] + d.alpha for d in got] == want
+    assert all(d.lam == lam for d in got)
+
+
+def test_lambda_of_the_wrong_length_is_a_dimension_mismatch(sl2):
+    with pytest.raises(DimensionMismatch):
+        al_derivation_space(sl2, [0, 0])
+    with pytest.raises(DimensionMismatch):
+        al_derivation_space(catalog.reduce_mod_p(sl2, 5), [0, 0, 0, 1])

@@ -35,12 +35,13 @@ from olie.errors import (
     NotOmegaAssociative,
     PreconditionFailed,
 )
-from olie.extensions import _differential_matrix
-from olie.linalg import basis_vector, vec_dot, vec_is_zero, zero_matrix
+from olie.extensions import _deformation_rows, _differential_matrix
+from olie.linalg import basis_vector, kernel_basis, vec_dot, vec_is_zero, zero_matrix, zeros
 
 from oracles import (
     cochain_differential_reference,
     deformation_dims_oracle,
+    deformation_rows_reference,
     differential_matrix_reference,
     h2_oracle,
 )
@@ -467,6 +468,81 @@ def test_deformations_sl2_match_oracle(sl2):
     assert len(space.basis) == 9
     assert space.omega1_projection_dim == 3
     assert space.has_nontrivial_omega1
+
+
+def _pair_positions(n):
+    return {pair: t for t, pair in enumerate(combinations(range(n), 2))}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_deformation_rows_match_reference(field, data):
+    """The int rows read off the signed pair table are the dense field
+    rows of the old assembler times the table's denominator D, and so
+    have the same kernel; the assembly needs no Lie algebra."""
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    pos = _pair_positions(n)
+    nun = len(pos) * (n + 1)
+    got, want = _deformation_rows(alg, pos), deformation_rows_reference(alg)
+    den = field.coerce(alg._product.signed_table()[1])
+    assert [[field.coerce(x) for x in r] for r in got] == [
+        [field.mul(den, x) for x in r] for r in want
+    ]
+    assert kernel_basis(field, got, nun) == kernel_basis(field, want, nun)
+
+
+def _grown_lie(field, rng, dim):
+    """A Lie algebra over ``field`` grown from the 2-dimensional
+    nonabelian one by random derivation extensions (lambda = 0,
+    alpha = 0)."""
+    alg = catalog.builtin_algebra("lie.aff1", field)
+    while alg.dim < dim:
+        n = alg.dim
+        basis = [
+            d for d in al_derivation_space(alg, zeros(field, n)) if vec_is_zero(field, d.alpha)
+        ]
+        assert basis
+        matrix = [zeros(field, n) for _ in range(n)]
+        while all(vec_is_zero(field, row) for row in matrix):
+            matrix = [zeros(field, n) for _ in range(n)]
+            for d in basis:
+                c = field.coerce(rng.randint(-2, 2))
+                matrix = [
+                    [field.add(a, field.mul(c, b)) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(matrix, d.matrix)
+                ]
+        alg = extend_codim1(alg, zeros(field, n), matrix, zeros(field, n))
+    return alg
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_deformations_match_oracles_on_lie_algebras(field):
+    """On Lie algebras of dims 2-5 the solution space has the kernel of
+    the old assembler's rows and the dimension of the probing oracle."""
+    rng = random.Random(f"deform/{field}")
+    algs = [catalog.builtin_algebra(name, field) for name in ("lie.aff1", "lie.sl2")]
+    algs.append(AnticommAlgebra(field, 3))
+    algs.extend(_grown_lie(field, rng, dim) for dim in (4, 5))
+    for alg in algs:
+        n = alg.dim
+        pos = _pair_positions(n)
+        nun = len(pos) * (n + 1)
+        space = infinitesimal_deformations(alg)
+        want = kernel_basis(field, deformation_rows_reference(alg), nun)
+        assert len(space.basis) == len(want) == deformation_dims_oracle(alg)
+        for sol, v in zip(space.basis, want):
+            assert sol.phi1 == {
+                pair: entry
+                for pair, t in pos.items()
+                if (entry := {k: v[t * n + k] for k in range(n) if not field.is_zero(v[t * n + k])})
+            }
+            assert sol.omega1 == {
+                pair: v[len(pos) * n + t]
+                for pair, t in pos.items()
+                if not field.is_zero(v[len(pos) * n + t])
+            }
 
 
 def test_deformations_require_lie(n3):

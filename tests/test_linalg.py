@@ -203,6 +203,49 @@ def test_rref_kernel_matches_reference(field, data):
     assert_rref_matches_reference(field, data.draw(matrices(field)))
 
 
+def _derivation_shaped(field, rng, nrows=50, ncols=30, rank=26):
+    """Tall sparse system like a dim-5 derivation one: about a quarter
+    of the entries nonzero, each row a combination of two of ``rank``
+    sparse base rows (rank deficient), mixed denominators over Q."""
+    def scalar():
+        if field.char:
+            return rng.randrange(1, field.char)
+        return F(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]), rng.choice([1, 1, 2, 3, 4, 9]))
+
+    base = []
+    for _ in range(rank):
+        row = [field.zero()] * ncols
+        for c in rng.sample(range(ncols), 4):
+            row[c] = scalar()
+        base.append(row)
+    rows = []
+    for _ in range(nrows):
+        a, b = rng.sample(base, 2)
+        ca, cb = scalar(), scalar()
+        rows.append([field.add(field.mul(ca, x), field.mul(cb, y)) for x, y in zip(a, b)])
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_int_rows_give_the_rref_of_their_scalar_rows(field, data):
+    """Both kernels take rows of Python ints (the derivation and
+    deformation systems are built that way) and return canonical
+    scalars, as for the same rows coerced into the field."""
+    nrows = data.draw(st.integers(min_value=1, max_value=7))
+    ncols = data.draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.just(0), st.integers(min_value=-40, max_value=40))
+    ints = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    frozen = [list(r) for r in ints]
+    scalar_rows = [[field.coerce(x) for x in r] for r in ints]
+    red = rref(field, ints)
+    assert red == rref(field, scalar_rows)
+    assert all(type(x) is (int if field.char else F) for r in red[0] for x in r)
+    assert_rref_matches_reference(field, scalar_rows)
+    assert kernel_basis(field, ints, ncols) == kernel_basis(field, scalar_rows, ncols)
+    assert ints == frozen
+
+
 def _omega_shaped(field, rng, nrows=625, ncols=25, rank=18):
     """Tall sparse system like the omega_space one at dim 5: each row a
     combination of two of ``rank`` sparse base rows, a zero column, and
@@ -243,6 +286,7 @@ def test_rref_kernel_edge_cases(field):
         [[z], [z]],
         [[one, two], [z, z], [two, field.coerce(4)], [z, one]],  # zero row between
         _omega_shaped(field, rng),
+        _derivation_shaped(field, rng),
     ]
     for rows in cases:
         assert_rref_matches_reference(field, rows)
@@ -296,6 +340,14 @@ def test_echelon_matches_rank_oracles(field, data):
         assert ech.rank == oracle_rank(field, rows[: k + 1])
     assert rows == frozen
     assert Subspace(field, n, ech.rows) == Subspace(field, n, rows)
+    # the back-substituted canonical form is byte-equal to a full
+    # elimination of the kept rows, and leaves them as they were
+    kept = [list(r) for r in ech.rows]
+    got, want = ech.subspace(n), Subspace(field, n, ech.rows)
+    assert (got.ambient, got.rows, got._pivots) == (want.ambient, want.rows, want._pivots)
+    assert [[type(x) for x in r] for r in got.rows] == [[type(x) for x in r] for r in want.rows]
+    assert repr(got) == repr(want)
+    assert ech.rows == kept
     # kept rows: canonical residues with pivot 1 over GF(p), primitive
     # integer rows over Q
     for row in ech.rows:
