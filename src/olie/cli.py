@@ -337,6 +337,9 @@ def _scan_dim3_one(field_tag, seed):
 
 
 def _pool_map(func, items, workers):
+    """``func`` on each argument tuple of ``items``, in order, in at most
+    ``workers`` processes, never more than the CPU count or the items."""
+    workers = min(workers, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [func(*item) for item in items]
     from multiprocessing import Pool
@@ -513,7 +516,7 @@ def build_parser():
         type=int,
         default=None,
         help="worker processes for scans (default: OLIE_WORKERS, else 1; "
-        "output is worker-count independent)",
+        "at most the CPU count; output is worker-count independent)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,6 +11,7 @@ leading ``-``; prime-field elements print as the decimal residue.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def is_prime(n: int) -> bool:
@@ -96,7 +98,12 @@ class Rationals:
         return a == 0
 
     def parse(self, text):
+        """``a`` or ``a/b``: optionally signed decimal integers, ``b``
+        unsigned and nonzero.  No other notation is read, so the size of
+        a scalar is bounded by the length of its text."""
         text = text.strip()
+        if not _RATIONAL_TEXT.fullmatch(text):
+            raise ParseError(f"bad rational scalar {text!r}: expected a or a/b")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

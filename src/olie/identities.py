@@ -196,15 +196,22 @@ def _tokenize(text):
     return out
 
 
-def _read(tokens, idx):
+MAX_NESTING = 200
+"""The deepest nesting of forms a parsed term may have; the parser and
+the tree walks recurse once per level."""
+
+
+def _read(tokens, idx, depth=0):
     if idx >= len(tokens):
         raise IdentitySyntaxError("unexpected end of expression", position=None)
     tok, pos = tokens[idx]
     if tok == "(":
+        if depth == MAX_NESTING:
+            raise IdentitySyntaxError(f"forms nested deeper than {MAX_NESTING}", position=pos)
         items = []
         idx += 1
         while idx < len(tokens) and tokens[idx][0] != ")":
-            node, idx = _read(tokens, idx)
+            node, idx = _read(tokens, idx, depth + 1)
             items.append(node)
         if idx >= len(tokens):
             raise IdentitySyntaxError("missing closing parenthesis", position=pos)

@@ -6,20 +6,19 @@ the image of the ``i``-th basis vector, and a map is applied to a vector
 with :func:`vec_mat`.  ``kernel_basis`` and ``solve_affine`` use the
 usual column convention ``m @ x``.
 
-Every elimination goes through :func:`rref`, which dispatches on
-``field.char`` to one exact kernel per field.  Over GF(p) it is dense
-Gauss-Jordan on int rows with the modular arithmetic inline.  Over Q it
-is sparse and fraction-free: each row is a primitive integer row held as
-a ``{column: int}`` dict of its nonzero entries, rows are added one at a
-time to a set of kept rows that stays in reduced form, and ``Fraction``
-values are built only for the output.  Both kernels accept rows of
-canonical scalars or of Python ints, and both return the canonical
-reduced row-echelon form, so the result depends only on the row space
-and the row count, never on the kernel.  Subspaces are stored as reduced
-row-echelon bases, so equality of subspaces is equality of their
-canonical representations.  :class:`Echelon` is the incremental form of
-the same eliminations, for spinning loops that add one vector at a time
-and ask whether the rank grew.
+There is one elimination kernel, :class:`Echelon`, for both fields.  It
+holds each row as a ``{column: int}`` dict of its nonzero entries and
+adds the rows one at a time to a set of kept rows that stays in reduced
+form.  The fields differ only in the clear step: over GF(p) rows are
+residues with pivot 1, cleared by a modular multiply-subtract; over Q
+they are primitive integer rows, cleared fraction-free, and ``Fraction``
+values are built only when the canonical rows are read off.  Rows of
+canonical scalars or of Python ints are accepted.  :func:`rref` adds
+every row and reads the canonical reduced row-echelon form off the kept
+rows, so the result depends only on the row space and the row count;
+spinning loops add one vector at a time and ask whether the rank grew.
+Subspaces are stored as reduced row-echelon bases, so equality of
+subspaces is equality of their canonical representations.
 
 :class:`SkewProduct` is the matching kernel for alternating bilinear
 maps given on basis pairs (an algebra's bracket and its form): int
@@ -39,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd, lcm
 
@@ -312,92 +312,20 @@ def rref(field, rows):
     """Reduced row-echelon form.  Returns (rref_rows, rank, pivot_columns).
 
     All ``len(rows)`` rows come back, the zero rows last, every entry a
-    canonical scalar of ``field``.
+    canonical scalar of ``field``.  The rows are added to an
+    :class:`Echelon` one at a time and the canonical rows read off it.
     """
     if not rows:
         return [], 0, []
-    if field.char:
-        return _rref_gf(field.char, rows)
-    return _rref_q(rows)
-
-
-def _rref_gf(p, rows):
-    """Gauss-Jordan over GF(p) on int rows, modular arithmetic inline."""
-    m = [[x % p for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
-        else:
-            continue
-        prow = m[i]
-        m[i] = m[r]
-        if prow[c] != 1:
-            inv = pow(prow[c], p - 2, p)
-            prow = [x * inv % p for x in prow]
-        m[r] = prow
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, r, pivots
-
-
-def _rref_q(rows):
-    """Sparse fraction-free Gauss-Jordan over Q, one row at a time.
-
-    Each input row becomes a primitive integer row, held as a
-    ``{column: int}`` dict of its nonzero entries.  The kept rows are in
-    reduced form throughout: each has its pivot at its leading column
-    and is zero at the pivots of the others.  A new row is cleared at
-    every kept pivot it meets (:func:`_clear`) and dropped if nothing is
-    left; otherwise its leading column becomes a pivot, which is cleared
-    from the kept rows in turn.  Each kept row is then a nonzero
-    multiple of a row of the (unique) RREF, so dividing it by its pivot
-    entry gives that row; only these output entries become ``Fraction``
-    values.  Ints are accepted as scalars.
-    """
-    nrows, ncols = len(rows), len(rows[0])
-    kept = {}
+    ncols = len(rows[0])
+    ech = Echelon(field)
     for row in rows:
-        pairs = [(c, x.as_integer_ratio()) for c, x in enumerate(row) if x]
-        if not pairs:
-            continue
-        den = lcm(*[d for _, (_, d) in pairs])
-        if den == 1:
-            v = {c: a for c, (a, _) in pairs}
-        else:
-            v = {c: a * (den // d) for c, (a, d) in pairs}
-        g = gcd(*v.values())
-        if g > 1:
-            v = {c: x // g for c, x in v.items()}
-        hits = [(c, kept[c]) for c in v if c in kept]
-        if hits:
-            v = _clear(v, hits)
-            if not v:
-                continue
-        piv = min(v)
-        for c, r in kept.items():
-            if piv in r:
-                kept[c] = _clear(r, ((piv, v),))
-        kept[piv] = v
-    pivots = sorted(kept)
-    out = []
-    for c in pivots:
-        r = kept[c]
-        a = r[c]
-        dense = [_ZERO] * ncols
-        for k, x in r.items():
-            dense[k] = Fraction(x, a)
-        out.append(dense)
-    out.extend([_ZERO] * ncols for _ in range(nrows - len(pivots)))
+        ech._keep(row)
+        if ech.rank == ncols:
+            break
+    out, pivots = ech._canonical_rows(ncols)
+    zero = 0 if field.char else _ZERO
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
     return out, len(pivots), pivots
 
 
@@ -426,99 +354,118 @@ def _clear(v, hits):
     return out
 
 
-class Echelon:
-    """A row echelon basis grown one vector at a time.
+def _clear_mod(p, v, hits):
+    """``v - sum v[c] r`` over the ``(c, r)`` of ``hits``, as residues:
+    each ``r`` has entry 1 at ``c`` and vanishes at the other columns of
+    ``hits``, so the result vanishes at every ``c``.  Rows are dicts of
+    nonzero residues."""
+    out = dict(v)
+    for c, r in hits:
+        t = v[c]
+        for k, y in r.items():
+            x = (out.get(k, 0) - t * y) % p
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    return out
 
-    ``add(v)`` reduces ``v`` by the rows kept so far, in insertion
-    order, and keeps the remainder when it is nonzero, so ``rank``
-    counts the vectors that raised it.  Over GF(p) rows are ints with
-    the pivot scaled to 1 and ``% p`` taken once per added vector; over
-    Q they are primitive integer rows, reduced fraction-free as in
-    :func:`rref`.  ``rows`` spans the same space as the accepted
-    vectors, and :meth:`subspace` gives its canonical form.
+
+class Echelon:
+    """The one elimination kernel: a row space grown one vector at a time.
+
+    The kept rows are ``{column: int}`` dicts keyed by pivot, in reduced
+    form throughout: each is zero at the pivots of the others.  A new
+    vector is cleared at the kept pivots it meets (:func:`_clear_mod`
+    over GF(p), :func:`_clear` over Q) and dropped if nothing is left;
+    otherwise its leading column becomes a pivot, which is cleared from
+    the kept rows in turn.
+
+    ``rows`` holds the vectors that raised the rank, as given and in
+    order; :meth:`subspace` reads the canonical form of their span off
+    the kept rows.
     """
 
-    __slots__ = ("_field", "_p", "rows", "_pivots")
+    __slots__ = ("_field", "_p", "_clear", "_kept", "rows")
 
     def __init__(self, field):
         self._field = field
-        self._p = field.char
+        self._p = p = field.char
+        self._clear = partial(_clear_mod, p) if p else _clear
+        self._kept = {}
         self.rows = []
-        self._pivots = []
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._kept)
+
+    def add(self, v):
+        """Keep ``v`` if it lies outside the span; returns whether it was
+        kept."""
+        if self._keep(v):
+            self.rows.append(v)
+            return True
+        return False
+
+    def _keep(self, v):
+        """Clear ``v`` into the kept rows; returns whether it raised the
+        rank.  :func:`rref` calls this directly: it never reads ``rows``,
+        and its elimination stays one call."""
+        p, kept = self._p, self._kept
+        if p:
+            r = {c: x % p for c, x in enumerate(v) if x % p}
+        else:
+            pairs = [(c, x.as_integer_ratio()) for c, x in enumerate(v) if x]
+            if not pairs:
+                return False
+            den = lcm(*[d for _, (_, d) in pairs])
+            if den == 1:
+                r = {c: a for c, (a, _) in pairs}
+            else:
+                r = {c: a * (den // d) for c, (a, d) in pairs}
+            g = gcd(*r.values())
+            if g > 1:
+                r = {c: x // g for c, x in r.items()}
+        hits = [(c, kept[c]) for c in r if c in kept]
+        if hits:
+            r = self._clear(r, hits)
+        if not r:
+            return False
+        piv = min(r)
+        if p and r[piv] != 1:
+            inv = pow(r[piv], p - 2, p)
+            r = {c: x * inv % p for c, x in r.items()}
+        for c, k in kept.items():
+            if piv in k:
+                kept[c] = self._clear(k, ((piv, r),))
+        kept[piv] = r
+        return True
+
+    def _canonical_rows(self, ncols):
+        """The canonical rows of the span, as dense lists of canonical
+        scalars in pivot order, and the pivots: each kept row divided by
+        its pivot entry."""
+        p, kept = self._p, self._kept
+        pivots = sorted(kept)
+        out = []
+        for c in pivots:
+            dense = [0 if p else _ZERO] * ncols
+            r = kept[c]
+            if p:
+                for k, x in r.items():
+                    dense[k] = x
+            else:
+                a = r[c]
+                for k, x in r.items():
+                    dense[k] = Fraction(x, a)
+            out.append(dense)
+        return out, pivots
 
     def subspace(self, ambient):
         """The span as a :class:`Subspace` of K^ambient, equal to
-        ``Subspace(field, ambient, self.rows)``, by back-substitution only.
-
-        Each row vanishes at the pivots of the rows before it.  So
-        clearing each row's pivot from the rows before it, in order,
-        leaves every row zero at the other pivots: the reduced form.  Over
-        Q the sparse kernel of :func:`rref` does exactly that on these
-        rows, as no row meets a pivot kept before it; over GF(p) the
-        pivots are already 1 and the rows are cleared here."""
-        p, pivots = self._p, self._pivots
-        if not p:
-            return Subspace(self._field, ambient, self.rows)
-        rows = list(self.rows)
-        # row k is still as kept when its turn comes: earlier turns change
-        # only the rows before them
-        for k, (row, piv) in enumerate(zip(self.rows, pivots)):
-            for j in range(k):
-                c = rows[j][piv]
-                if c:
-                    rows[j] = [(x - c * y) % p for x, y in zip(rows[j], row)]
-        order = sorted(range(len(rows)), key=pivots.__getitem__)
-        return Subspace._reduced(
-            self._field, ambient, [tuple(rows[k]) for k in order], [pivots[k] for k in order]
-        )
-
-    def add(self, v):
-        """Reduce ``v`` and keep it if it lies outside the span; returns
-        whether it was kept."""
-        p = self._p
-        if p:
-            v = _reduce_gf(p, self.rows, self._pivots, v)
-            piv = next((i for i, a in enumerate(v) if a), None)
-            if piv is None:
-                return False
-            if v[piv] != 1:
-                inv = pow(v[piv], p - 2, p)
-                v = [a * inv % p for a in v]
-        else:
-            den = lcm(*[a.denominator for a in v])
-            v = [a.numerator * (den // a.denominator) for a in v]
-            for row, piv in zip(self.rows, self._pivots):
-                b = v[piv]
-                if b:
-                    a = row[piv]
-                    g = gcd(a, b)
-                    ag, bg = a // g, b // g
-                    v = [ag * x - bg * y for x, y in zip(v, row)]
-            g = gcd(*v)
-            if not g:
-                return False
-            if g > 1:
-                v = [a // g for a in v]
-            piv = next(i for i, a in enumerate(v) if a)
-        self.rows.append(v)
-        self._pivots.append(piv)
-        return True
-
-
-def _reduce_gf(p, rows, pivots, v):
-    """``v`` minus multiples of int rows with pivot entries 1, as canonical
-    residues.  Each row must vanish at the pivots of the rows before it,
-    so one pass in order clears every pivot and one final ``% p``
-    suffices."""
-    for row, piv in zip(rows, pivots):
-        c = v[piv] % p
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return [a % p for a in v]
+        ``Subspace(field, ambient, self.rows)``, read off the kept rows."""
+        rows, pivots = self._canonical_rows(ambient)
+        return Subspace._reduced(self._field, ambient, [tuple(r) for r in rows], pivots)
 
 
 def _kernel_from_rref(field, red, pivots, ncols):
@@ -590,9 +537,15 @@ class Subspace:
 
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
-        field = self.field
-        if field.char:
-            return _reduce_gf(field.char, self.rows, self._pivots, v)
+        field, p = self.field, self.field.char
+        if p:
+            # the rows vanish at each other's pivots and have pivot 1, so
+            # one pass clears every pivot and one final % p suffices
+            for row, piv in zip(self.rows, self._pivots):
+                c = v[piv] % p
+                if c:
+                    v = [a - c * b for a, b in zip(v, row)]
+            return [a % p for a in v]
         v = list(v)
         for row, piv in zip(self.rows, self._pivots):
             c = v[piv]

@@ -162,6 +162,14 @@ def _rational_roots(field, coeffs):
             d += 1
         return sorted(set(out))
 
+    def scaled_value(ints, p, q):
+        # q^n f(p/q) = sum a_i p^i q^(n-i), by Horner from the top
+        val, qk = ints[-1], q
+        for c in reversed(ints[:-1]):
+            val = val * p + c * qk
+            qk *= q
+        return val
+
     poly = list(coeffs)  # ascending
     roots = []
     while len(poly) > 1:
@@ -176,21 +184,20 @@ def _rational_roots(field, coeffs):
         lead, const = ints[-1], ints[0]
         if abs(const) > 10**15 or abs(lead) > 10**15:
             return roots, True
-        found = None
-        for p in divisors(const):
-            for q in divisors(lead):
-                for sign in (1, -1):
-                    cand = Fraction(sign * p, q)
-                    val = Fraction(0)
-                    for c in reversed(poly):
-                        val = val * cand + c
-                    if val == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        # a pair with a common factor repeats a reduced candidate met
+        # earlier in the loop
+        qs = divisors(lead)
+        found = next(
+            (
+                Fraction(sp, q)
+                for p in divisors(const)
+                for q in qs
+                if gcd(p, q) == 1
+                for sp in (p, -p)
+                if scaled_value(ints, sp, q) == 0
+            ),
+            None,
+        )
         if found is None:
             return roots, True
         roots.append(found)

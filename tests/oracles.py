@@ -108,6 +108,38 @@ def rref_reference(field, rows):
     return m, r, pivots
 
 
+def rref_gf_dense(p, rows):
+    """Gauss-Jordan over GF(p) on int rows, modular arithmetic inline: the
+    dense kernel ``olie.linalg.rref`` used over GF(p) before the sparse
+    ``Echelon``, kept as the reference that holds the sparse kernel
+    byte-equal to it.  Returns (rref_rows, rank, pivot_columns)."""
+    m = [[x % p for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        prow = m[i]
+        m[i] = m[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], p - 2, p)
+            prow = [x * inv % p for x in prow]
+        m[r] = prow
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, r, pivots
+
+
 def reduce_reference(field, rows, v):
     """``v`` reduced by the rows of an RREF basis, one field-method call
     per scalar."""
@@ -803,3 +835,63 @@ def find_abelian_ideal_reference(alg, enum_cap=10**6):
         if spun.dim < n and check(spun):
             return spun
     return None
+
+
+def rational_roots_reference(coeffs):
+    """The rational-root search ``structure._rational_roots`` ran before
+    it tested candidates by integer values: every divisor pair and sign,
+    each by ``Fraction`` Horner.  Returns the roots with multiplicity, in
+    the order found, and whether a factor was left without a root."""
+
+    def divisors(m):
+        m = abs(m)
+        if m == 0:
+            return [1]
+        out = []
+        d = 1
+        while d * d <= m:
+            if m % d == 0:
+                out.append(d)
+                out.append(m // d)
+            d += 1
+        return sorted(set(out))
+
+    poly = list(coeffs)  # ascending
+    roots = []
+    while len(poly) > 1:
+        if poly[0] == 0:
+            roots.append(Fraction(0))
+            poly = poly[1:]
+            continue
+        denom = 1
+        for c in poly:
+            denom = denom * c.denominator // _gcd(denom, c.denominator)
+        ints = [int(c * denom) for c in poly]
+        lead, const = ints[-1], ints[0]
+        if abs(const) > 10**15 or abs(lead) > 10**15:
+            return roots, True
+        found = None
+        for p in divisors(const):
+            for q in divisors(lead):
+                for sign in (1, -1):
+                    cand = Fraction(sign * p, q)
+                    val = Fraction(0)
+                    for c in reversed(poly):
+                        val = val * cand + c
+                    if val == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return roots, True
+        roots.append(found)
+        # synthetic division by (x - found), descending order
+        desc = poly[::-1]
+        quot = [desc[0]]
+        for c in desc[1:-1]:
+            quot.append(c + found * quot[-1])
+        poly = quot[::-1]
+    return roots, False

@@ -212,6 +212,51 @@ def test_workers_do_not_change_output():
     assert (code1, out1) == (code2, out2)
 
 
+def test_pool_size_is_bounded_by_cpus_and_items(monkeypatch):
+    """``--workers`` asks for at most one process per CPU and per item;
+    a fake ``Pool`` records the count it is given and starts none."""
+    import multiprocessing
+
+    from olie import cli
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, items, chunksize=1):
+            return [func(*item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    items = [(k, 1) for k in range(10)]
+    assert cli._pool_map(pow, items, 10**9) == list(range(10))
+    assert cli._pool_map(pow, items[:3], 8) == [0, 1, 2]
+    assert cli._pool_map(pow, items, 2) == list(range(10))
+    assert asked == [4, 3, 2]
+    # one item, one CPU or an unknown CPU count: no pool at all
+    assert cli._pool_map(pow, items[:1], 8) == [0]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._pool_map(pow, items, 8) == list(range(10))
+    assert asked == [4, 3, 2]
+    code, out, _ = run_cli(["--workers", str(10**9), "scan-dim3", "--field", "gf5", "--count", "3"])
+    assert code == 0 and asked == [4, 3, 2]
+
+
+def test_deep_expr_nesting_is_a_parse_error(s4_file):
+    deep = "(b " * 3000 + "x1" + " x2)" * 3000
+    code, out, err = run_cli_process(["identity", s4_file, "--expr", deep])
+    assert code == 3 and "Traceback" not in err and out == ""
+    assert "nested deeper than" in err
+
+
 def test_catalog_commands(tmp_path):
     code, out, _ = run_cli(["catalog", "list"])
     assert code == 0 and "omega.s4" in out
@@ -488,6 +533,17 @@ def test_non_text_scalar_in_file_is_schema_error(tmp_path, scalar):
         assert code == 3 and "Traceback" not in err
         with pytest.raises(SchemaError):
             catalog.loads(bad.read_text())
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1.5", "1_000", "3/-4", "0x10", "inf"])
+def test_q_scalar_text_other_than_a_or_a_over_b_is_parse_error(tmp_path, text):
+    # "1e999999999" once built an integer of about 415 MB before any check
+    bad = tmp_path / "scalar.json"
+    bad.write_text('{"field": "Q", "dim": 3, "omega": {"1,2": "%s"}}' % text)
+    for argv in (["check", str(bad)], ["h2", str(bad), "--lambda", f"{text},0,0"]):
+        code, out, err = run_cli(["--format", "json", *argv])
+        assert (code, out) == (3, "")
+        assert "expected a or a/b" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("dim", ["true", "false", "2.0", "-1", '"3"'])

@@ -50,6 +50,14 @@ def test_text_roundtrip():
         QQ.parse("x")
 
 
+def test_q_text_is_signed_integers_only():
+    assert QQ.parse(" +6/4 ") == Fraction(3, 2)
+    assert QQ.parse("-0") == Fraction(0)
+    for text in ["1e3", "1.5", ".5", "1_0", "3/-4", "1/+2", "1 / 2", "nan", "", "/2", "2/"]:
+        with pytest.raises(ParseError):
+            QQ.parse(text)
+
+
 def test_canonical_encoding_unique():
     a = QQ.parse("2/4")
     b = QQ.parse("1/2")

@@ -1,9 +1,8 @@
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from olie import GF, QQ, Subspace
 from olie.errors import DimensionMismatch
@@ -24,6 +23,7 @@ from oracles import (
     rank_gf,
     rank_q,
     reduce_reference,
+    rref_gf_dense,
     rref_reference,
 )
 from strategies import FIELDS, scalars
@@ -318,6 +318,34 @@ def test_solve_affine_kernel_from_one_elimination(field, data):
     assert solve_affine(field, rows, rhs_bad) is None
 
 
+@st.composite
+def int_rows(draw, p, max_rows=60, max_cols=15):
+    """Int rows with negative and out-of-range residues, up to tall
+    shapes; half the time combinations of a few base rows, so the rank
+    falls short of both sides."""
+    nrows = draw(st.integers(min_value=1, max_value=max_rows))
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    entry = st.one_of(st.just(0), st.integers(min_value=-3 * p, max_value=3 * p), st.integers())
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    if draw(st.booleans()):
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+    base = draw(st.lists(row, min_size=1, max_size=min(ncols, 6)))
+    coeffs = draw(st.lists(st.lists(entry, min_size=len(base), max_size=len(base)), min_size=nrows, max_size=nrows))
+    return [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(ncols)] for cs in coeffs]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@settings(deadline=None)
+@given(data=st.data())
+def test_rref_gf_matches_the_dense_kernel(p, data):
+    rows = data.draw(int_rows(p))
+    frozen = [list(r) for r in rows]
+    got, want = rref(GF(p), rows), rref_gf_dense(p, rows)
+    assert got == want and repr(got) == repr(want)
+    assert all(type(x) is int for r in got[0] for x in r)
+    assert rows == frozen
+
+
 # -- the incremental echelon and the GF(p) fast paths ---------------------------
 
 
@@ -334,29 +362,25 @@ def test_echelon_matches_rank_oracles(field, data):
     n = len(rows[0])
     frozen = [list(r) for r in rows]
     ech = Echelon(field)
+    accepted = []
     for k, row in enumerate(rows):
         grew = oracle_rank(field, rows[: k + 1]) > oracle_rank(field, rows[:k])
         assert ech.add(row) == grew
         assert ech.rank == oracle_rank(field, rows[: k + 1])
+        if grew:
+            accepted.append(row)
     assert rows == frozen
+    # rows: the vectors that raised the rank, as given and in order
+    assert len(ech.rows) == len(accepted)
+    assert all(got is want for got, want in zip(ech.rows, accepted))
     assert Subspace(field, n, ech.rows) == Subspace(field, n, rows)
-    # the back-substituted canonical form is byte-equal to a full
-    # elimination of the kept rows, and leaves them as they were
-    kept = [list(r) for r in ech.rows]
+    # the canonical form read off the kept rows is byte-equal to a full
+    # elimination of the accepted vectors, and leaves them as they were
     got, want = ech.subspace(n), Subspace(field, n, ech.rows)
     assert (got.ambient, got.rows, got._pivots) == (want.ambient, want.rows, want._pivots)
     assert [[type(x) for x in r] for r in got.rows] == [[type(x) for x in r] for r in want.rows]
     assert repr(got) == repr(want)
-    assert ech.rows == kept
-    # kept rows: canonical residues with pivot 1 over GF(p), primitive
-    # integer rows over Q
-    for row in ech.rows:
-        assert all(type(x) is int for x in row)
-        if field.char:
-            assert all(0 <= x < field.char for x in row)
-            assert next(x for x in row if x) == 1
-        else:
-            assert math.gcd(*row) == 1
+    assert rows == frozen
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

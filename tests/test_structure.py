@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from olie import (
     GF,
@@ -18,6 +19,9 @@ from olie import (
 from olie import catalog
 from olie.errors import NotAbelianSubalgebra, NotASubalgebra, PreconditionFailed
 from olie.linalg import basis_vector
+from olie.structure import _rational_roots
+
+from oracles import rational_roots_reference
 
 
 def span(field, n, *vectors):
@@ -242,6 +246,45 @@ def test_classify_is_definitive_over_the_rationals():
                 continue
             verdict = classify(alg)
             assert verdict.case in ("codim_one_lie_subalgebra", "kernel_codim_two")
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def rational_polys(draw):
+    """Ascending rational coefficients: either a raw list (leading zeros
+    included, as the rank-2 quadratics can have) or a scaled product of
+    linear factors q x - p, repeats included, and a factor of degree up
+    to 2 that may have no rational root."""
+    small = st.integers(min_value=-9, max_value=9)
+    if draw(st.booleans()):
+        return [F(a, b) for a, b in draw(st.lists(st.tuples(small, st.integers(1, 6)), min_size=1, max_size=4))]
+    poly = draw(st.lists(small, min_size=1, max_size=3).filter(lambda c: c[-1]))
+    for p, q in draw(st.lists(st.tuples(small, st.integers(1, 9)), max_size=3)):
+        poly = _poly_mul(poly, [-p, q])
+    scale = F(draw(small.filter(bool)), draw(st.integers(1, 6)))
+    return [scale * c for c in poly]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=rational_polys())
+def test_rational_roots_match_the_fraction_search(coeffs):
+    got = _rational_roots(QQ, coeffs)
+    assert got == rational_roots_reference(coeffs)
+    assert all(type(r) is F for r in got[0])
+
+
+def test_rational_roots_of_a_rootless_quadratic_with_many_divisors():
+    # 735134400 has 1,344 divisors; every reduced candidate is tried
+    n = 735134400
+    assert _rational_roots(QQ, [F(n), F(n + 1), F(n)]) == ([], True)
+    assert _rational_roots(QQ, [F(-n), F(n - 1), F(1)]) == ([F(1), F(-n)], False)
 
 
 def test_rank_is_always_degenerate(gf5):
