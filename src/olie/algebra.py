@@ -51,6 +51,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import (
+    ENUM_CAP,
     AffineSolution,
     Echelon,
     SkewProduct,
@@ -272,22 +273,13 @@ class AnticommAlgebra:
 
         w(z,t)[x,y] + w(t,y)[x,z] + w(y,z)[x,t] + w(x,t)[y,z]
         + w(z,x)[y,t] + w(x,y)[z,t]
-        = dw(t,z,y)x + dw(z,t,x)y + dw(y,x,t)z + dw(x,y,z)t.
+        = dw(t,z,y)x + dw(z,t,x)y + dw(y,x,t)z + dw(x,y,z)t,
+
+        run as the built-in identity program ``two-basic``.
         """
-        field, n = self.field, self.dim
-        w, dw, e = self.omega_entry, self.d_omega, identity_matrix(field, n)
-        for a, b, c, d in combinations(range(n), 4):
-            x, y, z, t = e[a], e[b], e[c], e[d]
-            lhs = vec_mat(
-                field,
-                [w(c, d), w(d, b), w(b, c), w(a, d), w(c, a), w(a, b)],
-                [self.basis_bracket(u, v) for u, v in combinations((a, b, c, d), 2)],
-            )
-            dws = [dw(t, z, y), dw(z, t, x), dw(y, x, t), dw(x, y, z)]
-            rhs = vec_mat(field, dws, [x, y, z, t])
-            if not vec_is_zero(field, vec_sub(field, lhs, rhs)):
-                return False
-        return True
+        from .identities import builtin, holds  # identities imports this module
+
+        return holds(self, builtin("two-basic"))
 
     # -- form invariants -------------------------------------------------
 
@@ -559,14 +551,7 @@ class AnticommAlgebra:
             frontier = fresh
         return span.rank
 
-    def _enumerable_vector_count(self, cap):
-        field, n = self.field, self.dim
-        if field.char == 0:
-            return None
-        total = field.char**n
-        return total if total <= cap else None
-
-    def simplicity(self, enum_cap=10**6):
+    def simplicity(self):
         """Three-valued simplicity verdict.
 
         The search runs in three steps, each only when the one before
@@ -579,9 +564,9 @@ class AnticommAlgebra:
         End(L) (with a nonzero product) no proper nonzero subspace is
         invariant, over any extension field either, so no candidate
         could have hit, and the verdict is "simple".  Last, over a small
-        prime field, every projective line is spun, which proves
-        "simple" or finds a witness; over the rationals the verdict is
-        "unknown".
+        prime field (p^n at most ``linalg.ENUM_CAP``), every projective
+        line is spun, which proves "simple" or finds a witness; over the
+        rationals, or past the cap, the verdict is "unknown".
         """
         field, n = self.field, self.dim
         if n == 0:
@@ -623,7 +608,7 @@ class AnticommAlgebra:
                 return SimplicityVerdict("not_simple", found, "spun ideal")
         if self.multiplication_algebra_dim() == n * n:
             return SimplicityVerdict("simple", certificate="full multiplication algebra")
-        if self._enumerable_vector_count(enum_cap) is not None:
+        if field.char and field.char**n <= ENUM_CAP:
             for v in projective_points(field.char, n):
                 found = try_vec(v)
                 if found is not None:
@@ -631,7 +616,7 @@ class AnticommAlgebra:
             return SimplicityVerdict("simple", certificate="exhaustive spinning")
         return SimplicityVerdict("unknown")
 
-    def find_abelian_ideal(self, enum_cap=10**6):
+    def find_abelian_ideal(self):
         """A nonzero abelian ideal, or None.
 
         Candidates are built and tested one at a time, and the first
@@ -642,8 +627,8 @@ class AnticommAlgebra:
         ideal by construction (see :meth:`ideal_closure`), and so is a
         subspace holding the commutant, so only their abelian test
         runs; each distinct closure is tested once per search.  Over a
-        small prime field the search is then made complete for a
-        certified algebra: an abelian ideal of codimension >= 2 lies
+        small prime field (p^n at most ``linalg.ENUM_CAP``) the search is
+        then made complete for a certified algebra: an abelian ideal of codimension >= 2 lies
         inside the radical of the form and contains the spun closure of
         each of its lines, so scanning the closures of all radical lines
         decides that case; a codimension-1 abelian ideal contains the
@@ -682,7 +667,7 @@ class AnticommAlgebra:
             com = self.commutant()
             yield com, True
             yield com.intersect(ker), False
-            if self._enumerable_vector_count(enum_cap) is None:
+            if not (field.char and field.char**n <= ENUM_CAP):
                 return
             # an OmegaAlgebra was certified when it was built
             if isinstance(self, OmegaAlgebra) or self._first_violation() is None:

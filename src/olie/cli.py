@@ -62,14 +62,10 @@ def _parse_lambda(field, text, dim):
     return [field.parse(p) for p in parts]
 
 
-def _load(path):
-    return catalog.load(path)
-
-
 def _load_valid(path, message):
     """The file's algebra, certified once; a violation of the law is a
     precondition error with ``message``."""
-    alg = _load(path).validate()
+    alg = catalog.load(path).validate()
     if isinstance(alg, Violation):
         raise PreconditionError(message)
     return alg
@@ -79,7 +75,7 @@ def _load_valid(path, message):
 
 
 def cmd_check(args):
-    alg = _load(args.file)
+    alg = catalog.load(args.file)
     result = alg.validate()
     if isinstance(result, Violation):
         i, j, k = result.triple
@@ -102,7 +98,7 @@ def cmd_check(args):
 
 
 def cmd_info(args):
-    alg = _load(args.file)
+    alg = catalog.load(args.file)
     field = alg.field
     ker = alg.omega_kernel()
     lam_set = alg.multiplicative_lambda()
@@ -140,7 +136,7 @@ def cmd_info(args):
 
 
 def cmd_derive(args):
-    alg = _load(args.file)
+    alg = catalog.load(args.file)
     field = alg.field
     if args.solve_lambda:
         lam_set = alg.multiplicative_lambda()
@@ -212,7 +208,7 @@ def cmd_classify(args):
 
 
 def cmd_identity(args):
-    alg = _load(args.file)
+    alg = catalog.load(args.file)
     if args.name is not None:
         name = args.name
         params = {}
@@ -249,7 +245,7 @@ def cmd_identity(args):
 
 
 def cmd_h2(args):
-    alg = _load(args.file)
+    alg = catalog.load(args.file)
     field = alg.field
     lam = _parse_lambda(field, args.lam, alg.dim)
     value = h2_dimension(alg, lam)

@@ -42,9 +42,6 @@ class AlphaLambdaDerivation:
     alpha: list
     lam: list
 
-    def apply(self, field, v):
-        return vec_mat(field, v, self.matrix)
-
     def is_zero_map(self, field):
         return all(field.is_zero(x) for row in self.matrix for x in row)
 

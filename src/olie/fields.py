@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     DivisionByZero,
@@ -96,6 +97,15 @@ class Rationals:
 
     def is_zero(self, a):
         return a == 0
+
+    def sqrt(self, a):
+        """A square root of a, or None when a is not a square in Q."""
+        if a < 0:
+            return None
+        num, den = isqrt(a.numerator), isqrt(a.denominator)
+        if num * num != a.numerator or den * den != a.denominator:
+            return None
+        return Fraction(num, den)
 
     def parse(self, text):
         """``a`` or ``a/b``: optionally signed decimal integers, ``b``
@@ -182,8 +192,36 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
+    def sqrt(self, a):
+        """A square root of a, or None when a is not a square mod p, by
+        Tonelli-Shanks."""
+        p = self.p
+        a %= p
+        if a == 0:
+            return 0
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        return r
+
     def parse(self, text):
+        """``a`` or ``a/b`` as over the rationals, read mod p; ``b`` must
+        be nonzero mod p."""
         text = text.strip()
+        if not _RATIONAL_TEXT.fullmatch(text):
+            raise ParseError(f"bad GF({self.p}) scalar {text!r}: expected a or a/b")
         try:
             if "/" in text:
                 num, den = text.split("/", 1)

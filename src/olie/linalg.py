@@ -95,10 +95,6 @@ def vec_mat(field, v, m):
     return out
 
 
-def mat_vec(field, m, v):
-    return [vec_dot(field, row, v) for row in m]
-
-
 def mat_mul(field, a, b):
     n, k = len(a), len(b)
     ncols = len(b[0]) if b else 0
@@ -138,6 +134,11 @@ def zero_matrix(field, rows, cols):
 
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
+
+
+# the most vectors an exhaustive search over GF(p) may enumerate: the
+# searches scan projective_points only when their count is at most this
+ENUM_CAP = 10**6
 
 
 def projective_points(p, k):
@@ -561,16 +562,12 @@ class Subspace:
         return all(self.contains(r) for r in other.rows)
 
     def coords(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside."""
-        field = self.field
-        cs = [v[p] for p in self._pivots]
-        rem = list(v)
-        for c, row in zip(cs, self.rows):
-            if not field.is_zero(c):
-                rem = [field.sub(a, field.mul(c, b)) for a, b in zip(rem, row)]
-        if not vec_is_zero(field, rem):
+        """Coordinates of v in the RREF basis, or None if v is outside:
+        the rows vanish at each other's pivots, so the coordinates are
+        the pivot entries of v."""
+        if not self.contains(v):
             return None
-        return cs
+        return [v[p] for p in self._pivots]
 
     def lift(self, coords):
         """The ambient vectors with the given coordinates in the RREF

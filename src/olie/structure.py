@@ -23,6 +23,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .linalg import (
+    ENUM_CAP,
     Subspace,
     basis_vector,
     identity_matrix,
@@ -452,7 +453,7 @@ class ClassificationVerdict:
         }
 
 
-def _abelian_witness(alg: AnticommAlgebra, extra=(), enum_cap=10**6):
+def _abelian_witness(alg: AnticommAlgebra, extra=()):
     """Best abelian subalgebra of small codimension among candidates."""
     field, n = alg.field, alg.dim
     e = [basis_vector(field, n, i) for i in range(n)]
@@ -483,7 +484,7 @@ def _abelian_witness(alg: AnticommAlgebra, extra=(), enum_cap=10**6):
 
     for cand in candidates:
         consider(cand)
-    if (best is None or best.codim > 3) and alg._enumerable_vector_count(enum_cap):
+    if (best is None or best.codim > 3) and field.char and field.char**n <= ENUM_CAP:
         # last resort over a small prime field: largest abelian subalgebra
         # among spans of projective vectors, grown greedily
         for v in projective_points(field.char, n):
@@ -497,9 +498,11 @@ def _rank2_line_parameters(alg, core: Subspace):
     """Exact parameters t for which core + K(r1 + t r2) is a subalgebra,
     when the quotient by ``core`` is 2-dimensional and core is a
     subalgebra.  The closure condition per basis row of core is a
-    quadratic in t, so the search is complete over the rationals; the
-    value t = None encodes the line through r2."""
-    field, n = alg.field, alg.dim
+    polynomial of degree at most 2 in t; the first nonzero one is solved
+    exactly and its roots are kept where every condition vanishes, so
+    the search is complete over either field.  The value t = None
+    encodes the line through r2."""
+    field = alg.field
     r1, r2 = core.quotient_reps()
     polys = []
     for k in core.rows:
@@ -508,19 +511,14 @@ def _rank2_line_parameters(alg, core: Subspace):
         # cross((a + t b), (1, t)) = b0 t^2 + (a0 - b1) t - a1
         polys.append([field.neg(a[1]), field.sub(a[0], b[1]), b[0]])
     nontrivial = [p for p in polys if any(not field.is_zero(c) for c in p)]
-    params = []
-    if not nontrivial:
-        params.append(field.zero())
-    elif field.char == 0:
-        roots, _leftover = _rational_roots(field, nontrivial[0])
-        for t in sorted(set(roots)):
-            if all(_poly_eval_is_zero(field, p, t) for p in nontrivial):
-                params.append(t)
+    if nontrivial:
+        params = [
+            t
+            for t in _quadratic_roots(field, nontrivial[0])
+            if all(_poly_eval_is_zero(field, p, t) for p in nontrivial)
+        ]
     else:
-        for t in range(field.char):
-            t = field.coerce(t)
-            if all(_poly_eval_is_zero(field, p, t) for p in nontrivial):
-                params.append(t)
+        params = [field.zero()]
     # the line through r2 alone: first quotient coordinate of [k, r2]
     if all(
         field.is_zero(core.quotient_coords(alg.bracket(list(k), r2))[0])
@@ -530,6 +528,25 @@ def _rank2_line_parameters(alg, core: Subspace):
     return params
 
 
+def _quadratic_roots(field, coeffs):
+    """The distinct roots in the field, ascending, of the nonzero
+    polynomial c0 + c1 t + c2 t^2 given as [c0, c1, c2]; a quadratic is
+    solved by its discriminant (the characteristic is not 2)."""
+    c0, c1, c2 = coeffs
+    if not field.is_zero(c2):
+        disc = field.sub(field.mul(c1, c1), field.mul(field.coerce(4), field.mul(c2, c0)))
+        root = field.sqrt(disc)
+        if root is None:
+            return []
+        twice = field.mul(field.coerce(2), c2)
+        roots = {field.div(field.sub(r, c1), twice) for r in (root, field.neg(root))}
+    elif not field.is_zero(c1):
+        roots = {field.div(field.neg(c0), c1)}
+    else:
+        roots = set()
+    return sorted(roots)
+
+
 def _poly_eval_is_zero(field, coeffs, t):
     value = field.zero()
     for c in reversed(coeffs):
@@ -537,7 +554,7 @@ def _poly_eval_is_zero(field, coeffs, t):
     return field.is_zero(value)
 
 
-def _hyperplanes_over_subspace(alg, core: Subspace, cap=10**6):
+def _hyperplanes_over_subspace(alg, core: Subspace):
     """All hyperplanes containing ``core`` over a prime field (complete),
     or, over the rationals, the complete rank-2 family when the quotient
     is 2-dimensional plus a finite candidate family otherwise."""
@@ -555,7 +572,7 @@ def _hyperplanes_over_subspace(alg, core: Subspace, cap=10**6):
                 vec = vec_add(field, r1, vec_scale(field, t, r2))
             yield Subspace(field, n, list(core.rows) + [vec])
         return
-    if field.char and (field.char ** q - 1) // (field.char - 1) <= cap:
+    if field.char and (field.char**q - 1) // (field.char - 1) <= ENUM_CAP:
         # lines in the quotient, projectively normalized
         for coeffs in projective_points(field.char, q):
             yield Subspace(field, n, list(core.rows) + [vec_mat(field, coeffs, reps)])
@@ -568,17 +585,13 @@ def _hyperplanes_over_subspace(alg, core: Subspace, cap=10**6):
                 yield cand
 
 
-def classify(alg: AnticommAlgebra, enum_cap=10**6):
+def classify(alg: AnticommAlgebra):
     """Structural verdict for a certified algebra; see the module docstring."""
     field, n = alg.field, alg.dim
     if alg.is_lie():
-        return ClassificationVerdict(
-            "lie_algebra", abelian_small_codim=_abelian_witness(alg, enum_cap=enum_cap)
-        )
+        return ClassificationVerdict("lie_algebra", abelian_small_codim=_abelian_witness(alg))
     if n == 3:
-        return ClassificationVerdict(
-            "dim_three", abelian_small_codim=_abelian_witness(alg, enum_cap=enum_cap)
-        )
+        return ClassificationVerdict("dim_three", abelian_small_codim=_abelian_witness(alg))
     ker = alg.omega_kernel()
     rank = n - ker.dim
     extra_witnesses = []
@@ -595,9 +608,7 @@ def classify(alg: AnticommAlgebra, enum_cap=10**6):
                 "kernel_codim_two",
                 kernel_type="almost_abelian",
                 nilpotent_action=True,
-                abelian_small_codim=_abelian_witness(
-                    alg, extra_witnesses, enum_cap=enum_cap
-                ),
+                abelian_small_codim=_abelian_witness(alg, extra_witnesses),
             )
 
     # search for a codimension-1 Lie subalgebra; any such subalgebra
@@ -612,7 +623,7 @@ def classify(alg: AnticommAlgebra, enum_cap=10**6):
         )
 
     witness = next(
-        filter(lie_hyperplane, _hyperplanes_over_subspace(alg, ker, enum_cap)), None
+        filter(lie_hyperplane, _hyperplanes_over_subspace(alg, ker)), None
     )
     if witness is None and field.char == 0:
         # candidate kernels of alpha covectors from derivation solutions
@@ -635,11 +646,11 @@ def classify(alg: AnticommAlgebra, enum_cap=10**6):
         return ClassificationVerdict(
             "codim_one_lie_subalgebra",
             witness=witness,
-            abelian_small_codim=_abelian_witness(alg, extra, enum_cap=enum_cap),
+            abelian_small_codim=_abelian_witness(alg, extra),
         )
     return ClassificationVerdict(
         "inconclusive",
-        abelian_small_codim=_abelian_witness(alg, extra_witnesses, enum_cap=enum_cap),
+        abelian_small_codim=_abelian_witness(alg, extra_witnesses),
     )
 
 

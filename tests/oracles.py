@@ -4,9 +4,11 @@ Everything here is deliberately written without olie.linalg: integer
 fraction-free elimination over the rationals and plain modular
 elimination over prime fields, plus direct residual-based assembly of
 the linear systems the library builds by index formulas.  Oracle ranks
-and dimensions are frozen against these routines.  The one exception is
-the pair of eager ideal searches at the end, whose reference is the
-order of the search, not its building blocks.
+and dimensions are frozen against these routines.  The exceptions are
+the dense four-variable law check and the pair of eager ideal searches
+at the end: the reference of the first is the law written out on
+dense vectors, that of the others is the order of the search, not its
+building blocks.
 """
 
 import weakref
@@ -715,6 +717,33 @@ def deformation_dims_oracle(alg):
     rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
     total_dim = nun - matrix_rank(field, rows)
     return total_dim
+
+
+def four_var_reference(alg):
+    """The four-variable consequence on increasing 4-tuples, on dense
+    vectors: the body ``AnticommAlgebra.check_four_var`` had before it
+    ran the ``two-basic`` identity program.
+
+    w(z,t)[x,y] + w(t,y)[x,z] + w(y,z)[x,t] + w(x,t)[y,z]
+    + w(z,x)[y,t] + w(x,y)[z,t]
+    = dw(t,z,y)x + dw(z,t,x)y + dw(y,x,t)z + dw(x,y,z)t.
+    """
+    from olie.linalg import identity_matrix, vec_is_zero, vec_mat, vec_sub
+
+    field, n = alg.field, alg.dim
+    w, dw, e = alg.omega_entry, alg.d_omega, identity_matrix(field, n)
+    for a, b, c, d in combinations(range(n), 4):
+        x, y, z, t = e[a], e[b], e[c], e[d]
+        lhs = vec_mat(
+            field,
+            [w(c, d), w(d, b), w(b, c), w(a, d), w(c, a), w(a, b)],
+            [alg.basis_bracket(u, v) for u, v in combinations((a, b, c, d), 2)],
+        )
+        dws = [dw(t, z, y), dw(z, t, x), dw(y, x, t), dw(x, y, z)]
+        rhs = vec_mat(field, dws, [x, y, z, t])
+        if not vec_is_zero(field, vec_sub(field, lhs, rhs)):
+            return False
+    return True
 
 
 # -- the eager ideal searches --------------------------------------------

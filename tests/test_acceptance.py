@@ -19,7 +19,6 @@ Every other criterion is checked at its stated tolerance.  Run with
 ``-s`` to see the per-criterion report lines.
 """
 
-import inspect
 import json
 import time
 from fractions import Fraction as F
@@ -47,6 +46,7 @@ from olie import catalog
 from olie.cli import main as cli_main
 from olie.extensions import Cochain
 from olie.linalg import (
+    ENUM_CAP,
     basis_vector,
     projective_points,
     vec_add,
@@ -490,18 +490,15 @@ def test_criterion_8b_abelian_ideals_in_high_dim(structure_scan, holdout_closure
     A nonzero abelian ideal I would contain, for any v != 0 in I, the ideal
     closure of v, which is then a nonzero abelian ideal too (and I = L is
     excluded, since an abelian L is Lie).  So it suffices that on each
-    holdout, a certified instance small enough (5**dim <= enum_cap) for
+    holdout, a certified instance small enough (5**dim <= ENUM_CAP) for
     the scan's search to be complete, no line has an abelian closure."""
-    enum_cap = inspect.signature(catalog.AnticommAlgebra.find_abelian_ideal).parameters[
-        "enum_cap"
-    ].default
     seeds = [(dim, seed) for dim, seed, _, _ in holdout_closures]
     unproved = [
         (dim, seed)
         for dim, seed, alg, closures in holdout_closures
         if isinstance(alg.validate(), Violation)
         or alg.is_lie()
-        or alg.field.char**dim > enum_cap
+        or alg.field.char**dim > ENUM_CAP
         or any(_is_abelian_span(alg, c) for c in closures)
     ]
     ok = bool(seeds) and not unproved and structure_scan["exit_code"] == 1
@@ -514,7 +511,7 @@ def test_criterion_8b_abelian_ideals_in_high_dim(structure_scan, holdout_closure
     assert seeds, "the scan found no holdout, so the quoted claim is not refuted"
     assert not unproved, (
         "the scan reports no abelian ideal, but these (dim, seed) holdouts are "
-        f"not proved: {unproved} (uncertified, Lie, beyond enum_cap, or some "
+        f"not proved: {unproved} (uncertified, Lie, beyond ENUM_CAP, or some "
         "line closure is abelian)"
     )
     assert structure_scan["exit_code"] == 1

@@ -27,6 +27,7 @@ from oracles import (
     bracket_reference,
     find_abelian_ideal_reference,
     first_violation_reference,
+    four_var_reference,
     ideal_closure_reference,
     is_ideal_reference,
     is_lie_reference,
@@ -341,6 +342,24 @@ def test_check_four_var(s4, sl2):
         omega={(1, 2): 1},
     )
     assert not bad.check_four_var()
+    assert not four_var_reference(bad)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_check_four_var_matches_the_dense_law(field, data):
+    alg = data.draw(algebras(field, max_dim=6))
+    assert alg.check_four_var() == four_var_reference(alg)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_check_four_var_holds_on_certified_chains(field):
+    for seed in range(6):
+        for dim in (4, 5, 6):
+            alg = catalog.random_extension_chain(field, seed, dim)
+            if not isinstance(alg, catalog.Stuck):
+                assert alg.check_four_var() and four_var_reference(alg)
 
 
 # -- commutant, spans, ideals ---------------------------------------------

@@ -546,6 +546,18 @@ def test_q_scalar_text_other_than_a_or_a_over_b_is_parse_error(tmp_path, text):
         assert "expected a or a/b" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "1/ 2"])
+def test_gf_scalar_text_other_than_a_or_a_over_b_is_parse_error(tmp_path, text):
+    # int() reads all three; the rational text pattern reads none
+    bad, good = tmp_path / "scalar.json", tmp_path / "good.json"
+    bad.write_text('{"field": {"GF": 5}, "dim": 3, "omega": {"1,2": "%s"}}' % text, encoding="utf-8")
+    good.write_text('{"field": {"GF": 5}, "dim": 3}')
+    for argv in (["check", str(bad)], ["h2", str(good), "--lambda", f"{text},0,0"]):
+        code, out, err = run_cli(["--format", "json", *argv])
+        assert (code, out) == (3, "")
+        assert "expected a or a/b" in json.loads(err)["error"]["message"]
+
+
 @pytest.mark.parametrize("dim", ["true", "false", "2.0", "-1", '"3"'])
 def test_bad_dim_is_schema_error(tmp_path, dim):
     bad = tmp_path / "dim.json"

@@ -58,6 +58,32 @@ def test_q_text_is_signed_integers_only():
             QQ.parse(text)
 
 
+def test_gf_text_is_the_rational_text_mod_p():
+    f = GF(5)
+    assert f.parse(" +6/4 ") == 4
+    assert f.parse("-7") == 3
+    for text in ["1_0", "\u0663", "1/ 2", "1e3", "1.5", "3/-4", "0x10", "", "/2", "2/"]:
+        with pytest.raises(ParseError):
+            f.parse(text)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 17, 41, 97, 257, 1009])
+def test_gf_sqrt(p):
+    f = GF(p)
+    squares = {x * x % p for x in range(p)}
+    for a in range(p):
+        root = f.sqrt(a)
+        assert root is None if a not in squares else root * root % p == a
+
+
+def test_q_sqrt():
+    assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert QQ.sqrt(Fraction(0)) == 0
+    for a in (Fraction(2), Fraction(-1), Fraction(9, 2), Fraction(10**30 + 1)):
+        assert QQ.sqrt(a) is None
+    assert QQ.sqrt(Fraction(735134400**2, 49)) == Fraction(735134400, 7)
+
+
 def test_canonical_encoding_unique():
     a = QQ.parse("2/4")
     b = QQ.parse("1/2")

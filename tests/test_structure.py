@@ -1,7 +1,8 @@
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from olie import (
     GF,
@@ -18,8 +19,8 @@ from olie import (
 )
 from olie import catalog
 from olie.errors import NotAbelianSubalgebra, NotASubalgebra, PreconditionFailed
-from olie.linalg import basis_vector
-from olie.structure import _rational_roots
+from olie.linalg import basis_vector, vec_add, vec_scale
+from olie.structure import _quadratic_roots, _rank2_line_parameters, _rational_roots
 
 from oracles import rational_roots_reference
 
@@ -285,6 +286,86 @@ def test_rational_roots_of_a_rootless_quadratic_with_many_divisors():
     n = 735134400
     assert _rational_roots(QQ, [F(n), F(n + 1), F(n)]) == ([], True)
     assert _rational_roots(QQ, [F(-n), F(n - 1), F(1)]) == ([F(1), F(-n)], False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly=rational_polys().filter(lambda c: len(c) <= 3))
+def test_quadratic_roots_match_the_rational_root_search(poly):
+    assume(any(poly))
+    coeffs = poly + [F(0)] * (3 - len(poly))
+    trimmed = list(poly)
+    while trimmed[-1] == 0:
+        trimmed.pop()
+    got = _quadratic_roots(QQ, coeffs)
+    assert got == sorted(set(rational_roots_reference(trimmed)[0]))
+    assert all(type(t) is F for t in got)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+@settings(deadline=None)
+@given(data=st.data())
+def test_quadratic_roots_match_every_residue(p, data):
+    field = GF(p)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3))
+    assume(any(coeffs))
+    c0, c1, c2 = coeffs
+    assert _quadratic_roots(field, coeffs) == [
+        t for t in range(p) if (c0 + c1 * t + c2 * t * t) % p == 0
+    ]
+
+
+def _scaled_basis(alg, i, c):
+    """The same algebra on the basis with e_i replaced by c e_i."""
+    s = [F(1)] * alg.dim
+    s[i] = F(c)
+    bracket = {
+        (a, b): {k: v * s[a] * s[b] / s[k] for k, v in row.items()}
+        for (a, b), row in alg._bracket.items()
+    }
+    omega = {(a, b): v * s[a] * s[b] for (a, b), v in alg._omega.items()}
+    return AnticommAlgebra(alg.field, alg.dim, bracket, omega).validate()
+
+
+def test_classify_finds_the_witness_past_the_coefficient_cap():
+    # scaling e2 by 735134400 pushes the cleared quadratic past the
+    # 10^15 coefficient cap of the rational-root search
+    alg = catalog.random_extension_chain(QQ, 2, 4)
+    scaled = _scaled_basis(alg, 1, 735134400)
+    assert classify(alg).case == "codim_one_lie_subalgebra"
+    assert classify(scaled).case == "codim_one_lie_subalgebra"
+
+
+@pytest.mark.parametrize(
+    "dim, seed, want",
+    [
+        (4, 75, F(-51, 50)),
+        (5, 33, F(-4, 3)),
+        (5, 34, F(-2, 3)),
+        (5, 118, F(-2, 3)),
+        (5, 123, F(1, 2)),
+        (6, 85, F(-1, 3)),
+        (6, 106, F(38, 3)),
+    ],
+)
+def test_rank2_parameters_of_a_linear_condition(dim, seed, want):
+    # on these radicals the first condition has a zero t^2 coefficient,
+    # which the rational-root search read as a quadratic with no root
+    alg = catalog.random_extension_chain(QQ, seed, dim)
+    ker = alg.omega_kernel()
+    assert _rank2_line_parameters(alg, ker) == [want, None]
+    r1, r2 = ker.quotient_reps()
+    line = vec_add(QQ, r1, vec_scale(QQ, want, r2))
+    assert alg.is_subalgebra(Subspace(QQ, dim, list(ker.rows) + [line]))
+
+
+def test_rank2_parameters_over_a_large_prime_field():
+    # the roots are solved for, not searched among all p residues
+    field = GF(1000003)
+    alg = catalog.random_extension_chain(QQ, 2, 4).with_field(field).validate()
+    start = time.perf_counter()
+    verdict = classify(alg)
+    assert time.perf_counter() - start < 0.5
+    assert verdict.case == "codim_one_lie_subalgebra"
 
 
 def test_rank_is_always_degenerate(gf5):
