@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .algebra import AnticommAlgebra
 from .derivations import al_derivation_space
@@ -47,23 +48,32 @@ def _check_abelian_subalgebra(alg, sub):
         raise NotAbelianSubalgebra("the subspace is not an abelian subalgebra")
 
 
+def _check_radical_part(alg, sub):
+    _check_abelian_subalgebra(alg, sub)
+    if not alg.omega_kernel().contains_subspace(sub):
+        raise PreconditionFailed("the subalgebra must sit inside the form's radical")
+    if sub.dim <= 1:
+        raise PreconditionFailed("need an abelian subalgebra of dimension > 1")
+
+
 def _check_commuting_adjoints(alg, sub):
-    field, n = alg.field, alg.dim
-    ads = [alg.ad(list(r)) for r in sub.rows]
-    for a in range(len(ads)):
-        for b in range(a + 1, len(ads)):
-            left = mat_mul(field, ads[a], ads[b])
-            right = mat_mul(field, ads[b], ads[a])
-            for i in range(n):
-                if not vec_is_zero(field, vec_sub(field, left[i], right[i])):
-                    raise PreconditionFailed(
-                        "adjoint maps of the subalgebra do not commute; "
-                        "the decomposition would not be canonical"
-                    )
+    # row i of ad a . ad b is [[e_i, a], b]
+    rows = [list(r) for r in sub.rows]
+    ads = [alg.ad(r) for r in rows]
+    for a, b in combinations(range(len(rows)), 2):
+        for i in range(alg.dim):
+            if alg.bracket(ads[a][i], rows[b]) != alg.bracket(ads[b][i], rows[a]):
+                raise PreconditionFailed(
+                    "adjoint maps of the subalgebra do not commute; "
+                    "the decomposition would not be canonical"
+                )
 
 
 def _restrict_operator(field, matrix, block: Subspace):
     """Matrix of a row-convention operator restricted to an invariant block."""
+    if block.is_full():
+        # the canonical basis of the whole space is the identity
+        return matrix
     rows = []
     for r in block.rows:
         image = vec_mat(field, list(r), matrix)
@@ -82,6 +92,27 @@ def _mat_power(field, m, k):
     return out
 
 
+def _stable_power(field, t, k):
+    """An int matrix with the kernel and row space of T^k: T over one
+    common denominator (residues over GF(p)), squared until the exponent
+    reaches k or the matrix vanishes.  For a k x k matrix T, ker T^e and
+    im T^e are those of T^k for every e >= k."""
+    p = field.char
+    if p:
+        m = [[x % p for x in row] for row in t]
+    else:
+        den = lcm(*[x.denominator for row in t for x in row])
+        m = [[x.numerator * (den // x.denominator) for x in row] for row in t]
+    e = 1
+    while e < k and any(map(any, m)):
+        cols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in cols] for row in m]
+        if p:
+            m = [[x % p for x in row] for row in m]
+        e *= 2
+    return m
+
+
 def fitting_decomposition(alg: AnticommAlgebra, sub: Subspace):
     """Fitting pair (L0, L1) for the commuting family of adjoints of an
     abelian subalgebra: L0 is the common generalized nullspace, L1 the
@@ -94,9 +125,11 @@ def fitting_decomposition(alg: AnticommAlgebra, sub: Subspace):
     for h in sub.rows:
         if null.is_zero():
             break
-        t = _restrict_operator(field, alg.ad(list(h)), null)
         k = null.dim
-        tk = _mat_power(field, t, k)
+        tk = _stable_power(field, _restrict_operator(field, alg.ad(list(h)), null), k)
+        if not any(map(any, tk)):
+            # nilpotent on L0: L0 is unchanged and L1 gains nothing
+            continue
         ker = kernel_basis(field, transpose(tk), k)
         one_vectors.extend(null.lift(tk))
         null = Subspace(field, n, null.lift(ker))
@@ -105,7 +138,7 @@ def fitting_decomposition(alg: AnticommAlgebra, sub: Subspace):
 
 @dataclass
 class RootDecomposition:
-    split: bool
+    split: bool | None  # None: undecided, the eigenvalues were not searched
     roots: list  # list of (eigenvalue tuple aligned with the subalgebra basis, Subspace)
     fitting_null: Subspace = None
     fitting_one: Subspace = None
@@ -215,12 +248,13 @@ def _eigenspaces(field, matrix):
     """(eigenvalue, generalized eigenspace basis) pairs, the candidates
     being every element of a small prime field or the rational roots of
     the characteristic polynomial; None when the candidates are not
-    known to include every eigenvalue."""
+    known to include every eigenvalue, and no pairs when they are known
+    to miss one."""
     n = len(matrix)
     if field.char == 0:
         roots, leftover = _rational_roots(field, _char_poly_q(field, matrix))
         if leftover:
-            return None
+            return []
         candidates = sorted(set(roots))
     elif field.char <= 4096:
         candidates = range(field.char)
@@ -246,7 +280,8 @@ def root_decomposition(alg: AnticommAlgebra, sub: Subspace):
     """Simultaneous generalized eigenspace decomposition for the adjoint
     family of an abelian subalgebra.  When some characteristic
     polynomial does not split, returns split=False with Fitting data
-    only."""
+    only; split=None when the eigenvalues were not searched (a prime
+    field above 4096)."""
     field, n = alg.field, alg.dim
     null, one = fitting_decomposition(alg, sub)
     blocks = [(Subspace.full(field, n), ())]
@@ -256,11 +291,8 @@ def root_decomposition(alg: AnticommAlgebra, sub: Subspace):
         for block, values in blocks:
             t = _restrict_operator(field, matrix, block)
             eig = _eigenspaces(field, t)
-            if eig is None:
-                return RootDecomposition(False, [], null, one)
-            total = sum(len(ker) for _, ker in eig)
-            if total != block.dim:
-                return RootDecomposition(False, [], null, one)
+            if eig is None or sum(len(ker) for _, ker in eig) != block.dim:
+                return RootDecomposition(None if eig is None else False, [], null, one)
             for lam, ker in eig:
                 space = Subspace(field, n, block.lift(ker))
                 fresh.append((space, values + (lam,)))
@@ -284,12 +316,10 @@ def check_root_properties(alg: AnticommAlgebra, sub: Subspace):
     root sum nonzero pair to zero under the form, and brackets of root
     spaces land in the root space of the sum."""
     field, n = alg.field, alg.dim
-    _check_abelian_subalgebra(alg, sub)
-    if not alg.omega_kernel().contains_subspace(sub):
-        raise PreconditionFailed("the subalgebra must sit inside the form's radical")
-    if sub.dim <= 1:
-        raise PreconditionFailed("need an abelian subalgebra of dimension > 1")
+    _check_radical_part(alg, sub)
     dec = root_decomposition(alg, sub)
+    if dec.split is None:
+        raise PreconditionFailed("splitting is undecided: no eigenvalue search over this field")
     if not dec.split:
         raise PreconditionFailed("the decomposition does not split over this field")
     ortho, brackets = [], []
@@ -327,47 +357,33 @@ def binomial_identity_check(alg: AnticommAlgebra, sub: Subspace, n_max: int):
     from math import comb
 
     field, dim = alg.field, alg.dim
-    _check_abelian_subalgebra(alg, sub)
-    if not alg.omega_kernel().contains_subspace(sub):
-        raise PreconditionFailed("the subalgebra must sit inside the form's radical")
-    if sub.dim <= 1:
-        raise PreconditionFailed("need an abelian subalgebra of dimension > 1")
+    _check_radical_part(alg, sub)
     shifts = [field.coerce(v) for v in (0, 1, -1, 2)]
     e = [basis_vector(field, dim, i) for i in range(dim)]
     for h in sub.rows:
         ad_h = alg.ad(list(h))
+
+        def shifted_powers(shift, vec):
+            out = [list(vec)]
+            for _ in range(n_max):
+                prev = out[-1]
+                out.append(
+                    vec_add(field, vec_mat(field, prev, ad_h), vec_scale(field, shift, prev))
+                )
+            return out
+
         for a in shifts:
             for b in shifts:
-
-                def shifted_powers(shift, vec):
-                    out = [list(vec)]
-                    for _ in range(n_max):
-                        prev = out[-1]
-                        nxt = vec_add(
-                            field,
-                            vec_mat(field, prev, ad_h),
-                            vec_scale(field, shift, prev),
-                        )
-                        out.append(nxt)
-                    return out
-
                 ab = field.add(a, b)
+                ab_pows = [field.one()]
+                for _ in range(n_max):
+                    ab_pows.append(field.mul(ab_pows[-1], ab))
                 for xi in range(dim):
                     powers_x = shifted_powers(a, e[xi])
                     for yi in range(dim):
                         powers_y = shifted_powers(b, e[yi])
                         wxy = alg.omega(e[xi], e[yi])
-                        bxy = alg.bracket(e[xi], e[yi])
-                        powers_br = [list(bxy)]
-                        for _ in range(n_max):
-                            prev = powers_br[-1]
-                            powers_br.append(
-                                vec_add(
-                                    field,
-                                    vec_mat(field, prev, ad_h),
-                                    vec_scale(field, ab, prev),
-                                )
-                            )
+                        powers_br = shifted_powers(ab, alg.bracket(e[xi], e[yi]))
                         for npow in range(1, n_max + 1):
                             coeffs, pairs = [], []
                             for i in range(npow + 1):
@@ -379,16 +395,10 @@ def binomial_identity_check(alg: AnticommAlgebra, sub: Subspace, n_max: int):
                             vec_total = vec_mat(
                                 field, coeffs, [alg.bracket(u, v) for u, v in pairs]
                             )
-                            ab_pow = field.one()
-                            for _ in range(npow):
-                                ab_pow = field.mul(ab_pow, ab)
-                            if not field.is_zero(field.sub(total, field.mul(ab_pow, wxy))):
+                            if not field.is_zero(field.sub(total, field.mul(ab_pows[npow], wxy))):
                                 return False
-                            ab_pow_prev = field.one()
-                            for _ in range(npow - 1):
-                                ab_pow_prev = field.mul(ab_pow_prev, ab)
                             correction = field.mul(
-                                field.coerce(npow), field.mul(ab_pow_prev, wxy)
+                                field.coerce(npow), field.mul(ab_pows[npow - 1], wxy)
                             )
                             rhs = vec_sub(
                                 field,
@@ -453,33 +463,31 @@ class ClassificationVerdict:
         }
 
 
-def _abelian_witness(alg: AnticommAlgebra, extra=()):
-    """Best abelian subalgebra of small codimension among candidates."""
+def _abelian_witness(alg: AnticommAlgebra, ker: Subspace, part, extra=()):
+    """Best abelian subalgebra of small codimension among candidates;
+    ``ker`` is the radical of the form and ``part`` its abelian part."""
     field, n = alg.field, alg.dim
     e = [basis_vector(field, n, i) for i in range(n)]
+    table, _ = alg._product.signed_table()
 
-    def grown(start):
-        # start, then each basis vector commuting with all taken so far
-        members = [start]
-        for ej in e:
-            if all(vec_is_zero(field, alg.bracket(m, ej)) for m in members):
-                members.append(ej)
-        return Subspace(field, n, members)
+    def grown(start, clash):
+        # start, then each basis vector commuting with all taken so far;
+        # clash[j] is truthy iff [start, e_j] != 0, and a pair table
+        # entry is empty iff its bracket is zero
+        taken = []
+        for j in range(n):
+            if not clash[j] and not any(table[m][j] for m in taken):
+                taken.append(j)
+        return Subspace(field, n, [start] + [e[j] for j in taken])
 
-    candidates = [grown(ei) for ei in e]
-    ker = alg.omega_kernel()
-    candidates.append(ker)
-    candidates.append(alg._abelian_part(ker))
-    candidates.extend(extra)
-    candidates.append(alg.center())
-
+    candidates = [grown(ei, table[i]) for i, ei in enumerate(e)]
+    candidates += [ker, part, *extra, alg.center()]
     best = None
 
     def consider(sub):
         nonlocal best
-        if sub is None or sub.dim == 0 or not alg.is_abelian_subspace(sub):
-            return
-        if best is None or sub.dim > best.dim:
+        floor = 0 if best is None else best.dim
+        if sub is not None and sub.dim > floor and alg.is_abelian_subspace(sub):
             best = sub
 
     for cand in candidates:
@@ -487,8 +495,9 @@ def _abelian_witness(alg: AnticommAlgebra, extra=()):
     if (best is None or best.codim > 3) and field.char and field.char**n <= ENUM_CAP:
         # last resort over a small prime field: largest abelian subalgebra
         # among spans of projective vectors, grown greedily
+        images = alg._product.right_images
         for v in projective_points(field.char, n):
-            consider(grown(v))
+            consider(grown(v, [any(w) for w in images(v)]))
             if best is not None and best.codim <= 3:
                 break
     return best
@@ -588,27 +597,26 @@ def _hyperplanes_over_subspace(alg, core: Subspace):
 def classify(alg: AnticommAlgebra):
     """Structural verdict for a certified algebra; see the module docstring."""
     field, n = alg.field, alg.dim
-    if alg.is_lie():
-        return ClassificationVerdict("lie_algebra", abelian_small_codim=_abelian_witness(alg))
-    if n == 3:
-        return ClassificationVerdict("dim_three", abelian_small_codim=_abelian_witness(alg))
     ker = alg.omega_kernel()
-    rank = n - ker.dim
-    extra_witnesses = []
-    part = alg._abelian_part(ker) if rank == 2 else None
-    if part is not None:
-        extra_witnesses.append(part)
+    part = alg._abelian_part(ker)
+
+    def verdict(case, extra=(), **labels):
+        witness = _abelian_witness(alg, ker, part, extra)
+        return ClassificationVerdict(case, abelian_small_codim=witness, **labels)
+
+    if alg.is_lie():
+        return verdict("lie_algebra")
+    if n == 3:
+        return verdict("dim_three")
+    if part is not None and n - ker.dim == 2:
         try:
             null, _one = fitting_decomposition(alg, part)
             nilpotent = null.is_full()
         except PreconditionFailed:
             nilpotent = False
         if nilpotent:
-            return ClassificationVerdict(
-                "kernel_codim_two",
-                kernel_type="almost_abelian",
-                nilpotent_action=True,
-                abelian_small_codim=_abelian_witness(alg, extra_witnesses),
+            return verdict(
+                "kernel_codim_two", kernel_type="almost_abelian", nilpotent_action=True
             )
 
     # search for a codimension-1 Lie subalgebra; any such subalgebra
@@ -628,30 +636,21 @@ def classify(alg: AnticommAlgebra):
     if witness is None and field.char == 0:
         # candidate kernels of alpha covectors from derivation solutions
         lam_set = alg.multiplicative_lambda()
-        if lam_set is not None:
-            for lam in lam_set.points():
-                for der in al_derivation_space(alg, lam):
-                    if all(field.is_zero(x) for x in der.alpha):
-                        continue
-                    cand = Subspace(
-                        field, n, kernel_basis(field, [der.alpha], n)
-                    )
-                    if lie_hyperplane(cand):
-                        witness = cand
-                        break
-                if witness is not None:
-                    break
-    if witness is not None:
-        extra = [*extra_witnesses, witness, alg._abelian_part(witness)]
-        return ClassificationVerdict(
-            "codim_one_lie_subalgebra",
-            witness=witness,
-            abelian_small_codim=_abelian_witness(alg, extra),
+        alphas = (
+            der.alpha
+            for lam in (() if lam_set is None else lam_set.points())
+            for der in al_derivation_space(alg, lam)
+            if not all(field.is_zero(x) for x in der.alpha)
         )
-    return ClassificationVerdict(
-        "inconclusive",
-        abelian_small_codim=_abelian_witness(alg, extra_witnesses),
-    )
+        kernels = (Subspace(field, n, kernel_basis(field, [a], n)) for a in alphas)
+        witness = next(filter(lie_hyperplane, kernels), None)
+    if witness is not None:
+        return verdict(
+            "codim_one_lie_subalgebra",
+            [witness, alg._abelian_part(witness)],
+            witness=witness,
+        )
+    return verdict("inconclusive")
 
 
 def alpha_vanishing_scan(alg: AnticommAlgebra):

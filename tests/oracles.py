@@ -8,7 +8,9 @@ and dimensions are frozen against these routines.  The exceptions are
 the dense four-variable law check and the pair of eager ideal searches
 at the end: the reference of the first is the law written out on
 dense vectors, that of the others is the order of the search, not its
-building blocks.
+building blocks.  The Fitting and abelian-witness references near the
+end are the library's earlier bodies, built on its own subspaces and
+kernels: what they pin is the result of the earlier method.
 """
 
 import weakref
@@ -864,6 +866,83 @@ def find_abelian_ideal_reference(alg, enum_cap=10**6):
         if spun.dim < n and check(spun):
             return spun
     return None
+
+
+def fitting_decomposition_reference(alg, sub):
+    """The Fitting pair (L0, L1) as ``structure.fitting_decomposition``
+    computed it before it squared int matrices: the operator restricted
+    to L0 through coordinates and raised to the k-th power, k = dim L0,
+    by k dense field-method matrix products; the adjoints compared by
+    two dense products per pair."""
+    from olie.errors import NotAbelianSubalgebra, PreconditionFailed
+    from olie.linalg import Subspace, kernel_basis, mat_mul, transpose, vec_mat
+
+    field, n = alg.field, alg.dim
+    if not alg.is_abelian_subspace(sub):
+        raise NotAbelianSubalgebra("the subspace is not an abelian subalgebra")
+    ads = [alg.ad(list(r)) for r in sub.rows]
+    for a, b in combinations(range(len(ads)), 2):
+        if mat_mul(field, ads[a], ads[b]) != mat_mul(field, ads[b], ads[a]):
+            raise PreconditionFailed(
+                "adjoint maps of the subalgebra do not commute; "
+                "the decomposition would not be canonical"
+            )
+    null = Subspace.full(field, n)
+    one_vectors = []
+    for h in sub.rows:
+        if null.is_zero():
+            break
+        matrix = alg.ad(list(h))
+        t = [null.coords(vec_mat(field, list(r), matrix)) for r in null.rows]
+        k = null.dim
+        tk = [[field.one() if i == j else field.zero() for j in range(k)] for i in range(k)]
+        for _ in range(k):
+            tk = mat_mul(field, tk, t)
+        ker = kernel_basis(field, transpose(tk), k)
+        one_vectors.extend(null.lift(tk))
+        null = Subspace(field, n, null.lift(ker))
+    return null, Subspace(field, n, one_vectors)
+
+
+def abelian_witness_reference(alg, extra=()):
+    """The abelian witness as ``structure._abelian_witness`` chose it
+    before it read the pair table: every candidate grown by brackets of
+    vectors, the radical and its abelian part computed here, each
+    candidate tested for being abelian, the first of largest dimension
+    kept, and over a small prime field the projective lines grown in
+    order until one reaches codimension 3."""
+    from olie.linalg import ENUM_CAP, Subspace, basis_vector, projective_points
+
+    field, n = alg.field, alg.dim
+    e = [basis_vector(field, n, i) for i in range(n)]
+
+    def grown(start):
+        members = [start]
+        for ej in e:
+            if all(not any(alg.bracket(m, ej)) for m in members):
+                members.append(ej)
+        return Subspace(field, n, members)
+
+    ker = alg.omega_kernel()
+    candidates = [grown(ei) for ei in e]
+    candidates += [ker, alg._abelian_part(ker), *extra, alg.center()]
+    best = None
+
+    def consider(sub):
+        nonlocal best
+        if sub is None or sub.dim == 0 or not alg.is_abelian_subspace(sub):
+            return
+        if best is None or sub.dim > best.dim:
+            best = sub
+
+    for cand in candidates:
+        consider(cand)
+    if (best is None or best.codim > 3) and field.char and field.char**n <= ENUM_CAP:
+        for v in projective_points(field.char, n):
+            consider(grown(v))
+            if best is not None and best.codim <= 3:
+                break
+    return best
 
 
 def rational_roots_reference(coeffs):

@@ -1,8 +1,11 @@
+import sys
 import time
 from fractions import Fraction as F
+from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from olie import (
     GF,
@@ -18,11 +21,22 @@ from olie import (
     root_decomposition,
 )
 from olie import catalog
-from olie.errors import NotAbelianSubalgebra, NotASubalgebra, PreconditionFailed
-from olie.linalg import basis_vector, vec_add, vec_scale
-from olie.structure import _quadratic_roots, _rank2_line_parameters, _rational_roots
+from olie.errors import NotAbelianSubalgebra, NotASubalgebra, OlieError, PreconditionFailed
+from olie import structure
+from olie.linalg import basis_vector, projective_points, vec_add, vec_scale
+from olie.structure import (
+    _abelian_witness,
+    _quadratic_roots,
+    _rank2_line_parameters,
+    _rational_roots,
+)
 
-from oracles import rational_roots_reference
+from oracles import (
+    abelian_witness_reference,
+    fitting_decomposition_reference,
+    rational_roots_reference,
+)
+from strategies import FIELDS, algebras, scalars
 
 
 def span(field, n, *vectors):
@@ -392,3 +406,293 @@ def test_alpha_vanishing_scan(n3, gf5, sl2):
         alpha_vanishing_scan(sl2)
     with pytest.raises(PreconditionFailed):
         alpha_vanishing_scan(AnticommAlgebra(QQ, 4))
+
+
+# -- Fitting and abelian witness against the earlier bodies ---------------
+
+
+def _outcome(fn, *args):
+    """The rows a Fitting call returns, or the type of error it raises."""
+    try:
+        return tuple(sub.rows for sub in fn(*args))
+    except OlieError as exc:
+        return type(exc)
+
+
+def _nonzero(field):
+    if field.char:
+        return st.integers(1, field.char - 1)
+    return st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+def _aff1_cubed(field):
+    """lie.aff1 three times over, basis a_0, b_0, a_1, b_1, a_2, b_2 with
+    [a_i, b_i] = a_i: the b_i commute and act semisimply, with ad b_i
+    having eigenvalue 1 on a_i and 0 elsewhere."""
+    bracket = {(2 * i, 2 * i + 1): {2 * i: 1} for i in range(3)}
+    return AnticommAlgebra(field, 6, bracket).validate()
+
+
+def _algebra_from(draw, field):
+    """A catalog algebra, lie.aff1 cubed or a chain of dimension 3 to 6
+    over ``field``."""
+    name = draw(st.sampled_from(["lie.sl2", "family.iiia", "omega.s4", "aff1^3", "chain"]))
+    if name == "aff1^3":
+        return _aff1_cubed(field)
+    if name != "chain":
+        return catalog.builtin_algebra(name, field)
+    alg = catalog.random_extension_chain(field, draw(st.integers(0, 60)), draw(st.integers(3, 6)))
+    assume(not isinstance(alg, catalog.Stuck))
+    return alg
+
+
+def _commuting_basis_span(alg, i):
+    """e_i and, greedily, every basis vector commuting with those taken:
+    an abelian subalgebra, often outside the radical of the form."""
+    field, n = alg.field, alg.dim
+    taken = [basis_vector(field, n, i)]
+    for j in range(n):
+        ej = basis_vector(field, n, j)
+        if not any(any(alg.bracket(m, ej)) for m in taken):
+            taken.append(ej)
+    return Subspace(field, n, taken)
+
+
+@st.composite
+def fitting_inputs(draw):
+    """An algebra and a subspace: one drawn vector (abelian, its single
+    adjoint commutes with itself, and a non-nilpotent one gives a proper
+    L0), or a drawn subspace of dimension 1 to 3 of an abelian
+    subalgebra: the radical or its abelian part, where the adjoints
+    commute, or a span of commuting basis vectors, where they may not."""
+    field = draw(st.sampled_from(FIELDS))
+    alg = _algebra_from(draw, field)
+    n = alg.dim
+    mode = draw(st.sampled_from(["vector", "radical", "basis"]))
+    if mode == "vector":
+        v = draw(st.lists(scalars(field), min_size=n, max_size=n))
+        assume(any(v))
+        return alg, Subspace(field, n, [v])
+    host = None
+    if mode == "radical":
+        ker = alg.omega_kernel()
+        host = ker if alg.is_abelian_subspace(ker) else alg._abelian_part(ker)
+    if host is None:
+        host = _commuting_basis_span(alg, draw(st.integers(0, n - 1)))
+    rows = host.basis()
+    order = draw(st.permutations(range(len(rows))))
+    k = draw(st.integers(1, min(3, len(rows))))
+    # row order[t] plus multiples of the rows not chosen: k independent vectors
+    combos = []
+    for t in order[:k]:
+        v = list(rows[t])
+        for s in order[k:]:
+            v = vec_add(field, v, vec_scale(field, draw(scalars(field)), rows[s]))
+        combos.append(v)
+    return alg, Subspace(field, n, combos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fitting_inputs())
+def test_fitting_matches_the_matrix_power_reference(case):
+    alg, sub = case
+    got = _outcome(fitting_decomposition, alg, sub)
+    assert got == _outcome(fitting_decomposition_reference, alg, sub)
+    if isinstance(got, tuple):
+        event(f"dim {sub.dim}, {'proper' if 0 < len(got[0]) < alg.dim else 'improper'} L0")
+    else:
+        event(got.__name__)
+
+
+def test_fitting_reaches_proper_null_components():
+    # sl2 by h, single chain basis vectors and one to three of the b_i in
+    # lie.aff1 cubed: L0 is neither zero nor L, so the kernel, the lift
+    # and the rebuild all run
+    proper = 0
+    for field in FIELDS:
+        sl2 = catalog.builtin_algebra("lie.sl2", field)
+        cases = [(sl2, span(field, 3, (0, 0, 1))), (sl2, span(field, 3, (1, 1, 1)))]
+        cubed = _aff1_cubed(field)
+        b = [basis_vector(field, 6, i) for i in (1, 3, 5)]
+        cases += [(cubed, Subspace(field, 6, b[:k])) for k in (1, 2, 3)]
+        for seed in range(6):
+            alg = catalog.random_extension_chain(field, seed, 5)
+            if not isinstance(alg, catalog.Stuck):
+                cases += [(alg, span(field, 5, basis_vector(field, 5, i))) for i in range(5)]
+        for alg, sub in cases:
+            got = _outcome(fitting_decomposition, alg, sub)
+            assert got == _outcome(fitting_decomposition_reference, alg, sub)
+            null, one = got
+            proper += 0 < len(null) < alg.dim
+            assert len(null) + len(one) == alg.dim
+        # b_0, ..., b_{k-1} move exactly a_0, ..., a_{k-1}
+        for k in (1, 2, 3):
+            null, one = fitting_decomposition(cubed, Subspace(field, 6, b[:k]))
+            assert one == span(field, 6, *(basis_vector(field, 6, 2 * i) for i in range(k)))
+            assert null.dim == 6 - k
+    assert proper >= 10
+
+
+def test_fitting_raises_on_an_abelian_pair_outside_the_radical(s4):
+    """For [a,b] = 0 the law gives [ad a, ad b](x) = [[x,a],b] - [[x,b],a]
+    = J(x,a,b) = w(x,a)b + w(a,b)x + w(b,x)a.  In omega.s4 (basis e_0 to
+    e_3) the pair e_2, e_3 brackets to zero, but w(e_1,e_2) = w(e_1,e_3)
+    = 2, so neither lies in the radical of the form and
+    [ad e_2, ad e_3](e_1) = 2 e_3 - 2 e_2: the adjoints do not commute and
+    no Fitting pair is defined.  ``classify`` passes the abelian part of
+    the radical, on which every term of J vanishes, so its check always
+    passes there."""
+    ea, eb = basis_vector(QQ, 4, 2), basis_vector(QQ, 4, 3)
+    assert not any(s4.bracket(ea, eb))
+    for i in range(4):
+        x = basis_vector(QQ, 4, i)
+        left = [
+            p - q
+            for p, q in zip(s4.bracket(s4.bracket(x, ea), eb), s4.bracket(s4.bracket(x, eb), ea))
+        ]
+        law = [
+            s4.omega(x, ea) * u + s4.omega(ea, eb) * v + s4.omega(eb, x) * w
+            for u, v, w in zip(eb, x, ea)
+        ]
+        assert left == law
+        if i == 1:
+            assert left == [0, 0, -2, 2]
+    sub = span(QQ, 4, ea, eb)
+    with pytest.raises(PreconditionFailed, match="adjoint maps of the subalgebra do not commute"):
+        fitting_decomposition(s4, sub)
+    assert _outcome(fitting_decomposition_reference, s4, sub) is PreconditionFailed
+    # the abelian part of the radical passes the check
+    part = s4._abelian_part(s4.omega_kernel())
+    assert fitting_decomposition(s4, part)[0].is_full()
+
+
+@st.composite
+def dense_tables(draw, field, dim):
+    """A table in which every basis pair brackets to a nonzero vector, so
+    every basis vector commutes only with its own line."""
+    bracket, omega = {}, {}
+    for pair in combinations(range(dim), 2):
+        image = draw(st.dictionaries(st.integers(0, dim - 1), scalars(field), max_size=dim))
+        image[draw(st.integers(0, dim - 1))] = draw(_nonzero(field))
+        bracket[pair] = image
+        omega[pair] = draw(scalars(field))
+    return AnticommAlgebra(field, dim, bracket, omega)
+
+
+def _witness_rows(alg, extra=()):
+    """The rows of the witness and of its reference, and whether the
+    witness search grew projective lines."""
+    ker = alg.omega_kernel()
+    with mock.patch.object(structure, "projective_points", wraps=projective_points) as spy:
+        got = _abelian_witness(alg, ker, alg._abelian_part(ker), extra)
+    want = abelian_witness_reference(alg, extra)
+    rows = [None if s is None else s.rows for s in (got, want)]
+    return *rows, spy.called
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_abelian_witness_matches_the_bracket_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    source = data.draw(st.sampled_from(["random", "dense", "dense", "algebra"]))
+    if source == "random":
+        alg = data.draw(algebras(field, max_dim=5))
+    elif source == "dense":
+        alg = data.draw(dense_tables(field, 5))
+    else:
+        alg = _algebra_from(data.draw, field)
+    n = alg.dim
+    vectors = data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=2))
+    extra = [Subspace(field, n, vectors)] if vectors else []
+    got, want, fallback = _witness_rows(alg, extra)
+    assert got == want
+    if fallback:
+        event(f"{field!r}: projective lines grown")
+
+
+def test_abelian_witness_projective_fallback_over_gf5(gf5):
+    # on dense dim-5 tables every basis vector commutes with its own line
+    # alone, so the fixed candidates often stay at codimension 4 and the
+    # projective lines are grown
+    grown = 0
+    for seed in range(12):
+        got, want, fallback = _witness_rows(_seeded_dense_table(gf5, 5, seed))
+        assert got == want
+        grown += fallback
+    assert grown >= 3
+
+
+def _seeded_dense_table(field, dim, seed):
+    import random
+
+    rng = random.Random(seed)
+    bracket, omega = {}, {}
+    for pair in combinations(range(dim), 2):
+        image = {k: rng.randrange(field.char) for k in range(dim) if rng.random() < 0.5}
+        image[rng.randrange(dim)] = rng.randrange(1, field.char)
+        bracket[pair] = image
+        omega[pair] = rng.randrange(field.char)
+    return AnticommAlgebra(field, dim, bracket, omega)
+
+
+def test_classify_computes_the_radical_once(monkeypatch, s4):
+    """One ``classify`` call computes the radical of the form once and its
+    abelian part once, whichever verdict it reaches, and the candidates
+    grown from basis vectors read the pair table, not the bracket."""
+    chain = catalog.random_extension_chain(QQ, 0, 5)
+    codim_one = catalog.random_extension_chain(QQ, 2, 4)
+    calls = []
+    for name in ("omega_kernel", "_abelian_part", "bracket"):
+        real = getattr(AnticommAlgebra, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            # the nearest callers by name; a generator expression sits
+            # between a bracket and the function that runs it
+            frame = sys._getframe(1)
+            callers = {frame.f_code.co_name, frame.f_back.f_code.co_name}
+            calls.append((_name, self, args, callers))
+            return _real(self, *args)
+
+        monkeypatch.setattr(AnticommAlgebra, name, counted)
+    cases = set()
+    for alg in (s4, chain, codim_one):
+        ker = alg.omega_kernel()
+        calls.clear()
+        cases.add(classify(alg).case)
+        own = [(name, args) for name, who, args, _ in calls if who is alg]
+        assert sum(name == "omega_kernel" for name, _ in own) == 1
+        assert sum(name == "_abelian_part" and args == (ker,) for name, args in own) == 1
+        assert not [c for c in calls if c[0] == "bracket" and "grown" in c[3]]
+        # the earlier body grew its candidates by brackets
+        calls.clear()
+        abelian_witness_reference(alg)
+        assert [c for c in calls if c[0] == "bracket" and "grown" in c[3]]
+    assert cases == {"kernel_codim_two", "codim_one_lie_subalgebra"}
+
+
+def _sl2_plus_line(field):
+    """lie.sl2 plus a central line e_3: h = e_2 and e_3 span an abelian
+    subalgebra of dimension 2, inside the radical of the zero form."""
+    sl2 = catalog.builtin_algebra("lie.sl2", field)
+    return AnticommAlgebra(field, 4, sl2._bracket).validate()
+
+
+def test_root_decomposition_is_undecided_past_the_eigenvalue_search():
+    # over GF(4099) ad h of sl2 has eigenvalues 0 and +-1, but no prime
+    # field above 4096 is searched: the answer is undecided, not "does
+    # not split"
+    big, small = GF(4099), GF(7)
+    dec = root_decomposition(catalog.builtin_algebra("lie.sl2", big), span(big, 3, (0, 0, 1)))
+    assert dec.split is None and dec.roots == []
+    assert dec.fitting_null == span(big, 3, (0, 0, 1))
+    dec = root_decomposition(catalog.builtin_algebra("lie.sl2", small), span(small, 3, (0, 0, 1)))
+    assert dec.split is True
+    assert sorted(vals[0] for vals, _ in dec.roots) == [0, 1, 6]
+    with pytest.raises(PreconditionFailed, match="splitting is undecided"):
+        check_root_properties(_sl2_plus_line(big), span(big, 4, (0, 0, 1, 0), (0, 0, 0, 1)))
+    assert check_root_properties(
+        _sl2_plus_line(small), span(small, 4, (0, 0, 1, 0), (0, 0, 0, 1))
+    ).ok
+    # over Q a polynomial without rational roots is decided: no split
+    alg = AnticommAlgebra(QQ, 3, bracket={(0, 2): {1: 1}, (1, 2): {0: -1}})
+    assert root_decomposition(alg, span(QQ, 3, (0, 0, 1))).split is False
