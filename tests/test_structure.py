@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from fractions import Fraction as F
@@ -623,8 +624,7 @@ def test_abelian_witness_projective_fallback_over_gf5(gf5):
 
 
 def _seeded_dense_table(field, dim, seed):
-    import random
-
+    """A dense table over a prime field, as ``dense_tables`` draws them."""
     rng = random.Random(seed)
     bracket, omega = {}, {}
     for pair in combinations(range(dim), 2):
