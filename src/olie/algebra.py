@@ -187,31 +187,24 @@ class AnticommAlgebra:
         return v, den
 
     def jacobian(self, x, y, z):
-        field = self.field
-        a = self.bracket(self.bracket(x, y), z)
-        b = self.bracket(self.bracket(z, x), y)
-        c = self.bracket(self.bracket(y, z), x)
-        return [field.add(field.add(p, q), r) for p, q, r in zip(a, b, c)]
+        """[[x,y],z] + [[z,x],y] + [[y,z],x], run as a compiled identity
+        program."""
+        from .identities import JACOBIAN, evaluate_on_vectors  # identities imports this module
+
+        return evaluate_on_vectors(self, JACOBIAN, [x, y, z])
 
     def jacobi_residual(self, x, y, z):
-        field = self.field
-        jac = self.jacobian(x, y, z)
-        wxy, wzx, wyz = self.omega(x, y), self.omega(z, x), self.omega(y, z)
-        out = []
-        for k in range(self.dim):
-            rhs = field.add(
-                field.add(field.mul(wxy, z[k]), field.mul(wzx, y[k])),
-                field.mul(wyz, x[k]),
-            )
-            out.append(field.sub(jac[k], rhs))
-        return out
+        """The defining residual, run as the built-in ``jacobi-residual``."""
+        from .identities import builtin, evaluate_on_vectors
+
+        return evaluate_on_vectors(self, builtin("jacobi-residual"), [x, y, z])
 
     def d_omega(self, x, y, z):
-        """The alternating scalar w([x,y],z) + w([z,x],y) + w([y,z],x)."""
-        field = self.field
-        s = self.omega(self.bracket(x, y), z)
-        s = field.add(s, self.omega(self.bracket(z, x), y))
-        return field.add(s, self.omega(self.bracket(y, z), x))
+        """The alternating scalar w([x,y],z) + w([z,x],y) + w([y,z],x), run
+        as the built-in ``four-consequence``."""
+        from .identities import builtin, evaluate_on_vectors
+
+        return evaluate_on_vectors(self, builtin("four-consequence"), [x, y, z])
 
     def ad(self, h):
         """Matrix (row convention) of the right multiplication x -> [x, h]."""
@@ -363,6 +356,23 @@ class AnticommAlgebra:
                 span.add(w)
             spun += 1
         return span.subspace(n)
+
+    def _proper_closures(self, vectors, seen):
+        """The spun closures of dimension 0 < d < n, each an ideal (see
+        :meth:`ideal_closure`).  ``seen`` is one search's set of spun
+        vectors (as tuples of canonical scalars) and closures: each
+        distinct nonzero vector is spun once and each distinct closure
+        yielded once, across every call that shares it."""
+        n = self.dim
+        for v in vectors:
+            key = tuple(v)
+            if key in seen or not any(key):
+                continue
+            seen.add(key)
+            spun = self.ideal_closure([v])
+            if 0 < spun.dim < n and spun not in seen:
+                seen.add(spun)
+                yield spun
 
     def is_ideal(self, sub: Subspace):
         if sub.ambient != self.dim:
@@ -589,30 +599,16 @@ class AnticommAlgebra:
             candidates.append(vec_add(field, ker_rows[a], ker_rows[b]))
             candidates.append(vec_sub(field, ker_rows[a], ker_rows[b]))
         seen = set()
-
-        def try_vec(v):
-            key = tuple(field.format(x) for x in v)
-            if key in seen:
-                return None
-            seen.add(key)
-            spun = self.ideal_closure([v])
-            if 0 < spun.dim < n:
-                return spun
-            return None
-
-        for v in candidates:
-            if vec_is_zero(field, v):
-                continue
-            found = try_vec(v)
-            if found is not None:
-                return SimplicityVerdict("not_simple", found, "spun ideal")
+        found = next(self._proper_closures(candidates, seen), None)
+        if found is not None:
+            return SimplicityVerdict("not_simple", found, "spun ideal")
         if self.multiplication_algebra_dim() == n * n:
             return SimplicityVerdict("simple", certificate="full multiplication algebra")
         if field.char and field.char**n <= ENUM_CAP:
-            for v in projective_points(field.char, n):
-                found = try_vec(v)
-                if found is not None:
-                    return SimplicityVerdict("not_simple", found, "spun ideal")
+            lines = projective_points(field.char, n)
+            found = next(self._proper_closures(lines, seen), None)
+            if found is not None:
+                return SimplicityVerdict("not_simple", found, "spun ideal")
             return SimplicityVerdict("simple", certificate="exhaustive spinning")
         return SimplicityVerdict("unknown")
 
@@ -643,12 +639,7 @@ class AnticommAlgebra:
         seen = set()
 
         def closures(vectors):
-            # the new spun closures below dim n, each an ideal
-            for v in vectors:
-                spun = self.ideal_closure([v])
-                if spun.dim < n and spun not in seen:
-                    seen.add(spun)
-                    yield spun, True
+            return ((spun, True) for spun in self._proper_closures(vectors, seen))
 
         def candidates():
             # (subspace, whether it is an ideal by construction)

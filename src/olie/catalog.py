@@ -27,7 +27,7 @@ from .errors import (
 )
 from .extensions import extend_codim1
 from .fields import field_from_json, scalar_from_json
-from .linalg import mat_mul, mat_sub, mat_eq, vec_add, vec_is_zero, vec_mat, vec_scale, zeros
+from .linalg import mat_mul, mat_sub, vec_add, vec_is_zero, vec_mat, vec_scale, zeros
 
 
 @dataclass
@@ -193,7 +193,7 @@ def family_iiia(field, n, adx, sigma, fmat):
     # [F, ad x](a) = F(ad x(a)) - ad x(F(a)); row convention composes
     # left-to-right, so the matrix is adx @ F - F @ adx
     comm = mat_sub(field, mat_mul(field, adx, fmat), mat_mul(field, fmat, adx))
-    if not mat_eq(field, comm, [[field.mul(sigma, x) for x in row] for row in fmat]):
+    if comm != [[field.mul(sigma, x) for x in row] for row in fmat]:
         raise EigenvectorConditionFailed(
             "F is not an eigenvector of the action's commutator with eigenvalue sigma"
         )

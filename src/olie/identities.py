@@ -446,6 +446,11 @@ def _jacobian_term(x, y, z):
     return plus(b(b(x, y), z), b(b(z, x), y), b(b(y, z), x))
 
 
+JACOBIAN = Identity("jacobian", 3, _jacobian_term(var(1), var(2), var(3)), alternating=True)
+"""The Jacobian [[x,y],z] + [[z,x],y] + [[y,z],x]; it compiles on first
+use, like a built-in."""
+
+
 def _jacobi_residual():
     x, y, z = var(1), var(2), var(3)
     rhs = plus(s(w(x, y), z), s(w(z, x), y), s(w(y, z), x))

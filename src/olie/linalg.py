@@ -136,8 +136,10 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-# the most vectors an exhaustive search over GF(p) may enumerate: the
-# searches scan projective_points only when their count is at most this
+# the budget of the exhaustive searches over GF(p): each scans
+# projective_points only when its own count is at most this, p^n
+# vectors for the ideal and witness scans and (p^q - 1)/(p - 1)
+# hyperplanes over a codimension-q subspace
 ENUM_CAP = 10**6
 
 
@@ -301,12 +303,6 @@ def _int_support(v):
     if den == 1:
         return [(i, a.numerator) for i, a in support], 1
     return [(i, a.numerator * (den // a.denominator)) for i, a in support], den
-
-
-def mat_eq(field, a, b):
-    return all(
-        field.is_zero(field.sub(x, y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
 
 
 def rref(field, rows):
@@ -593,12 +589,9 @@ class Subspace:
         combos = kernel_basis(field, stacked, len(a) + len(b))
         return Subspace(field, self.ambient, self.lift(c[: len(a)] for c in combos))
 
-    def complement_reps(self):
-        """Standard basis vectors at the non-pivot columns.
-
-        They represent cosets completing this subspace to the ambient
-        space; also used as quotient-basis representatives.
-        """
+    def quotient_reps(self):
+        """Standard basis vectors at the non-pivot columns: coset
+        representatives of a basis of the quotient K^n / W."""
         pivot_set = set(self._pivots)
         return [
             basis_vector(self.field, self.ambient, c)
@@ -606,10 +599,9 @@ class Subspace:
             if c not in pivot_set
         ]
 
-    quotient_reps = complement_reps
-
     def quotient_coords(self, v):
-        """Coordinates of v + W in the complement-rep basis of K^n / W."""
+        """Coordinates of v + W in the basis of K^n / W given by
+        :meth:`quotient_reps`."""
         red = self.reduce(v)
         pivot_set = set(self._pivots)
         return [red[c] for c in range(self.ambient) if c not in pivot_set]

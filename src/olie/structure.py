@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .algebra import AnticommAlgebra
@@ -27,10 +27,10 @@ from .linalg import (
     ENUM_CAP,
     Subspace,
     basis_vector,
-    identity_matrix,
     kernel_basis,
     mat_mul,
     projective_points,
+    to_scaled,
     transpose,
     vec_add,
     vec_dot,
@@ -84,25 +84,14 @@ def _restrict_operator(field, matrix, block: Subspace):
     return rows
 
 
-def _mat_power(field, m, k):
-    n = len(m)
-    out = identity_matrix(field, n)
-    for _ in range(k):
-        out = mat_mul(field, out, m)
-    return out
-
-
 def _stable_power(field, t, k):
     """An int matrix with the kernel and row space of T^k: T over one
     common denominator (residues over GF(p)), squared until the exponent
     reaches k or the matrix vanishes.  For a k x k matrix T, ker T^e and
     im T^e are those of T^k for every e >= k."""
-    p = field.char
-    if p:
-        m = [[x % p for x in row] for row in t]
-    else:
-        den = lcm(*[x.denominator for row in t for x in row])
-        m = [[x.numerator * (den // x.denominator) for x in row] for row in t]
+    p, size = field.char, len(t)
+    ints, _ = to_scaled(field, [x for row in t for x in row])
+    m = [ints[i * size : (i + 1) * size] for i in range(size)]
     e = 1
     while e < k and any(map(any, m)):
         cols = list(zip(*m))
@@ -138,7 +127,7 @@ def fitting_decomposition(alg: AnticommAlgebra, sub: Subspace):
 
 @dataclass
 class RootDecomposition:
-    split: bool | None  # None: undecided, the eigenvalues were not searched
+    split: bool | None  # None: undecided, the eigenvalue search could not decide
     roots: list  # list of (eigenvalue tuple aligned with the subalgebra basis, Subspace)
     fitting_null: Subspace = None
     fitting_one: Subspace = None
@@ -179,8 +168,10 @@ def _char_poly_q(field, matrix):
 
 
 def _rational_roots(field, coeffs):
-    """Rational roots with multiplicity; None leftover flag when the
-    polynomial does not split into linear factors over the rationals."""
+    """Rational roots with multiplicity, and a leftover flag: False when
+    the polynomial splits into linear factors over the rationals, True
+    when a factor has no rational root, None when a coefficient passed
+    the 10^15 cap of the divisor search (undecided)."""
     from fractions import Fraction
 
     def divisors(m):
@@ -217,7 +208,7 @@ def _rational_roots(field, coeffs):
         ints = [int(c * denom) for c in poly]
         lead, const = ints[-1], ints[0]
         if abs(const) > 10**15 or abs(lead) > 10**15:
-            return roots, True
+            return roots, None
         # a pair with a common factor repeats a reduced candidate met
         # earlier in the loop
         qs = divisors(lead)
@@ -248,11 +239,15 @@ def _eigenspaces(field, matrix):
     """(eigenvalue, generalized eigenspace basis) pairs, the candidates
     being every element of a small prime field or the rational roots of
     the characteristic polynomial; None when the candidates are not
-    known to include every eigenvalue, and no pairs when they are known
-    to miss one."""
+    known to include every eigenvalue (a prime field above 4096, or
+    rational coefficients past the root search's cap), and no pairs when
+    they are known to miss one.  A candidate with a zero kernel is no
+    eigenvalue, so only eigenvalues pay for the power by squaring."""
     n = len(matrix)
     if field.char == 0:
         roots, leftover = _rational_roots(field, _char_poly_q(field, matrix))
+        if leftover is None:
+            return None
         if leftover:
             return []
         candidates = sorted(set(roots))
@@ -263,16 +258,12 @@ def _eigenspaces(field, matrix):
     out = []
     for lam in candidates:
         shifted = [
-            [
-                field.sub(matrix[i][j], lam if i == j else field.zero())
-                for j in range(n)
-            ]
-            for i in range(n)
+            [field.sub(x, lam) if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(matrix)
         ]
-        power = _mat_power(field, shifted, n)
-        ker = kernel_basis(field, transpose(power), n)
-        if ker:
-            out.append((lam, ker))
+        if kernel_basis(field, transpose(shifted), n):
+            power = _stable_power(field, shifted, n)
+            out.append((lam, kernel_basis(field, transpose(power), n)))
     return out
 
 
@@ -280,8 +271,8 @@ def root_decomposition(alg: AnticommAlgebra, sub: Subspace):
     """Simultaneous generalized eigenspace decomposition for the adjoint
     family of an abelian subalgebra.  When some characteristic
     polynomial does not split, returns split=False with Fitting data
-    only; split=None when the eigenvalues were not searched (a prime
-    field above 4096)."""
+    only; split=None when the eigenvalue search cannot decide (a prime
+    field above 4096, or rational coefficients past its cap)."""
     field, n = alg.field, alg.dim
     null, one = fitting_decomposition(alg, sub)
     blocks = [(Subspace.full(field, n), ())]
@@ -319,7 +310,7 @@ def check_root_properties(alg: AnticommAlgebra, sub: Subspace):
     _check_radical_part(alg, sub)
     dec = root_decomposition(alg, sub)
     if dec.split is None:
-        raise PreconditionFailed("splitting is undecided: no eigenvalue search over this field")
+        raise PreconditionFailed("splitting is undecided: the eigenvalue search cannot decide it")
     if not dec.split:
         raise PreconditionFailed("the decomposition does not split over this field")
     ortho, brackets = [], []
@@ -528,11 +519,9 @@ def _rank2_line_parameters(alg, core: Subspace):
         ]
     else:
         params = [field.zero()]
-    # the line through r2 alone: first quotient coordinate of [k, r2]
-    if all(
-        field.is_zero(core.quotient_coords(alg.bracket(list(k), r2))[0])
-        for k in core.rows
-    ):
+    # the line through r2 alone: the t^2 coefficients, first quotient
+    # coordinates of [k, r2], all vanish
+    if all(field.is_zero(p[2]) for p in polys):
         params.append(None)
     return params
 
@@ -668,10 +657,6 @@ def alpha_vanishing_scan(alg: AnticommAlgebra):
     ker_rows = [list(r) for r in alg.omega_kernel().rows]
     for lam in lam_set.points():
         for der in al_derivation_space(alg, lam):
-            for k in ker_rows:
-                val = field.zero()
-                for c, a in zip(k, der.alpha):
-                    val = field.add(val, field.mul(c, a))
-                if not field.is_zero(val):
-                    return False
+            if any(not field.is_zero(vec_dot(field, k, der.alpha)) for k in ker_rows):
+                return False
     return True

@@ -9,12 +9,15 @@ the dense four-variable law check and the pair of eager ideal searches
 at the end: the reference of the first is the law written out on
 dense vectors, that of the others is the order of the search, not its
 building blocks.  The Fitting and abelian-witness references near the
-end are the library's earlier bodies, built on its own subspaces and
-kernels: what they pin is the result of the earlier method.
+end, and the derivation-check and eigenspace references after them,
+are the library's earlier bodies, built on its own subspaces, kernels
+and dense matrix helpers: what they pin is the result of the earlier
+method.
 """
 
 import weakref
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 
@@ -251,6 +254,30 @@ def jacobian_reference(alg, x, y, z):
     return [sum_scalars(alg.field, col) for col in zip(*parts)]
 
 
+def jacobi_residual_reference(alg, x, y, z):
+    """The defining residual J(x,y,z) - w(x,y)z - w(z,x)y - w(y,z)x from
+    six reference brackets and three reference forms, as
+    ``AnticommAlgebra.jacobi_residual`` computed it before it ran the
+    ``jacobi-residual`` identity program."""
+    field = alg.field
+    jac = jacobian_reference(alg, x, y, z)
+    wxy, wzx, wyz = (omega_reference(alg, u, v) for u, v in ((x, y), (z, x), (y, z)))
+    return [
+        field.sub(jl, sum_scalars(field, [field.mul(wxy, zl), field.mul(wzx, yl), field.mul(wyz, xl)]))
+        for jl, xl, yl, zl in zip(jac, x, y, z)
+    ]
+
+
+def d_omega_reference(alg, x, y, z):
+    """w([x,y],z) + w([z,x],y) + w([y,z],x) from reference brackets and
+    forms, as ``AnticommAlgebra.d_omega`` computed it before it ran the
+    ``four-consequence`` identity program."""
+    terms = ((x, y, z), (z, x, y), (y, z, x))
+    return sum_scalars(
+        alg.field, [omega_reference(alg, bracket_reference(alg, u, v), t) for u, v, t in terms]
+    )
+
+
 def first_violation_reference(alg):
     """``(triple, residual)`` for the first increasing basis triple on which
     the law fails, or None: the six-bracket law loop on the reference
@@ -258,13 +285,7 @@ def first_violation_reference(alg):
     field, n = alg.field, alg.dim
     e = _basis(field, n)
     for i, j, k in combinations(range(n), 3):
-        x, y, z = e[i], e[j], e[k]
-        jac = jacobian_reference(alg, x, y, z)
-        wxy, wzx, wyz = (omega_reference(alg, u, v) for u, v in ((x, y), (z, x), (y, z)))
-        res = [
-            field.sub(jl, sum_scalars(field, [field.mul(wxy, zl), field.mul(wzx, yl), field.mul(wyz, xl)]))
-            for jl, xl, yl, zl in zip(jac, x, y, z)
-        ]
+        res = jacobi_residual_reference(alg, e[i], e[j], e[k])
         if not all(field.is_zero(v) for v in res):
             return (i, j, k), res
     return None
@@ -724,7 +745,9 @@ def deformation_dims_oracle(alg):
 def four_var_reference(alg):
     """The four-variable consequence on increasing 4-tuples, on dense
     vectors: the body ``AnticommAlgebra.check_four_var`` had before it
-    ran the ``two-basic`` identity program.
+    ran the ``two-basic`` identity program, with dw read off
+    :func:`d_omega_reference`, so that no identity program checks
+    another.
 
     w(z,t)[x,y] + w(t,y)[x,z] + w(y,z)[x,t] + w(x,t)[y,z]
     + w(z,x)[y,t] + w(x,y)[z,t]
@@ -733,7 +756,7 @@ def four_var_reference(alg):
     from olie.linalg import identity_matrix, vec_is_zero, vec_mat, vec_sub
 
     field, n = alg.field, alg.dim
-    w, dw, e = alg.omega_entry, alg.d_omega, identity_matrix(field, n)
+    w, dw, e = alg.omega_entry, partial(d_omega_reference, alg), identity_matrix(field, n)
     for a, b, c, d in combinations(range(n), 4):
         x, y, z, t = e[a], e[b], e[c], e[d]
         lhs = vec_mat(
@@ -1003,3 +1026,69 @@ def rational_roots_reference(coeffs):
             quot.append(c + found * quot[-1])
         poly = quot[::-1]
     return roots, False
+
+
+def check_al_derivation_reference(alg, der):
+    """The derivation relation on every basis pair as a dense residual,
+    as ``derivations.check_al_derivation`` computed it before it
+    evaluated the rows of the solver's system: D([e_i,e_j]) by
+    ``vec_mat``, the other terms by brackets and field-method calls.
+    The shapes are the caller's to check."""
+    from olie.linalg import basis_vector, vec_is_zero, vec_mat, vec_sub
+
+    field, n = alg.field, alg.dim
+    d, alpha, lam = der.matrix, der.alpha, der.lam
+    e = [basis_vector(field, n, i) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        di, dj = d[i], d[j]
+        lhs = vec_mat(field, alg.basis_bracket(i, j), d)
+        lhs = vec_sub(field, lhs, alg.bracket(di, e[j]))
+        lhs = [field.add(a, b) for a, b in zip(lhs, alg.bracket(dj, e[i]))]
+        rhs = [
+            field.sub(field.mul(lam[j], a), field.mul(lam[i], b))
+            for a, b in zip(di, dj)
+        ]
+        rhs[i] = field.add(rhs[i], alpha[j])
+        rhs[j] = field.sub(rhs[j], alpha[i])
+        if not vec_is_zero(field, vec_sub(field, lhs, rhs)):
+            return False
+    return True
+
+
+def eigenspaces_reference(field, matrix):
+    """``structure._eigenspaces`` as it was before it skipped candidates
+    with a zero kernel and reached the power by squaring: for every
+    candidate, the kernel of the n-th power of the shifted matrix, taken
+    by n dense field-method products (``_mat_power``).  The candidates
+    are every element of a prime field up to 4096 (None above) or the
+    roots of :func:`rational_roots_reference`, and no pairs come back
+    when it leaves a factor over, as it does at its coefficient cap."""
+    from olie.linalg import identity_matrix, kernel_basis, mat_mul, transpose
+    from olie.structure import _char_poly_q
+
+    def mat_power(m, k):
+        out = identity_matrix(field, len(m))
+        for _ in range(k):
+            out = mat_mul(field, out, m)
+        return out
+
+    n = len(matrix)
+    if field.char == 0:
+        roots, leftover = rational_roots_reference(_char_poly_q(field, matrix))
+        if leftover:
+            return []
+        candidates = sorted(set(roots))
+    elif field.char <= 4096:
+        candidates = range(field.char)
+    else:
+        return None
+    out = []
+    for lam in candidates:
+        shifted = [
+            [field.sub(matrix[i][j], lam if i == j else field.zero()) for j in range(n)]
+            for i in range(n)
+        ]
+        ker = kernel_basis(field, transpose(mat_power(shifted, n)), n)
+        if ker:
+            out.append((lam, ker))
+    return out

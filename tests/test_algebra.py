@@ -25,12 +25,15 @@ from olie.linalg import (
 
 from oracles import (
     bracket_reference,
+    d_omega_reference,
     find_abelian_ideal_reference,
     first_violation_reference,
     four_var_reference,
     ideal_closure_reference,
     is_ideal_reference,
     is_lie_reference,
+    jacobi_residual_reference,
+    jacobian_reference,
     multiplication_algebra_dim,
     omega_reference,
     omega_space_reference,
@@ -93,6 +96,24 @@ def vectors(field, n):
             lambda i: basis_vector(field, n, i) if n else []
         ),
     )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_law_terms_match_the_dense_references(field, data):
+    """``jacobian``, ``jacobi_residual`` and ``d_omega`` run identity
+    programs; the references are six brackets and three forms, one
+    field-method call per scalar."""
+    alg = data.draw(algebras(field))
+    x, y, z = (data.draw(vectors(field, alg.dim)) for _ in range(3))
+    jac = alg.jacobian(x, y, z)
+    assert jac == jacobian_reference(alg, x, y, z)
+    res = alg.jacobi_residual(x, y, z)
+    assert res == jacobi_residual_reference(alg, x, y, z)
+    dw = alg.d_omega(x, y, z)
+    assert dw == d_omega_reference(alg, x, y, z)
+    assert_canonical(field, jac + res + [dw])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from olie import (
     QQ,
@@ -17,7 +17,7 @@ from olie import catalog
 from olie.errors import DimensionMismatch, NotALieAlgebra, PreconditionFailed
 from olie.linalg import identity_matrix, kernel_basis, zero_matrix, zeros
 
-from oracles import derivation_space_dim, system_rows_reference
+from oracles import check_al_derivation_reference, derivation_space_dim, system_rows_reference
 from strategies import FIELDS, algebras, scalars
 
 
@@ -187,3 +187,53 @@ def test_lambda_of_the_wrong_length_is_a_dimension_mismatch(sl2):
         al_derivation_space(sl2, [0, 0])
     with pytest.raises(DimensionMismatch):
         al_derivation_space(catalog.reduce_mod_p(sl2, 5), [0, 0, 0, 1])
+
+
+def test_check_rejects_data_of_the_wrong_shape(sl2):
+    """D must be n x n and alpha, lambda of length n: a 4 x 3 D once
+    passed, and a 2-row D or a 2-entry alpha raised IndexError."""
+    ad_h = sl2.ad([F(0), F(0), F(1)])
+    bad = [
+        AlphaLambdaDerivation(ad_h + [zeros(QQ, 3)], zeros(QQ, 3), zeros(QQ, 3)),
+        AlphaLambdaDerivation(ad_h[:2], zeros(QQ, 3), zeros(QQ, 3)),
+        AlphaLambdaDerivation(ad_h, zeros(QQ, 2), zeros(QQ, 3)),
+        AlphaLambdaDerivation(ad_h, zeros(QQ, 3), zeros(QQ, 2)),
+        AlphaLambdaDerivation([row[:2] for row in ad_h], zeros(QQ, 3), zeros(QQ, 3)),
+    ]
+    for der in bad:
+        with pytest.raises(DimensionMismatch):
+            check_al_derivation(sl2, der)
+    assert check_al_derivation(sl2, AlphaLambdaDerivation(ad_h, zeros(QQ, 3), zeros(QQ, 3)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_check_coerces_its_data(field):
+    """Plain ints, negative or past p, read as the field's scalars."""
+    sl2 = catalog.builtin_algebra("lie.sl2", field)
+    ad_e = [[0, 0, 0], [0, 0, -1], [1 + field.char, 0, 0]]
+    assert check_al_derivation(sl2, AlphaLambdaDerivation(ad_e, [0, 0, 0], [0, 0, 0]))
+    assert not check_al_derivation(sl2, AlphaLambdaDerivation(ad_e, [0, 0, 1], [0, 0, 0]))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_check_matches_the_dense_residual(field, data):
+    """The verdict of the rows-based check is that of the dense residual
+    on a combination of solutions (which holds) and on the same data
+    with one drawn entry of D or alpha shifted (which mostly fails)."""
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    lam = data.draw(st.lists(scalars(field), min_size=n, max_size=n))
+    flat = [field.zero()] * (n * n + n)
+    for sol in al_derivation_space(alg, lam):
+        c = data.draw(scalars(field))
+        vec = [x for row in sol.matrix for x in row] + sol.alpha
+        flat = [field.add(a, field.mul(c, b)) for a, b in zip(flat, vec)]
+    if n and data.draw(st.booleans()):
+        t = data.draw(st.integers(0, n * n + n - 1))
+        flat[t] = field.add(flat[t], data.draw(scalars(field)))
+    der = AlphaLambdaDerivation([flat[i * n : i * n + n] for i in range(n)], flat[n * n :], lam)
+    got = check_al_derivation(alg, der)
+    event(f"verdict {got}")
+    assert got is check_al_derivation_reference(alg, der)

@@ -27,6 +27,7 @@ from olie import structure
 from olie.linalg import basis_vector, projective_points, vec_add, vec_scale
 from olie.structure import (
     _abelian_witness,
+    _eigenspaces,
     _quadratic_roots,
     _rank2_line_parameters,
     _rational_roots,
@@ -34,6 +35,7 @@ from olie.structure import (
 
 from oracles import (
     abelian_witness_reference,
+    eigenspaces_reference,
     fitting_decomposition_reference,
     rational_roots_reference,
 )
@@ -696,3 +698,58 @@ def test_root_decomposition_is_undecided_past_the_eigenvalue_search():
     # over Q a polynomial without rational roots is decided: no split
     alg = AnticommAlgebra(QQ, 3, bracket={(0, 2): {1: 1}, (1, 2): {0: -1}})
     assert root_decomposition(alg, span(QQ, 3, (0, 0, 1))).split is False
+
+
+def test_root_decomposition_is_undecided_past_the_root_search_cap():
+    # ad e_1 on [e_0, e_1] = c e_0 has the rational eigenvalues 0 and c;
+    # past the 10^15 cap of the rational-root search the answer is
+    # undecided, not "does not split"
+    for c, split in ((10**6, True), (10**16, None)):
+        alg = AnticommAlgebra(QQ, 3, bracket={(0, 1): {0: c}})
+        dec = root_decomposition(alg, span(QQ, 3, (0, 1, 0)))
+        assert dec.split is split
+        assert _rational_roots(QQ, [F(-c), F(1)]) == (([F(c)], False) if split else ([], None))
+        radical_part = span(QQ, 3, (0, 1, 0), (0, 0, 1))
+        if split:
+            assert sorted(vals[0] for vals, _ in dec.roots) == [0, c]
+            assert check_root_properties(alg, radical_part).ok
+        else:
+            with pytest.raises(PreconditionFailed, match="splitting is undecided"):
+                check_root_properties(alg, radical_part)
+
+
+@st.composite
+def square_matrices(draw, field, max_dim=4):
+    """A matrix drawn entry by entry, or a triangular one (its
+    characteristic polynomial splits, often with repeated roots)
+    conjugated by a few elementary matrices I + c E_ij."""
+    n = draw(st.integers(1, max_dim))
+    m = [[draw(scalars(field)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        m = [[x if j >= i else field.zero() for j, x in enumerate(row)] for i, row in enumerate(m)]
+        for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(scalars(field))
+            m[i] = [field.add(a, field.mul(c, b)) for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[j] = field.sub(row[j], field.mul(c, row[i]))
+    return m
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eigenspaces_match_the_dense_powers(field, data):
+    matrix = data.draw(square_matrices(field))
+    got = _eigenspaces(field, matrix)
+    event(f"{len(got)} eigenvalues")
+    assert got == eigenspaces_reference(field, matrix)
+
+
+@pytest.mark.parametrize("p", [101, 4093])
+def test_eigenspaces_of_sl2_at_a_large_prime_match_the_dense_powers(p):
+    field = GF(p)
+    ad_h = catalog.builtin_algebra("lie.sl2", field).ad([0, 0, 1])
+    got = _eigenspaces(field, ad_h)
+    assert [lam for lam, _ in got] == [0, 1, p - 1]
+    assert got == eigenspaces_reference(field, ad_h)
