@@ -152,7 +152,7 @@ class AnticommAlgebra:
         return self._gram
 
     def basis_bracket(self, i, j):
-        return self._product.image(i, j)
+        return from_scaled(self.field, *self._product.image(i, j))
 
     def omega_entry(self, i, j):
         if i == j:
@@ -207,9 +207,11 @@ class AnticommAlgebra:
         return evaluate_on_vectors(self, builtin("four-consequence"), [x, y, z])
 
     def ad(self, h):
-        """Matrix (row convention) of the right multiplication x -> [x, h]."""
-        n = self.dim
-        return [self.bracket(basis_vector(self.field, n, i), h) for i in range(n)]
+        """Matrix (row convention) of the right multiplication x -> [x, h]:
+        row i is [e_i, h] = [-h, e_i], so one ``right_images`` pass."""
+        if len(h) != self.dim:
+            raise DimensionMismatch("vector length does not match the algebra")
+        return self._product.right_images([-a for a in h])
 
     # -- validity -------------------------------------------------------
 
@@ -322,7 +324,8 @@ class AnticommAlgebra:
     # -- spans and ideals --------------------------------------------------
 
     def commutant(self):
-        vectors = [self.basis_bracket(i, j) for i, j in combinations(range(self.dim), 2)]
+        image = self._product.image
+        vectors = [image(i, j)[0] for i, j in combinations(range(self.dim), 2)]
         return Subspace(self.field, self.dim, vectors)
 
     def center(self):
@@ -449,12 +452,15 @@ class AnticommAlgebra:
 
     def multiplicative_lambda(self):
         """Affine set of linear forms with w(x,y) = form([x,y]) on basis
-        pairs, or None when the system is inconsistent."""
+        pairs, or None when the system is inconsistent.  Each equation is
+        the int pair-table row of [e_i, e_j], D times the bracket, against
+        D w(e_i, e_j)."""
         field, n = self.field, self.dim
         rows, rhs = [], []
         for i, j in combinations(range(n), 2):
-            rows.append(self.basis_bracket(i, j))
-            rhs.append(self.omega_entry(i, j))
+            image, den = self._product.image(i, j)
+            rows.append(image)
+            rhs.append(den * self.omega_entry(i, j))
         if not rows:
             return AffineSolution(zeros(field, n), Subspace.full(field, n))
         return solve_affine(field, rows, rhs)
@@ -465,9 +471,7 @@ class AnticommAlgebra:
         if vec_is_zero(field, h):
             raise ZeroVector("h must be nonzero")
         line = Subspace(field, n, [h])
-        rows = []
-        for i in range(n):
-            rows.append(line.reduce(self.bracket(basis_vector(field, n, i), h)))
+        rows = [line.reduce(r) for r in self.ad(h)]
         # x -> [x,h] mod Kh is x @ rows; kernel in the row convention
         return Subspace(field, n, kernel_basis(field, transpose(rows), n))
 
@@ -498,20 +502,17 @@ class AnticommAlgebra:
 
         f = 0 means abelian; a nonzero solution exhibits the algebra as
         an abelian part (the kernel of f) plus one element acting on it
-        as the identity; no solution returns kind "neither".
+        as the identity; no solution returns kind "neither".  Both sides
+        are int rows over the pair-table denominator ``D``.
         """
         field, n = self.field, self.dim
         rows, rhs = [], []
         for i, j in combinations(range(n), 2):
-            b = self.basis_bracket(i, j)
-            for l in range(n):
-                row = zeros(field, n)
-                if l == i:
-                    row[j] = field.add(row[j], field.one())
-                if l == j:
-                    row[i] = field.sub(row[i], field.one())
-                rows.append(row)
-                rhs.append(b[l])
+            image, den = self._product.image(i, j)
+            block = [[0] * n for _ in range(n)]
+            block[i][j], block[j][i] = den, -den
+            rows.extend(block)
+            rhs.extend(image)
         if rows:
             sol = solve_affine(field, rows, rhs)
         else:

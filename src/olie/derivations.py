@@ -20,7 +20,9 @@ from operator import mul
 from .algebra import AlmostAbelianResult, AnticommAlgebra
 from .errors import DimensionMismatch, NotALieAlgebra, PreconditionFailed, SchemaError
 from .fields import scalar_from_json
-from .linalg import Subspace, kernel_basis, mat_mul, mat_sub, to_scaled, vec_dot, zeros
+from .linalg import (
+    Subspace, from_scaled, kernel_basis, mat_mul, mat_sub, to_scaled, vec_dot, zeros
+)
 
 
 @dataclass
@@ -123,7 +125,7 @@ def al_derivation_space(alg: AnticommAlgebra, lam):
 def check_al_derivation(alg: AnticommAlgebra, der: AlphaLambdaDerivation):
     """Exact test of the defining relation on all basis pairs: the rows
     that :func:`al_derivation_space` solves, evaluated on the scaled
-    (D, alpha) vector (each row sum zero, mod p over GF(p))."""
+    (D, alpha) vector, each row sum zero in the field."""
     field, n = alg.field, alg.dim
     matrix = [[field.coerce(x) for x in row] for row in der.matrix]
     alpha = [field.coerce(x) for x in der.alpha]
@@ -131,9 +133,8 @@ def check_al_derivation(alg: AnticommAlgebra, der: AlphaLambdaDerivation):
     if len(matrix) != n or any(len(row) != n for row in matrix) or len(alpha) != n:
         raise DimensionMismatch("derivation data does not match the algebra")
     unknowns, _ = to_scaled(field, [x for row in matrix for x in row] + alpha)
-    sums = (sum(map(mul, row, unknowns)) for row in _system_rows(alg, lam))
-    p = field.char
-    return not any(s % p for s in sums) if p else not any(sums)
+    sums = [sum(map(mul, row, unknowns)) for row in _system_rows(alg, lam)]
+    return not any(from_scaled(field, sums, 1))
 
 
 def alpha0_bracket(alg: AnticommAlgebra, d1: AlphaLambdaDerivation, d2: AlphaLambdaDerivation):

@@ -32,28 +32,35 @@ from .errors import (
 )
 from .linalg import (
     basis_vector,
+    from_scaled,
     kernel_basis,
     mat_mul,
     mat_sub,
     rref,
     solve_affine,
+    to_scaled,
     vec_mat,
     vec_sub,
-    zero_matrix,
     zeros,
 )
 
 
 def is_multiplicative_for(alg: AnticommAlgebra, lam):
-    """Does w(e_i, e_j) = lam([e_i, e_j]) hold on all basis pairs?"""
+    """Does w(e_i, e_j) = lam([e_i, e_j]) hold on all basis pairs?
+
+    Both sides are read as ints off the pair tables of the bracket (over
+    ``D``) and of the form (over ``wden``), with lam the scaled vector
+    ``ints/dl``; raises unless lam has one entry per basis vector."""
     field, n = alg.field, alg.dim
+    if len(lam) != n:
+        raise DimensionMismatch("lambda length does not match the algebra")
+    table, den = alg._product.signed_table()
+    lam, dl = to_scaled(field, lam)
+    residuals = []
     for i, j in combinations(range(n), 2):
-        val = field.zero()
-        for k, c in enumerate(alg.basis_bracket(i, j)):
-            val = field.add(val, field.mul(c, lam[k]))
-        if not field.is_zero(field.sub(val, alg.omega_entry(i, j))):
-            return False
-    return True
+        (w,), wden = alg._form.image(i, j)
+        residuals.append(wden * sum(c * lam[k] for k, c in table[i][j]) - den * dl * w)
+    return not any(from_scaled(field, residuals, 1))
 
 
 def extend_codim1(alg: AnticommAlgebra, lam, matrix, alpha):
@@ -96,16 +103,19 @@ def extend_codim1(alg: AnticommAlgebra, lam, matrix, alpha):
 
 def adjoint_maps(alg: AnticommAlgebra):
     """Left-multiplication matrices phi(e_i): m -> [e_i, m] on the algebra
-    itself; these satisfy the module law exactly in the Lie case."""
+    itself; these satisfy the module law exactly in the Lie case.  Row
+    a of phi(e_i) is [e_i, e_a], one ``right_images`` pass per i."""
     field, n = alg.field, alg.dim
-    e = [basis_vector(field, n, i) for i in range(n)]
-    return [[alg.bracket(e[i], e[a]) for a in range(n)] for i in range(n)]
+    return [alg._product.right_images(basis_vector(field, n, i)) for i in range(n)]
 
 
 def check_representation(alg: AnticommAlgebra, maps):
     """Test phi([x,y]) = phi(x)phi(y) - phi(y)phi(x) + w(x,y) on basis pairs.
 
     ``maps`` is one m x m matrix per basis vector, acting on row vectors.
+    The left side sums the maps over the pair-table entry of [e_i, e_j],
+    so it is ``D`` times phi([e_i, e_j]), and is compared with ``D``
+    times the right side.
     """
     field, n = alg.field, alg.dim
     if len(maps) != n:
@@ -114,28 +124,20 @@ def check_representation(alg: AnticommAlgebra, maps):
     for phi in maps:
         if len(phi) != m or any(len(row) != m for row in phi):
             raise ShapeMismatch("module matrices must be square and equally sized")
+    table, den = alg._product.signed_table()
     for i, j in combinations(range(n), 2):
-        lhs = [zeros(field, m) for _ in range(m)]
-        for k, c in enumerate(alg.basis_bracket(i, j)):
-            if field.is_zero(c):
-                continue
-            for a in range(m):
-                for b in range(m):
-                    lhs[a][b] = field.add(lhs[a][b], field.mul(c, maps[k][a][b]))
         # operator composition phi(x) o phi(y) has row-matrix phi_y @ phi_x
-        comm = mat_sub(
-            field,
-            mat_mul(field, maps[j], maps[i]),
-            mat_mul(field, maps[i], maps[j]),
-        )
+        comm = mat_sub(field, mat_mul(field, maps[j], maps[i]), mat_mul(field, maps[i], maps[j]))
         w = alg.omega_entry(i, j)
         for a in range(m):
-            for b in range(m):
-                rhs = comm[a][b]
-                if a == b:
-                    rhs = field.add(rhs, w)
-                if not field.is_zero(field.sub(lhs[a][b], rhs)):
-                    return False
+            comm[a][a] += w
+        diff = [
+            sum(c * maps[k][a][b] for k, c in table[i][j]) - den * comm[a][b]
+            for a in range(m)
+            for b in range(m)
+        ]
+        if any(to_scaled(field, diff)[0]):
+            return False
     return True
 
 
@@ -229,10 +231,12 @@ def cochain_differential(alg: AnticommAlgebra, lam, cochain):
         coeffs = [cochain.data.get(key, zero) for key in _cochain_keys(n, k)]
     else:
         k, coeffs = 0, [field.coerce(cochain)]
-    image = vec_mat(field, coeffs, _differential_matrix(alg, lam, k))
+    rows, scale = _differential_matrix(alg, lam, k)
+    ints, den = to_scaled(field, coeffs)
     keys = _cochain_keys(n, k + 1)
-    out = {key: v for key, v in zip(keys, image) if not field.is_zero(v)}
-    return Cochain(field, n, k + 1, out)
+    image = [sum(c * row[t] for c, row in zip(ints, rows)) for t in range(len(keys))]
+    values = from_scaled(field, image, den * scale)
+    return Cochain(field, n, k + 1, {key: v for key, v in zip(keys, values) if v})
 
 
 def _cochain_keys(n, k):
@@ -240,7 +244,10 @@ def _cochain_keys(n, k):
 
 
 def _differential_matrix(alg, lam, k):
-    """Matrix of the degree-k differential C^k -> C^(k+1), row convention.
+    """Int matrix of the degree-k differential C^k -> C^(k+1), row
+    convention, and the factor it is scaled by: the matrix is ``rows /
+    (D * dl)``, with ``D`` the denominator of the signed pair table and
+    lam the scaled vector ``ints/dl``.
 
     Column ``idx`` collects, for each position a, (-1)^a lam(e_idx[a])
     at the key without position a, and for each pair a < b of positions
@@ -252,35 +259,33 @@ def _differential_matrix(alg, lam, k):
     lam = [field.coerce(x) for x in lam]
     if not is_multiplicative_for(alg, lam):
         raise NotMultiplicative("lambda does not reproduce the form on brackets")
+    table, den = alg._product.signed_table()
+    lam, dl = to_scaled(field, lam)
     src = {key: t for t, key in enumerate(_cochain_keys(n, k))}
     dst = _cochain_keys(n, k + 1)
-    rows = zero_matrix(field, len(src), len(dst))
+    rows = [[0] * len(dst) for _ in src]
     for col, idx in enumerate(dst):
         for a in range(k + 1):
-            term = lam[idx[a]] if a % 2 == 0 else field.neg(lam[idx[a]])
-            row = rows[src[idx[:a] + idx[a + 1 :]]]
-            row[col] = field.add(row[col], term)
+            term = lam[idx[a]] * den
+            rows[src[idx[:a] + idx[a + 1 :]]][col] += -term if a % 2 else term
         for a, b in combinations(range(k + 1), 2):
             rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
-            for m, c in enumerate(alg.basis_bracket(idx[a], idx[b])):
-                if field.is_zero(c) or m in rest:
+            for m, c in table[idx[a]][idx[b]]:
+                if m in rest:
                     continue
                 below = sum(r < m for r in rest)
+                c *= dl
                 if (a + b + below) % 2:
-                    c = field.neg(c)
-                row = rows[src[rest[:below] + (m,) + rest[below:]]]
-                row[col] = field.add(row[col], c)
-    return rows
+                    c = -c
+                rows[src[rest[:below] + (m,) + rest[below:]]][col] += c
+    return rows, den * dl
 
 
 def h2_dimension(alg: AnticommAlgebra, lam):
     """dim ker(d on 2-cochains) - dim im(d on 1-cochains)."""
     field, n = alg.field, alg.dim
-    lam = [field.coerce(x) for x in lam]
-    if n < 2:
-        return 0
-    d1 = _differential_matrix(alg, lam, 1)
-    d2 = _differential_matrix(alg, lam, 2)
+    d1, _ = _differential_matrix(alg, lam, 1)
+    d2, _ = _differential_matrix(alg, lam, 2)
     n2 = len(_cochain_keys(n, 2))
     _, rank1, _ = rref(field, d1)
     _, rank2, _ = rref(field, d2)
@@ -298,9 +303,7 @@ def extension_from_cocycle(alg: OmegaAlgebra, lam, cocycle: Cochain):
         raise DimensionMismatch("need a 2-cochain on the base algebra")
     if cochain_differential(alg, lam, cocycle).data:
         raise NotACocycle("the differential of the cochain is nonzero")
-    bracket = {}
-    for (i, j), row in alg._bracket.items():
-        bracket[(i, j)] = dict(row)
+    bracket = {pair: dict(row) for pair, row in alg._bracket.items()}
     for (i, j), c in cocycle.data.items():
         bracket.setdefault((i, j), {})[n] = c
     for i in range(n):

@@ -16,16 +16,19 @@ unchanged; this fast path is unit-tested against full enumeration).
 Evaluation runs a :class:`Program`: the term compiled once into a node
 list in which each distinct subterm appears once (``degree5`` has 960
 bracket nodes as a tree and 440 as a program).  An :class:`Identity`
-compiles on first use and keeps its programs, and built-in identities
+compiles its term when it is built (its arity is that of the program)
+and its direct form on first use, and keeps both; built-in identities
 are built once per process.
 
 A program runs on scaled values (``linalg.to_scaled``): every node holds
-ints over one denominator, ``ints/den`` over Q and residues with ``den``
-1 over GF(p).  Brackets and forms multiply denominators, a sum brings
-its parts to the lcm of theirs, and nothing is reduced on the way, so
-the run builds no ``Fraction``; ``evaluate`` and ``evaluate_on_vectors``
-turn the root into canonical scalars, one ``Fraction`` per nonzero
-coordinate.  Both check their inputs' shape once, on entry.
+ints over one denominator, ``ints/den`` over Q and ints with ``den`` 1
+over GF(p).  Brackets and forms multiply denominators, a sum brings
+its parts to the lcm of theirs, and nothing is reduced on the way (over
+GF(p) the bracket and the form return residues; sums and scalings stay
+unreduced ints), so the run builds no ``Fraction``; ``evaluate`` and
+``evaluate_on_vectors`` turn the root into canonical scalars, one
+``Fraction`` per nonzero coordinate.  Both check their inputs' shape
+once, on entry.
 """
 
 from __future__ import annotations
@@ -152,27 +155,38 @@ def max_var(term):
 
 @dataclass
 class Identity:
+    """A multilinear term asserted to vanish; arities and result type are
+    computed."""
+
     name: str
-    num_vars: int
     lhs: tuple
-    result_type: str = "vec"
-    multilinear: bool = True
     alternating: bool = False
     direct: tuple | None = None  # original non-multilinear term, if any
-    direct_num_vars: int = 0
 
     def __post_init__(self):
-        self.result_type = term_type(self.lhs)
-        if self.multilinear:
-            check_multilinear(self.lhs, self.num_vars)
-        self._programs = {}
+        term_type(self.lhs)
+        self._programs = {False: compile_term(self.lhs)}
+        check_multilinear(self.lhs, self.num_vars)
+
+    @property
+    def num_vars(self):
+        return self.compiled().num_vars
+
+    @property
+    def direct_num_vars(self):
+        return self.compiled(direct=True).num_vars
+
+    @property
+    def result_type(self):
+        return term_type(self.lhs)
 
     def compiled(self, direct=False):
-        """The compiled ``lhs`` (or ``direct``) term, built on first use."""
+        """The compiled ``direct`` term if asked and present (compiled on
+        first use), else the compiled ``lhs``."""
+        direct = direct and self.direct is not None
         program = self._programs.get(direct)
         if program is None:
-            program = compile_term(self.direct if direct else self.lhs)
-            self._programs[direct] = program
+            program = self._programs[direct] = compile_term(self.direct)
         return program
 
 
@@ -275,8 +289,7 @@ def parse_term(text):
 
 def parse_identity(text, name="anonymous"):
     """Parse a multilinear identity (asserted to vanish identically)."""
-    term = parse_term(text)
-    return Identity(name, max_var(term), term)
+    return Identity(name, parse_term(text))
 
 
 def format_term(term):
@@ -334,21 +347,15 @@ def compile_term(term):
 
 def _program(ident, direct):
     """The compiled term of an identity (its direct form if asked and
-    present) or of a bare term, with the arity it is evaluated at."""
-    if not isinstance(ident, Identity):
-        program = compile_term(ident)
-        return program, program.num_vars
-    if direct and ident.direct is not None:
-        return ident.compiled(direct=True), ident.direct_num_vars
-    program = ident.compiled()
-    return program, program.num_vars
+    present) or of a bare term."""
+    return ident.compiled(direct) if isinstance(ident, Identity) else compile_term(ident)
 
 
 def _run(alg: AnticommAlgebra, program, args):
     """The root value of a program with ``x_k`` bound to the scaled vector
     ``args[k - 1]``, as a scaled vector or scalar: ints over one
-    denominator, residues over GF(p)."""
-    p = alg.field.char
+    denominator, 1 over GF(p).  Sums and scalings are not reduced mod p;
+    the bracket, the form and :func:`~olie.linalg.from_scaled` are."""
     vals = []
     for node in program.nodes:
         tag = node[0]
@@ -356,24 +363,19 @@ def _run(alg: AnticommAlgebra, program, args):
             value = alg.bracket_scaled(vals[node[1]], vals[node[2]])
         elif tag == SCALE:
             (c, dc), (v, dv) = vals[node[1]], vals[node[2]]
-            if p:
-                value = [c * x % p for x in v], 1
-            else:
-                value = [c * x for x in v], dc * dv
+            value = [c * x for x in v], dc * dv
         elif tag == SUM:
             parts = [vals[i] for i in node[1]]
             den = lcm(*[d for _, d in parts])
             if isinstance(parts[0][0], list):
                 parts = [v if d == den else [den // d * x for x in v] for v, d in parts]
-                ints = [sum(col) for col in zip(*parts)]
-                value = ([x % p for x in ints] if p else ints), den
+                value = [sum(col) for col in zip(*parts)], den
             else:
-                total = sum(c * (den // d) for c, d in parts)
-                value = (total % p if p else total), den
+                value = sum(c * (den // d) for c, d in parts), den
         elif tag == VAR:
             value = args[node[1] - 1]
         elif tag == INT:
-            value = (node[1] % p if p else node[1]), 1
+            value = node[1], 1
         else:
             value = alg.omega_scaled(vals[node[1]], vals[node[2]])
         vals.append(value)
@@ -390,9 +392,9 @@ def _canonical(field, value):
 
 def evaluate(alg: AnticommAlgebra, ident, assignment, direct=False):
     """Evaluate on basis vectors selected by 0-based indices."""
-    program, nvars = _program(ident, direct)
-    if len(assignment) != nvars:
-        raise ArityMismatch(f"need {nvars} indices, got {len(assignment)}")
+    program = _program(ident, direct)
+    if len(assignment) != program.num_vars:
+        raise ArityMismatch(f"need {program.num_vars} indices, got {len(assignment)}")
     n = alg.dim
     if not all(0 <= i < n for i in assignment):
         raise DimensionMismatch(f"basis indices {tuple(assignment)} out of range for dim {n}")
@@ -401,9 +403,9 @@ def evaluate(alg: AnticommAlgebra, ident, assignment, direct=False):
 
 
 def evaluate_on_vectors(alg: AnticommAlgebra, ident, vectors, direct=False):
-    program, nvars = _program(ident, direct)
-    if len(vectors) < nvars:
-        raise ArityMismatch(f"need {nvars} vectors, got {len(vectors)}")
+    program = _program(ident, direct)
+    if len(vectors) < program.num_vars:
+        raise ArityMismatch(f"need {program.num_vars} vectors, got {len(vectors)}")
     if any(len(v) != alg.dim for v in vectors):
         raise DimensionMismatch("vector length does not match the algebra")
     field = alg.field
@@ -418,11 +420,6 @@ def _is_zero_value(field, value):
 
 def find_counterexample(alg: AnticommAlgebra, ident: Identity):
     """First basis tuple (lexicographic) where the identity fails, or None."""
-    if not ident.multilinear:
-        raise NotMultilinear(
-            f"identity {ident.name!r} is not multilinear; basis-tuple "
-            "checking is only sound for multilinear identities"
-        )
     field, n = alg.field, alg.dim
     k = ident.num_vars
     tuples = (
@@ -446,17 +443,15 @@ def _jacobian_term(x, y, z):
     return plus(b(b(x, y), z), b(b(z, x), y), b(b(y, z), x))
 
 
-JACOBIAN = Identity("jacobian", 3, _jacobian_term(var(1), var(2), var(3)), alternating=True)
-"""The Jacobian [[x,y],z] + [[z,x],y] + [[y,z],x]; it compiles on first
-use, like a built-in."""
+JACOBIAN = Identity("jacobian", _jacobian_term(var(1), var(2), var(3)), alternating=True)
+"""The Jacobian [[x,y],z] + [[z,x],y] + [[y,z],x], built once like a
+built-in."""
 
 
 def _jacobi_residual():
     x, y, z = var(1), var(2), var(3)
     rhs = plus(s(w(x, y), z), s(w(z, x), y), s(w(y, z), x))
-    return Identity(
-        "jacobi-residual", 3, minus(_jacobian_term(x, y, z), rhs), alternating=True
-    )
+    return Identity("jacobi-residual", minus(_jacobian_term(x, y, z), rhs), alternating=True)
 
 
 def _d_omega_term(x, y, z):
@@ -479,7 +474,7 @@ def _two_basic():
         s(_d_omega_term(y, x, t), z),
         s(_d_omega_term(x, y, z), t),
     )
-    return Identity("two-basic", 4, minus(lhs, rhs), alternating=True)
+    return Identity("two-basic", minus(lhs, rhs), alternating=True)
 
 
 def _degree5():
@@ -489,7 +484,7 @@ def _degree5():
         a, bb, c, d, e = (var(i) for i in sigma)
         mono = plus(b(b(b(b(a, bb), c), d), e), b(b(b(a, bb), c), b(d, e)))
         terms.append(s(sign, mono))
-    return Identity("degree5", 5, plus(*terms), alternating=True)
+    return Identity("degree5", plus(*terms), alternating=True)
 
 
 def _perm_sign(sigma):
@@ -506,9 +501,7 @@ def _engel():
     terms = []
     for sigma in permutations((2, 3, 4)):
         terms.append(b(b(b(var(1), var(sigma[0])), var(sigma[1])), var(sigma[2])))
-    return Identity(
-        "engel", 4, plus(*terms), direct=direct, direct_num_vars=2
-    )
+    return Identity("engel", plus(*terms), direct=direct)
 
 
 def _abg(alpha=1, beta=1, gamma=1):
@@ -528,9 +521,7 @@ def _abg(alpha=1, beta=1, gamma=1):
         terms.append(s(beta, minus(b(b(b(xx, yy), xx2), zz), b(b(b(xx, zz), xx2), yy))))
         terms.append(s(gamma, minus(b(b(b(xx, yy), zz), xx2), b(b(b(xx, zz), yy), xx2))))
         terms.append(s(beta + gamma, b(b(b(yy, zz), xx), xx2)))
-    return Identity(
-        "abg", 4, plus(*terms), direct=direct, direct_num_vars=3
-    )
+    return Identity("abg", plus(*terms), direct=direct)
 
 
 def _bin():
@@ -540,7 +531,7 @@ def _bin():
     for xa, xb in ((1, 2), (2, 1)):
         for ya, yb in ((3, 4), (4, 3)):
             terms.append(_jacobian_term(var(xa), var(ya), b(var(xb), var(yb))))
-    return Identity("bin", 4, plus(*terms), direct=direct, direct_num_vars=2)
+    return Identity("bin", plus(*terms), direct=direct)
 
 
 def _four():
@@ -551,7 +542,7 @@ def _four():
         b(_jacobian_term(z, t, x), y),
         s(-1, b(_jacobian_term(y, z, t), x)),
     )
-    return Identity("four", 4, lhs, alternating=True)
+    return Identity("four", lhs, alternating=True)
 
 
 def _bin_consequence():
@@ -574,18 +565,12 @@ def _bin_consequence():
                     ),
                 )
             )
-    return Identity(
-        "bin-consequence", 4, plus(*terms), direct=direct, direct_num_vars=2
-    )
+    return Identity("bin-consequence", plus(*terms), direct=direct)
 
 
 def _four_consequence():
-    return Identity(
-        "four-consequence",
-        3,
-        _d_omega_term(var(1), var(2), var(3)),
-        alternating=True,
-    )
+    term = _d_omega_term(var(1), var(2), var(3))
+    return Identity("four-consequence", term, alternating=True)
 
 
 _BUILTIN_FACTORIES = {

@@ -29,9 +29,15 @@ scalars.  For chains of products it also works on *scaled vectors*
 1 over GF(p) (:func:`to_scaled`): ``scaled`` multiplies two of them and
 ``basis_jacobian`` adds the three terms of a basis Jacobian, without
 building a ``Fraction``; :func:`from_scaled` turns the result into
-canonical scalars at the end.  Linear systems read off the bracket
-(derivations, deformations) take its signed pair table directly
-(:meth:`SkewProduct.signed_table`) and build int rows.
+canonical scalars at the end.  Over GF(p) the ints of a scaled value
+may be unreduced between products: the products, :func:`from_scaled`
+and the elimination kernel reduce them, so callers never take ``% p``.
+Every linear system and operator read off the bracket (derivations,
+deformations, multiplicative forms, cochain differentials, the
+almost-abelian system, the commutant, adjoint maps) is built from its
+signed pair table (:meth:`SkewProduct.signed_table`, or
+:meth:`SkewProduct.image` and :meth:`SkewProduct.right_images`) as int
+rows.
 """
 
 from __future__ import annotations
@@ -192,11 +198,12 @@ class SkewProduct:
         return self._rows, self._den
 
     def image(self, i, j):
-        """The product of the basis vectors ``i`` and ``j``."""
+        """The product of the basis vectors ``i`` and ``j``, as a scaled
+        vector over ``D``: the dense signed pair-table entry."""
         acc = [0] * self.out_dim
         for k, c in self._rows[i][j]:
             acc[k] = c
-        return from_scaled(self.field, acc, self._den)
+        return acc, self._den
 
     def __call__(self, x, y):
         p = self.field.char
@@ -240,21 +247,16 @@ class SkewProduct:
         """The products ``[x, e_j]`` for every basis vector ``e_j``, in one
         pass over the signed pair table: the right multiplications of
         the basis applied to ``x``."""
-        p, dim, m = self.field.char, len(self._rows), self.out_dim
-        if p:
-            xs = [(i, a) for i, a in enumerate(x) if a]
-        else:
-            xs, dx = _int_support(x)
-        accs = [[0] * m for _ in range(dim)]
-        rows = self._rows
-        for i, a in xs:
-            for acc, pairs in zip(accs, rows[i]):
-                for k, c in pairs:
-                    acc[k] += a * c
-        if p:
-            return [[v % p for v in acc] for acc in accs]
+        field, rows = self.field, self._rows
+        xv, dx = to_scaled(field, x)
+        accs = [[0] * self.out_dim for _ in rows]
+        for a, row in zip(xv, rows):
+            if a:
+                for acc, pairs in zip(accs, row):
+                    for k, c in pairs:
+                        acc[k] += a * c
         den = dx * self._den
-        return [[Fraction(v, den) if v else _ZERO for v in acc] for acc in accs]
+        return [from_scaled(field, acc, den) for acc in accs]
 
 
 def _accumulate(rows, xs, ys, acc):
@@ -533,22 +535,17 @@ class Subspace:
         return [list(r) for r in self.rows]
 
     def reduce(self, v):
-        """Canonical representative of v modulo this subspace."""
-        field, p = self.field, self.field.char
-        if p:
-            # the rows vanish at each other's pivots and have pivot 1, so
-            # one pass clears every pivot and one final % p suffices
-            for row, piv in zip(self.rows, self._pivots):
-                c = v[piv] % p
-                if c:
-                    v = [a - c * b for a, b in zip(v, row)]
-            return [a % p for a in v]
-        v = list(v)
+        """Canonical representative of v modulo this subspace.  The rows
+        vanish at each other's pivots and have pivot 1, so one pass
+        clears every pivot.  Over GF(p) the entries stay unreduced until
+        :func:`from_scaled` reads them off; over Q they are canonical."""
+        if len(v) != self.ambient:
+            raise DimensionMismatch("vector length does not match the ambient dimension")
         for row, piv in zip(self.rows, self._pivots):
             c = v[piv]
-            if not field.is_zero(c):
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-        return v
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return from_scaled(self.field, v, 1) if self.field.char else list(v)
 
     def contains(self, v):
         return not any(self.reduce(v))

@@ -408,18 +408,17 @@ def filtration(alg: AnticommAlgebra, start: Subspace):
     if not alg.is_subalgebra(start):
         raise NotASubalgebra("the starting term must be a subalgebra")
     chain = [start]
-    e = [basis_vector(field, n, i) for i in range(n)]
+    right_images = alg._product.right_images
     while True:
         cur = chain[-1]
         # x in cur with [x, e_j] in cur for all j: kernel of the reduced
         # adjoint maps in cur's coordinates
-        base = [list(r) for r in cur.rows]
+        images = [[cur.reduce(w) for w in right_images(r)] for r in cur.rows]
         conditions = []
-        for ej in e:
-            images = [cur.reduce(alg.bracket(brow, ej)) for brow in base]
+        for j in range(n):
             for col in range(n):
-                conditions.append([images[t][col] for t in range(len(base))])
-        coords = kernel_basis(field, conditions, len(base))
+                conditions.append([row[j][col] for row in images])
+        coords = kernel_basis(field, conditions, len(images))
         nxt = Subspace(field, n, cur.lift(coords))
         if nxt.dim == cur.dim:
             break

@@ -9,10 +9,12 @@ the dense four-variable law check and the pair of eager ideal searches
 at the end: the reference of the first is the law written out on
 dense vectors, that of the others is the order of the search, not its
 building blocks.  The Fitting and abelian-witness references near the
-end, and the derivation-check and eigenspace references after them,
-are the library's earlier bodies, built on its own subspaces, kernels
-and dense matrix helpers: what they pin is the result of the earlier
-method.
+end, the derivation-check and eigenspace references after them, and
+the references of the systems and operators that now read the signed
+pair table (multiplicative forms, the almost-abelian system, the
+multiplicativity and module checks, the adjoint map) at the very end are the
+library's earlier bodies, built on its own subspaces, kernels and dense
+matrix helpers: what they pin is the result of the earlier method.
 """
 
 import weakref
@@ -1092,3 +1094,115 @@ def eigenspaces_reference(field, matrix):
         if ker:
             out.append((lam, ker))
     return out
+
+
+def multiplicative_lambda_reference(alg):
+    """``AnticommAlgebra.multiplicative_lambda`` as it was before it read
+    the signed pair table: the dense basis brackets as rows, the form
+    entries as the right side."""
+    from olie.linalg import AffineSolution, Subspace, solve_affine, zeros
+
+    field, n = alg.field, alg.dim
+    rows, rhs = [], []
+    for i, j in combinations(range(n), 2):
+        rows.append(alg.basis_bracket(i, j))
+        rhs.append(alg.omega_entry(i, j))
+    if not rows:
+        return AffineSolution(zeros(field, n), Subspace.full(field, n))
+    return solve_affine(field, rows, rhs)
+
+
+def almost_abelian_decomposition_reference(alg):
+    """``AnticommAlgebra.almost_abelian_decomposition`` as it was before
+    it read the signed pair table: rows of field-method ones against the
+    dense basis brackets."""
+    from olie.algebra import AlmostAbelianResult
+    from olie.linalg import (
+        AffineSolution,
+        Subspace,
+        basis_vector,
+        kernel_basis,
+        solve_affine,
+        vec_is_zero,
+        vec_scale,
+        zeros,
+    )
+
+    field, n = alg.field, alg.dim
+    rows, rhs = [], []
+    for i, j in combinations(range(n), 2):
+        b = alg.basis_bracket(i, j)
+        for l in range(n):
+            row = zeros(field, n)
+            if l == i:
+                row[j] = field.add(row[j], field.one())
+            if l == j:
+                row[i] = field.sub(row[i], field.one())
+            rows.append(row)
+            rhs.append(b[l])
+    if rows:
+        sol = solve_affine(field, rows, rhs)
+    else:
+        sol = AffineSolution(zeros(field, n), Subspace.zero(field, n))
+    if sol is None:
+        return AlmostAbelianResult("neither")
+    lam = sol.particular
+    if vec_is_zero(field, lam):
+        return AlmostAbelianResult("abelian", lam=lam)
+    pivot = next(i for i, c in enumerate(lam) if not field.is_zero(c))
+    x = vec_scale(field, field.inv(lam[pivot]), basis_vector(field, n, pivot))
+    part = Subspace(field, n, kernel_basis(field, [lam], n))
+    return AlmostAbelianResult("almost_abelian", lam=lam, abelian_part=part, x=x)
+
+
+def is_multiplicative_for_reference(alg, lam):
+    """``extensions.is_multiplicative_for`` as it was before it read the
+    pair tables: lam on each dense basis bracket by field-method calls,
+    against the form entry.  The length of lam is the caller's to check."""
+    field, n = alg.field, alg.dim
+    for i, j in combinations(range(n), 2):
+        val = field.zero()
+        for k, c in enumerate(alg.basis_bracket(i, j)):
+            val = field.add(val, field.mul(c, lam[k]))
+        if not field.is_zero(field.sub(val, alg.omega_entry(i, j))):
+            return False
+    return True
+
+
+def ad_reference(alg, h):
+    """``AnticommAlgebra.ad`` as it was before it ran one
+    ``right_images`` pass: n brackets [e_i, h] of basis vectors."""
+    return [alg.bracket(e, h) for e in _basis(alg.field, alg.dim)]
+
+
+def check_representation_reference(alg, maps):
+    """``extensions.check_representation`` as it was before it summed the
+    maps over the pair table: phi([e_i, e_j]) from the dense basis
+    bracket by field-method calls.  The shapes are the caller's to
+    check."""
+    from olie.linalg import mat_mul, mat_sub, zeros
+
+    field, n = alg.field, alg.dim
+    m = len(maps[0]) if maps else 0
+    for i, j in combinations(range(n), 2):
+        lhs = [zeros(field, m) for _ in range(m)]
+        for k, c in enumerate(alg.basis_bracket(i, j)):
+            if field.is_zero(c):
+                continue
+            for a in range(m):
+                for b in range(m):
+                    lhs[a][b] = field.add(lhs[a][b], field.mul(c, maps[k][a][b]))
+        comm = mat_sub(
+            field,
+            mat_mul(field, maps[j], maps[i]),
+            mat_mul(field, maps[i], maps[j]),
+        )
+        w = alg.omega_entry(i, j)
+        for a in range(m):
+            for b in range(m):
+                rhs = comm[a][b]
+                if a == b:
+                    rhs = field.add(rhs, w)
+                if not field.is_zero(field.sub(lhs[a][b], rhs)):
+                    return False
+    return True

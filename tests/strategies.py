@@ -6,6 +6,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from olie import GF, QQ, AnticommAlgebra
+from olie.linalg import vec_dot
 
 FIELDS = [QQ, GF(5), GF(7)]
 
@@ -33,6 +34,20 @@ def algebras(draw, field, max_dim=5, min_dim=0):
         bracket[pair] = image
         omega[pair] = draw(scalars(field))
     return AnticommAlgebra(field, n, bracket, omega)
+
+
+@st.composite
+def multiplicative_data(draw, field):
+    """A random table of dimension 0-6 with a random covector lam and the
+    form w(x, y) = lam([x, y]), for which lam is multiplicative."""
+    table = draw(algebras(field, max_dim=6))
+    n = table.dim
+    lam = draw(st.lists(scalars(field), min_size=n, max_size=n))
+    omega = {
+        (i, j): vec_dot(field, table.basis_bracket(i, j), lam)
+        for i, j in combinations(range(n), 2)
+    }
+    return AnticommAlgebra(field, n, table._bracket, omega), lam
 
 
 def assert_canonical(field, values):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from olie import GF, QQ, AnticommAlgebra, OmegaAlgebra, Subspace, Violation
 from olie import catalog
 from olie.errors import (
+    DimensionMismatch,
     KernelConditionFailed,
     NotASubalgebra,
     PreconditionError,
@@ -24,6 +25,8 @@ from olie.linalg import (
 )
 
 from oracles import (
+    ad_reference,
+    almost_abelian_decomposition_reference,
     bracket_reference,
     d_omega_reference,
     find_abelian_ideal_reference,
@@ -35,11 +38,12 @@ from oracles import (
     jacobi_residual_reference,
     jacobian_reference,
     multiplication_algebra_dim,
+    multiplicative_lambda_reference,
     omega_reference,
     omega_space_reference,
     simplicity_reference,
 )
-from strategies import FIELDS, algebras, assert_canonical, scalars
+from strategies import FIELDS, algebras, assert_canonical, multiplicative_data, scalars
 
 
 def vec(field, *entries):
@@ -153,6 +157,20 @@ def test_right_images_match_reference(field, data):
     for j, image in enumerate(images):
         assert image == bracket_reference(alg, x, basis_vector(field, n, j))
         assert_canonical(field, image)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_ad_matches_reference(field, data):
+    """One ``right_images`` pass against n brackets of basis vectors."""
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    h = data.draw(vectors(field, n))
+    got = alg.ad(h)
+    assert got == ad_reference(alg, h)
+    assert_canonical(field, [x for row in got for x in row])
+    with pytest.raises(DimensionMismatch):
+        alg.ad(h + [field.zero()])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -541,6 +559,49 @@ def test_multiplicative_lambda_inconsistent_exists():
         assert alg.multiplicative_lambda() is None
         found = True
     assert found
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_multiplicative_lambda_matches_reference(field, data):
+    """The int pair-table rows against the earlier dense body, on random
+    tables (mostly inconsistent) and on tables whose form is a drawn
+    covector on the bracket (always consistent)."""
+    if data.draw(st.booleans()):
+        alg = data.draw(algebras(field, max_dim=6))
+    else:
+        alg, _ = data.draw(multiplicative_data(field))
+    got, want = alg.multiplicative_lambda(), multiplicative_lambda_reference(alg)
+    if want is None:
+        assert got is None
+    else:
+        assert got.particular == want.particular and got.kernel == want.kernel
+        assert_canonical(field, got.particular)
+
+
+@st.composite
+def almost_abelian_candidates(draw, field):
+    """A random table, or [e_i, e_j] = f(e_j) e_i - f(e_i) e_j for a drawn
+    covector f (abelian when f = 0), each with a random form."""
+    table = draw(algebras(field))
+    if draw(st.booleans()):
+        return table
+    n = table.dim
+    f = draw(st.lists(scalars(field), min_size=n, max_size=n))
+    bracket = {(i, j): {i: f[j], j: field.neg(f[i])} for i, j in combinations(range(n), 2)}
+    return AnticommAlgebra(field, n, bracket, table._omega)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_almost_abelian_decomposition_matches_reference(field, data):
+    alg = data.draw(almost_abelian_candidates(field))
+    got = alg.almost_abelian_decomposition()
+    assert got == almost_abelian_decomposition_reference(alg)
+    if got.lam is not None:
+        assert_canonical(field, got.lam + got.x if got.x else got.lam)
 
 
 def test_normalizer_line(s4, sl2):

@@ -27,6 +27,7 @@ from olie import (
 )
 from olie import catalog
 from olie.errors import (
+    DimensionMismatch,
     NotACocycle,
     NotADerivation,
     NotALieAlgebra,
@@ -35,17 +36,26 @@ from olie.errors import (
     NotOmegaAssociative,
     PreconditionFailed,
 )
-from olie.extensions import _deformation_rows, _differential_matrix
-from olie.linalg import basis_vector, kernel_basis, vec_dot, vec_is_zero, zero_matrix, zeros
+from olie.extensions import _deformation_rows, _differential_matrix, is_multiplicative_for
+from olie.linalg import (
+    basis_vector,
+    from_scaled,
+    kernel_basis,
+    vec_is_zero,
+    zero_matrix,
+    zeros,
+)
 
 from oracles import (
     cochain_differential_reference,
     deformation_dims_oracle,
     deformation_rows_reference,
     differential_matrix_reference,
+    check_representation_reference,
     h2_oracle,
+    is_multiplicative_for_reference,
 )
-from strategies import FIELDS, algebras, assert_canonical, scalars
+from strategies import FIELDS, algebras, assert_canonical, multiplicative_data, scalars
 
 
 def first_coords(field, n, m):
@@ -317,20 +327,6 @@ def test_square_of_differential_on_one_cochains(gf5):
     assert checked >= 20
 
 
-@st.composite
-def multiplicative_data(draw, field):
-    """A random table of dimension 0-6 with a random covector lam and the
-    form w(x, y) = lam([x, y]), for which lam is multiplicative."""
-    table = draw(algebras(field, max_dim=6))
-    n = table.dim
-    lam = draw(st.lists(scalars(field), min_size=n, max_size=n))
-    omega = {
-        (i, j): vec_dot(field, table.basis_bracket(i, j), lam)
-        for i, j in combinations(range(n), 2)
-    }
-    return AnticommAlgebra(field, n, table._bracket, omega), lam
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -338,7 +334,8 @@ def test_differentials_match_per_key_oracle(field, data):
     alg, lam = data.draw(multiplicative_data(field))
     n = alg.dim
     for k in range(4):
-        got = _differential_matrix(alg, lam, k)
+        rows, scale = _differential_matrix(alg, lam, k)
+        got = [from_scaled(field, row, scale) for row in rows]
         assert got == differential_matrix_reference(alg, lam, k)
         assert_canonical(field, [x for row in got for x in row])
     k = data.draw(st.integers(0, 3))
@@ -350,6 +347,58 @@ def test_differentials_match_per_key_oracle(field, data):
     assert cochain_differential(alg, lam, c).data == cochain_differential_reference(
         alg, lam, {(): c}, 0
     )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_is_multiplicative_for_matches_reference(field, data):
+    """The int check off the pair tables against the earlier per-scalar
+    body, on multiplicative data and on the same table with a random form
+    or a random covector (mostly not multiplicative)."""
+    alg, lam = data.draw(multiplicative_data(field))
+    n = alg.dim
+    other = data.draw(algebras(field, min_dim=n, max_dim=n))
+    drawn = data.draw(st.lists(scalars(field), min_size=n, max_size=n))
+    perturbed = AnticommAlgebra(field, n, alg._bracket, other._omega)
+    for table, covector in ((alg, lam), (perturbed, lam), (alg, drawn)):
+        got = is_multiplicative_for(table, covector)
+        assert got == is_multiplicative_for_reference(table, covector)
+    assert is_multiplicative_for(alg, lam)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_check_representation_matches_reference(field, data):
+    """The module check summed over the pair table against the earlier
+    per-scalar body: the 1-dimensional module of a multiplicative form
+    (a module), the same with a drawn covector, the adjoint maps and
+    drawn 2 x 2 matrices (mostly not modules)."""
+    alg, lam = data.draw(multiplicative_data(field))
+    n = alg.dim
+    drawn = data.draw(st.lists(scalars(field), min_size=n, max_size=n))
+    square = st.lists(st.lists(scalars(field), min_size=2, max_size=2), min_size=2, max_size=2)
+    matrices = data.draw(st.lists(square, min_size=n, max_size=n))
+    for maps in (one_dim_module(alg, lam), one_dim_module(alg, drawn), adjoint_maps(alg), matrices):
+        assert check_representation(alg, maps) == check_representation_reference(alg, maps)
+    assert check_representation(alg, one_dim_module(alg, lam))
+
+
+@pytest.mark.parametrize("lam", ([0, 0], [0, 0, 0, 0]), ids=["short", "long"])
+def test_lambda_length_is_checked(lam):
+    """Every entry point that checks multiplicativity rejects a lambda of
+    the wrong length: a short one raised IndexError, a long one was read
+    as its first n entries."""
+    sl2 = catalog.builtin_algebra("lie.sl2", QQ)
+    with pytest.raises(DimensionMismatch):
+        is_multiplicative_for(sl2, lam)
+    with pytest.raises(DimensionMismatch):
+        h2_dimension(sl2, lam)
+    with pytest.raises(DimensionMismatch):
+        cochain_differential(sl2, lam, Cochain.zero(QQ, 3, 1))
+    with pytest.raises(DimensionMismatch):
+        extension_from_cocycle(sl2, lam, Cochain.zero(QQ, 3, 2))
 
 
 def test_h2_examples(n3):
@@ -418,7 +467,8 @@ def test_random_cocycle_extensions_validate(gf5):
         lam = lam_set.particular
         from olie.linalg import kernel_basis
 
-        d2 = _differential_matrix(alg, lam, 2)
+        rows, scale = _differential_matrix(alg, lam, 2)
+        d2 = [from_scaled(gf5, row, scale) for row in rows]
         for combo in kernel_basis(gf5, [[row[c] for row in d2] for c in range(len(d2[0]))] if d2 and d2[0] else [], 3):
             c = Cochain.from_values(
                 gf5, 3, 2, {key: combo[t] for t, key in enumerate(combinations(range(3), 2))}

@@ -394,6 +394,19 @@ def test_degree5_with_growing_denominators():
 # -- inputs of the wrong shape --------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(+ (s 2 (b x1 x2)) (s 3 (b x1 x2)))", "(b (+ (s 2 x1) (s 3 x1)) x2)"],
+)
+def test_summands_cancelling_only_mod_p(text):
+    """Sums and scalings between products run on unreduced ints over
+    GF(p); the bracket and the final conversion reduce them, so a sum of
+    5 times a bracket vanishes over GF(5) and not over Q."""
+    ident = parse_identity(text)
+    assert holds(catalog.builtin_algebra("lie.sl2", GF(5)), ident)
+    assert not holds(catalog.builtin_algebra("lie.sl2", QQ), ident)
+
+
 def test_omega_rejects_vectors_of_the_wrong_length(s4):
     e = [basis_vector(QQ, 4, i) for i in range(4)]
     with pytest.raises(DimensionMismatch):

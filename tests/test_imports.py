@@ -1,8 +1,13 @@
-"""Every name a library module imports is used in that module.
+"""AST checks on the library modules.
 
+Every name a library module imports is used in that module.
 ``olie/__init__.py`` is exempt: its imports are the package's public
 names.  A name counts as used when it appears as a name anywhere in the
 module's tree, function bodies and annotations included.
+
+No module calls ``basis_bracket``: systems and operators read the signed
+pair table in ints.  ``identities`` and ``derivations`` use no ``%``:
+the GF(p) reduction of their int values is left to ``linalg``.
 """
 
 import ast
@@ -37,3 +42,39 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from math import gcd, lcm\nimport os\n\ndef f(a: 'x'):\n    return gcd(a, 2)\n"
     assert unused_imports(source) == [(1, "lcm"), (2, "os")]
+
+
+def calls_to(source, name):
+    """Line numbers of the calls of ``name``, as a function or a method."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) == name or getattr(node.func, "id", None) == name)
+    ]
+
+
+def modulo_uses(source):
+    """Line numbers of the ``%`` operators, plain and augmented."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_basis_bracket_calls(path):
+    assert calls_to(path.read_text(encoding="utf-8"), "basis_bracket") == []
+
+
+@pytest.mark.parametrize("name", ["identities.py", "derivations.py"])
+def test_no_modulo_in_identities_and_derivations(name):
+    path = Path(olie.__file__).parent / name
+    assert modulo_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_checks_see_calls_and_modulo():
+    source = "def f(alg, p, v):\n    v %= p\n    return alg.basis_bracket(0, 1), basis_bracket(1, 0), v % p\n"
+    assert calls_to(source, "basis_bracket") == [3, 3]
+    assert modulo_uses(source) == [2, 3]

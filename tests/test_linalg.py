@@ -77,6 +77,18 @@ def test_subspace_ops():
         a.sum(Subspace(QQ, 2, [[F(1), F(0)]]))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_subspace_rejects_vectors_of_the_wrong_length(field):
+    """On the line spanned by e_0 in K^3, a 2-entry vector read as
+    contained, with coordinates [1], before the length was checked."""
+    line = Subspace(field, 3, [[field.one(), field.zero(), field.zero()]])
+    for v in ([1, 0], [1, 0, 0, 0]):
+        for method in (line.reduce, line.contains, line.coords):
+            with pytest.raises(DimensionMismatch):
+                method(v)
+    assert line.coords([1, 0, 0]) == [1]
+
+
 def test_quotient_reps_complete_basis():
     sub = Subspace(QQ, 4, [[F(1), F(1), F(0), F(0)], [F(0), F(0), F(1), F(-1)]])
     reps = sub.quotient_reps()
