@@ -56,6 +56,7 @@ from .linalg import (
     Echelon,
     SkewProduct,
     Subspace,
+    _canon,
     basis_vector,
     from_scaled,
     identity_matrix,
@@ -72,6 +73,11 @@ from .linalg import (
     zero_matrix,
     zeros,
 )
+
+
+def _check_pair(i, j, dim):
+    if not (0 <= i < j < dim):
+        raise DimensionMismatch(f"pair ({i},{j}) must satisfy 0 <= i < j < dim")
 
 
 @dataclass
@@ -108,35 +114,34 @@ class AnticommAlgebra:
     """Finite-dimensional anticommutative algebra with a skew form."""
 
     def __init__(self, field, dim, bracket=None, omega=None):
-        self.field = field
-        self.dim = dim
-        self._bracket = {}
-        self._omega = {}
+        table, form = {}, {}
         for (i, j), coeffs in (bracket or {}).items():
-            self._check_pair(i, j)
+            _check_pair(i, j, dim)
             row = {}
             for k, c in coeffs.items():
                 if not 0 <= k < dim:
                     raise DimensionMismatch(f"bracket target index {k} out of range")
                 c = field.coerce(c)
-                if not field.is_zero(c):
+                if c:
                     row[k] = c
             if row:
-                self._bracket[(i, j)] = row
+                table[(i, j)] = row
         for (i, j), c in (omega or {}).items():
-            self._check_pair(i, j)
+            _check_pair(i, j, dim)
             c = field.coerce(c)
-            if not field.is_zero(c):
-                self._omega[(i, j)] = c
-        self._product = SkewProduct(field, dim, dim, self._bracket)
-        self._form = SkewProduct(
-            field, dim, 1, {pair: {0: c} for pair, c in self._omega.items()}
-        )
-        self._gram = None
+            if c:
+                form[(i, j)] = c
+        self._set_tables(field, dim, table, form)
 
-    def _check_pair(self, i, j):
-        if not (0 <= i < j < self.dim):
-            raise DimensionMismatch(f"pair ({i},{j}) must satisfy 0 <= i < j < dim")
+    def _set_tables(self, field, dim, bracket, omega):
+        """Adopt tables of nonzero canonical scalars on pairs i < j."""
+        self.field = field
+        self.dim = dim
+        self._bracket = bracket
+        self._omega = omega
+        self._product = SkewProduct(field, dim, dim, bracket)
+        self._form = SkewProduct(field, dim, 1, {pair: {0: c} for pair, c in omega.items()})
+        self._gram = None
 
     # -- tables ---------------------------------------------------------
 
@@ -147,19 +152,15 @@ class AnticommAlgebra:
             g = zero_matrix(field, n, n)
             for (i, j), c in self._omega.items():
                 g[i][j] = c
-                g[j][i] = field.neg(c)
-            self._gram = g
+                g[j][i] = -c
+            self._gram = [_canon(field, row) for row in g]
         return self._gram
 
     def basis_bracket(self, i, j):
         return from_scaled(self.field, *self._product.image(i, j))
 
     def omega_entry(self, i, j):
-        if i == j:
-            return self.field.zero()
-        if i < j:
-            return self._omega.get((i, j), self.field.zero())
-        return self.field.neg(self._omega.get((j, i), self.field.zero()))
+        return self.gram()[i][j]
 
     # -- bilinear extensions -------------------------------------------
 
@@ -302,21 +303,22 @@ class AnticommAlgebra:
         if n < 3:
             units = []
             for i, j in combinations(range(n), 2):
-                u = zeros(field, n * n)
-                u[i * n + j], u[j * n + i] = field.one(), field.neg(field.one())
+                u = [0] * (n * n)
+                u[i * n + j], u[j * n + i] = 1, -1
                 units.append(u)
             return AffineSolution(zeros(field, n * n), Subspace(field, n * n, units))
         w, jacobian = {}, self._product.basis_jacobian
         for i, j, k in combinations(range(n), 3):
             jac = from_scaled(field, *jacobian(i, j, k))
             w.setdefault((i, j), jac[k])
-            w.setdefault((i, k), field.neg(jac[j]))
+            w.setdefault((i, k), -jac[j])
             w.setdefault((j, k), jac[i])
             if len(w) == n * (n - 1) // 2:
                 break
         particular = zeros(field, n * n)
         for (i, j), c in w.items():
-            particular[i * n + j], particular[j * n + i] = c, field.neg(c)
+            particular[i * n + j], particular[j * n + i] = c, -c
+        particular = _canon(field, particular)
         if self._violation(lambda i, j: particular[i * n + j]) is not None:
             return None
         return AffineSolution(particular, Subspace.zero(field, n * n))
@@ -427,11 +429,11 @@ class AnticommAlgebra:
         omega = {}
         for a, b in combinations(range(m), 2):
             image = coords(self.bracket(reps[a], reps[b]))
-            entry = {k: c for k, c in enumerate(image) if not field.is_zero(c)}
+            entry = {k: c for k, c in enumerate(image) if c}
             if entry:
                 bracket[(a, b)] = entry
             w = self.omega(reps[a], reps[b])
-            if not field.is_zero(w):
+            if w:
                 omega[(a, b)] = w
         if isinstance(self, OmegaAlgebra):
             return OmegaAlgebra._trusted(field, m, bracket, omega)
@@ -479,7 +481,6 @@ class AnticommAlgebra:
         """True iff [sub, A] <= sub + A for every subspace A; equivalently
         the induced map of each right multiplication from ``sub`` on the
         quotient is a scalar multiple of the identity."""
-        field = self.field
         if not self.is_subalgebra(sub):
             return False
         reps = sub.quotient_reps()
@@ -492,8 +493,7 @@ class AnticommAlgebra:
             scalar = induced[0][0]
             for a, row in enumerate(induced):
                 for c, val in enumerate(row):
-                    want = scalar if a == c else field.zero()
-                    if not field.is_zero(field.sub(val, want)):
+                    if val != (scalar if a == c else 0):
                         return False
         return True
 
@@ -522,7 +522,7 @@ class AnticommAlgebra:
         lam = sol.particular
         if vec_is_zero(field, lam):
             return AlmostAbelianResult("abelian", lam=lam)
-        pivot = next(i for i, c in enumerate(lam) if not field.is_zero(c))
+        pivot = next(i for i, c in enumerate(lam) if c)
         x = vec_scale(field, field.inv(lam[pivot]), basis_vector(field, n, pivot))
         part = Subspace(field, n, kernel_basis(field, [lam], n))
         return AlmostAbelianResult("almost_abelian", lam=lam, abelian_part=part, x=x)
@@ -751,10 +751,12 @@ class OmegaAlgebra(AnticommAlgebra):
             )
 
     @classmethod
-    def _trusted(cls, field, dim, bracket=None, omega=None):
-        """An algebra from tables that satisfy the law by construction."""
+    def _trusted(cls, field, dim, bracket, omega):
+        """An algebra from tables that satisfy the law by construction,
+        held as given: the callers build them of nonzero canonical
+        scalars on pairs i < j, so no coercion pass runs."""
         out = cls.__new__(cls)
-        AnticommAlgebra.__init__(out, field, dim, bracket, omega)
+        out._set_tables(field, dim, bracket, omega)
         return out
 
     def validate(self):

@@ -27,7 +27,9 @@ from .errors import (
 )
 from .extensions import extend_codim1
 from .fields import field_from_json, scalar_from_json
-from .linalg import mat_mul, mat_sub, vec_add, vec_is_zero, vec_mat, vec_scale, zeros
+from .linalg import (
+    identity_matrix, mat_add, mat_mul, mat_scale, mat_sub, vec_add, vec_mat, vec_scale, zeros
+)
 
 
 @dataclass
@@ -97,9 +99,7 @@ def _omega_sl2f(field):
 
 
 def _family_iiia_small(field):
-    adx = [[field.coerce(1), field.coerce(0)], [field.coerce(0), field.coerce(2)]]
-    fmat = [[field.coerce(0), field.coerce(0)], [field.coerce(1), field.coerce(0)]]
-    return family_iiia(field, 2, adx, 1, fmat)
+    return family_iiia(field, 2, [[1, 0], [0, 2]], 1, [[0, 0], [1, 0]])
 
 
 _ENTRIES = {
@@ -186,34 +186,27 @@ def family_iiia(field, n, adx, sigma, fmat):
     sigma = field.coerce(sigma)
     adx = [[field.coerce(x) for x in row] for row in adx]
     fmat = [[field.coerce(x) for x in row] for row in fmat]
-    if field.is_zero(sigma):
+    if not sigma:
         raise EigenvectorConditionFailed("sigma must be nonzero")
-    if all(field.is_zero(x) for row in fmat for x in row):
+    if not any(map(any, fmat)):
         raise EigenvectorConditionFailed("F must be nonzero")
     # [F, ad x](a) = F(ad x(a)) - ad x(F(a)); row convention composes
     # left-to-right, so the matrix is adx @ F - F @ adx
     comm = mat_sub(field, mat_mul(field, adx, fmat), mat_mul(field, fmat, adx))
-    if comm != [[field.mul(sigma, x) for x in row] for row in fmat]:
+    if comm != mat_scale(field, sigma, fmat):
         raise EigenvectorConditionFailed(
             "F is not an eigenvector of the action's commutator with eigenvalue sigma"
         )
     base_bracket = {}
     for i in range(n):
-        entry = {k: c for k, c in enumerate(adx[i]) if not field.is_zero(c)}
+        entry = {k: c for k, c in enumerate(adx[i]) if c}
         if entry:
             base_bracket[(i, n)] = entry
     base = OmegaAlgebra(field, n + 1, base_bracket)
-    dmat = [
-        [
-            field.add(fmat[i][j], field.one() if i == j else field.zero())
-            for j in range(n)
-        ]
-        + [field.zero()]
-        for i in range(n)
-    ]
+    dmat = [row + [field.zero()] for row in mat_add(field, fmat, identity_matrix(field, n))]
     dmat.append(zeros(field, n + 1))
     alpha = zeros(field, n + 1)
-    alpha[n] = field.neg(sigma)
+    alpha[n] = -sigma
     lam = zeros(field, n + 1)
     lam[n] = sigma
     return extend_codim1(base, lam, dmat, alpha)
@@ -243,7 +236,7 @@ def random_dim3(field, seed):
         entry = {}
         for k in range(3):
             c = _random_scalar(field, rng)
-            if not field.is_zero(c):
+            if c:
                 entry[k] = c
         if entry:
             bracket[(i, j)] = entry
@@ -254,7 +247,7 @@ def random_dim3(field, seed):
     omega = {}
     for i, j in combinations(range(3), 2):
         c = w[i * 3 + j]
-        if not field.is_zero(c):
+        if c:
             omega[(i, j)] = c
     return OmegaAlgebra._trusted(field, 3, bracket, omega)
 
@@ -281,7 +274,7 @@ def random_extension_chain(field, seed, target_dim):
         lam = list(lam_set.particular)
         for k in lam_set.kernel.rows:
             c = _random_scalar(field, rng)
-            if not field.is_zero(c):
+            if c:
                 lam = vec_add(field, lam, vec_scale(field, c, list(k)))
         basis = al_derivation_space(alg, lam)
         if not basis:
@@ -293,9 +286,7 @@ def random_extension_chain(field, seed, target_dim):
                 for i in range(alg.dim)
             ]
             alpha = vec_mat(field, coeffs, [der.alpha for der in basis])
-            if not all(vec_is_zero(field, row) for row in matrix) or not vec_is_zero(
-                field, alpha
-            ):
+            if any(map(any, matrix)) or any(alpha):
                 break
         else:
             return Stuck("only the zero derivation", alg.dim)

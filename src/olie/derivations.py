@@ -21,7 +21,7 @@ from .algebra import AlmostAbelianResult, AnticommAlgebra
 from .errors import DimensionMismatch, NotALieAlgebra, PreconditionFailed, SchemaError
 from .fields import scalar_from_json
 from .linalg import (
-    Subspace, from_scaled, kernel_basis, mat_mul, mat_sub, to_scaled, vec_dot, zeros
+    Subspace, from_scaled, kernel_basis, mat_mul, mat_sub, to_scaled, vec_dot, vec_sub, zeros
 )
 
 
@@ -34,7 +34,7 @@ class AlphaLambdaDerivation:
     lam: list
 
     def is_zero_map(self, field):
-        return all(field.is_zero(x) for row in self.matrix for x in row)
+        return not any(map(any, self.matrix))
 
     def to_json_dict(self, field):
         return {
@@ -145,7 +145,7 @@ def alpha0_bracket(alg: AnticommAlgebra, d1: AlphaLambdaDerivation, d2: AlphaLam
     """
     field, n = alg.field, alg.dim
     for d in (d1, d2):
-        if not all(field.is_zero(x) for x in d.lam):
+        if any(d.lam):
             raise PreconditionFailed("both inputs must have lambda = 0")
         if not check_al_derivation(alg, d):
             raise PreconditionFailed("input does not satisfy the derivation relation")
@@ -154,13 +154,11 @@ def alpha0_bracket(alg: AnticommAlgebra, d1: AlphaLambdaDerivation, d2: AlphaLam
         field, mat_mul(field, d2.matrix, d1.matrix), mat_mul(field, d1.matrix, d2.matrix)
     )
     # (alpha o D)(e_i) = sum_j d_ij alpha_j
-    alpha = [
-        field.sub(
-            vec_dot(field, d2.matrix[i], d1.alpha),
-            vec_dot(field, d1.matrix[i], d2.alpha),
-        )
-        for i in range(n)
-    ]
+    alpha = vec_sub(
+        field,
+        [vec_dot(field, row, d1.alpha) for row in d2.matrix],
+        [vec_dot(field, row, d2.alpha) for row in d1.matrix],
+    )
     out = AlphaLambdaDerivation(matrix, alpha, zeros(field, n))
     assert check_al_derivation(alg, out)
     return out
@@ -180,7 +178,7 @@ def ker_alpha_analysis(alg: AnticommAlgebra, der: AlphaLambdaDerivation):
     field, n = alg.field, alg.dim
     if not alg.is_lie():
         raise NotALieAlgebra("the input algebra is not a Lie algebra")
-    if all(field.is_zero(x) for x in der.alpha):
+    if not any(der.alpha):
         return KerAlphaReport("alpha_zero")
     if n <= 3:
         return KerAlphaReport("small_dim")

@@ -41,7 +41,6 @@ from .linalg import (
     to_scaled,
     vec_mat,
     vec_sub,
-    zeros,
 )
 
 
@@ -86,12 +85,12 @@ def extend_codim1(alg: AnticommAlgebra, lam, matrix, alpha):
     bracket = {pair: dict(row) for pair, row in alg._bracket.items()}
     omega = dict(alg._omega)
     for i in range(n):
-        entry = {k: c for k, c in enumerate(matrix[i]) if not field.is_zero(c)}
-        if not field.is_zero(lam[i]):
+        entry = {k: c for k, c in enumerate(matrix[i]) if c}
+        if lam[i]:
             entry[n] = lam[i]
         if entry:
             bracket[(i, n)] = entry
-        if not field.is_zero(alpha[i]):
+        if alpha[i]:
             omega[(i, n)] = alpha[i]
     if isinstance(alg, OmegaAlgebra):
         return OmegaAlgebra._trusted(field, n + 1, bracket, omega)
@@ -166,8 +165,8 @@ def semidirect(alg: OmegaAlgebra, maps):
             # [e_i, m_a] = phi(e_i) m_a = row a of phi(e_i)
             entry = {}
             for b in range(m):
-                c = maps[i][a][b]
-                if not field.is_zero(c):
+                c = field.coerce(maps[i][a][b])
+                if c:
                     entry[n + b] = c
             if entry:
                 bracket[(i, n + a)] = entry
@@ -205,7 +204,7 @@ class Cochain:
             if list(key) != sorted(set(key)):
                 raise DimensionMismatch("cochain keys must be strictly increasing")
             val = field.coerce(val)
-            if not field.is_zero(val):
+            if val:
                 data[key] = val
         return cls(field, dim, degree, data)
 
@@ -307,7 +306,7 @@ def extension_from_cocycle(alg: OmegaAlgebra, lam, cocycle: Cochain):
     for (i, j), c in cocycle.data.items():
         bracket.setdefault((i, j), {})[n] = c
     for i in range(n):
-        if not field.is_zero(lam[i]):
+        if lam[i]:
             bracket[(i, n)] = {n: lam[i]}
     omega = dict(alg._omega)
     return OmegaAlgebra(field, n + 1, bracket, omega)
@@ -360,18 +359,10 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
     for v in sols:
         phi1 = {}
         for (i, j), t in pos.items():
-            entry = {
-                k: v[t * n + k]
-                for k in range(n)
-                if not field.is_zero(v[t * n + k])
-            }
+            entry = {k: v[t * n + k] for k in range(n) if v[t * n + k]}
             if entry:
                 phi1[(i, j)] = entry
-        omega1 = {
-            pair: v[nphi + t]
-            for pair, t in pos.items()
-            if not field.is_zero(v[nphi + t])
-        }
+        omega1 = {pair: v[nphi + t] for pair, t in pos.items() if v[nphi + t]}
         basis.append(DeformationSolution(phi1, omega1))
         omega_block.append(v[nphi:])
     _, wrank, _ = rref(field, omega_block)
@@ -444,13 +435,11 @@ def omega_assoc_space(field, dim, product):
                 )
                 assoc = vec_sub(field, left, right)
                 for l in range(n):
-                    row = zeros(field, 2 * n * n)
+                    row = [0] * (2 * n * n)
                     if k == l:
-                        row[i * n + j] = field.one()
+                        row[i * n + j] = 1
                     if i == l:
-                        row[n * n + j * n + k] = field.sub(
-                            row[n * n + j * n + k], field.one()
-                        )
+                        row[n * n + j * n + k] -= 1
                     rows.append(row)
                     rhs.append(assoc[l])
     return solve_affine(field, rows, rhs)
@@ -462,23 +451,22 @@ def minus_algebra(field, dim, product, w1_flat, w2_flat):
 
         w(x,y) = (w1 - w2)(x,y) - (w1 - w2)(y,x).
     """
+    n = dim
+    if len(w1_flat) != n * n or len(w2_flat) != n * n:
+        raise DimensionMismatch("each form needs dim^2 entries, row-major")
     sol = omega_assoc_space(field, dim, product)
-    flat = list(w1_flat) + list(w2_flat)
-    if sol is None or not sol.contains(flat):
+    if sol is None or not sol.contains(list(w1_flat) + list(w2_flat)):
         raise NotOmegaAssociative(
             "(w1, w2) does not satisfy the associativity law for this product"
         )
-    n = dim
     bracket = {}
     omega = {}
     for i, j in combinations(range(n), 2):
         comm = vec_sub(field, product[i][j], product[j][i])
-        entry = {k: c for k, c in enumerate(comm) if not field.is_zero(c)}
+        entry = {k: c for k, c in enumerate(comm) if c}
         if entry:
             bracket[(i, j)] = entry
-        diff_ij = field.sub(w1_flat[i * n + j], w2_flat[i * n + j])
-        diff_ji = field.sub(w1_flat[j * n + i], w2_flat[j * n + i])
-        w = field.sub(diff_ij, diff_ji)
-        if not field.is_zero(w):
-            omega[(i, j)] = w
+        omega[(i, j)] = (
+            w1_flat[i * n + j] - w2_flat[i * n + j] - w1_flat[j * n + i] + w2_flat[j * n + i]
+        )
     return OmegaAlgebra(field, n, bracket, omega)

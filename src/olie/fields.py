@@ -2,8 +2,17 @@
 
 Scalars are plain Python values: `fractions.Fraction` over the rationals
 (always reduced, positive denominator, so equality is structural) and
-`int` residues in ``[0, p)`` over GF(p).  A field object supplies the
-operations; containers (vectors, matrices, algebras) carry the field.
+`int` residues in ``[0, p)`` over GF(p).  Python's ``+ - *`` give the
+exact value of a sum or product in either field, and truthiness is the
+zero test of a canonical scalar; only the reduction of an int back into
+``[0, p)`` depends on the field, and :mod:`olie.linalg` does it in one
+place.  A field object supplies what the operators cannot: the text and
+JSON codecs, ``coerce`` (a value entering the library becomes a
+canonical scalar), and ``inv``, ``div`` and ``sqrt``, which also take
+unreduced ints over GF(p) and return canonical scalars.  Its ``add``,
+``sub``, ``mul``, ``neg`` and ``is_zero`` remain as public API and as
+the per-scalar reference arithmetic of the tests.  Containers (vectors,
+matrices, algebras) carry the field.
 
 Text encoding: rationals print as ``a`` or ``a/b`` with an optional
 leading ``-``; prime-field elements print as the decimal residue.

@@ -48,7 +48,7 @@ from .errors import (
     NotMultilinear,
     UnknownIdentity,
 )
-from .linalg import from_scaled, to_scaled, vec_is_zero
+from .linalg import from_scaled, to_scaled
 
 # term node tags
 VAR, BRACKET, OMEGA, SCALE, SUM, INT = "var", "b", "w", "s", "+", "int"
@@ -412,22 +412,15 @@ def evaluate_on_vectors(alg: AnticommAlgebra, ident, vectors, direct=False):
     return _canonical(field, _run(alg, program, [to_scaled(field, v) for v in vectors]))
 
 
-def _is_zero_value(field, value):
-    if isinstance(value, list):
-        return vec_is_zero(field, value)
-    return field.is_zero(value)
-
-
 def find_counterexample(alg: AnticommAlgebra, ident: Identity):
     """First basis tuple (lexicographic) where the identity fails, or None."""
-    field, n = alg.field, alg.dim
-    k = ident.num_vars
+    n, k = alg.dim, ident.num_vars
     tuples = (
         combinations(range(n), k) if ident.alternating else product(range(n), repeat=k)
     )
     for assignment in tuples:
         value = evaluate(alg, ident, assignment)
-        if not _is_zero_value(field, value):
+        if (any(value) if isinstance(value, list) else value):
             return assignment
     return None
 

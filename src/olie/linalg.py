@@ -6,6 +6,16 @@ the image of the ``i``-th basis vector, and a map is applied to a vector
 with :func:`vec_mat`.  ``kernel_basis`` and ``solve_affine`` use the
 usual column convention ``m @ x``.
 
+Every scalar this module returns is canonical: a ``Fraction`` over Q, an
+int in ``[0, p)`` over GF(p).  Code computes with ``+ - *`` and tests for
+zero by truthiness, which is exact in both fields; the one step that
+depends on the field, an exact value becoming a canonical scalar (``x %
+p`` over GF(p), the identity over Q), is the private ``_canon``, applied
+once per result entry.  The dense helpers (``vec_*``, ``mat_*``), the
+kernel read-off, :meth:`Subspace.reduce`, the products and the scaled
+codecs all reduce through it, and so does algebra code that builds a
+scalar from canonical ones.
+
 There is one elimination kernel, :class:`Echelon`, for both fields.  It
 holds each row as a ``{column: int}`` dict of its nonzero entries and
 adds the rows one at a time to a set of kept rows that stays in reduced
@@ -47,6 +57,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch
 from .fields import same_field
@@ -65,57 +76,45 @@ def basis_vector(field, n, i):
     return v
 
 
+def _canon(field, values):
+    """The canonical scalars of exact values: each reduced mod p over
+    GF(p), the values themselves over Q.  The one place where a value
+    computed with ``+ - *`` becomes a canonical scalar."""
+    p = field.char
+    return [x % p for x in values] if p else list(values)
+
+
 def vec_is_zero(field, v):
-    return all(field.is_zero(x) for x in v)
+    return not any(v)
 
 
 def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
+    return _canon(field, map(add, u, v))
 
 
 def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
+    return _canon(field, map(sub, u, v))
 
 
 def vec_scale(field, c, v):
-    return [field.mul(c, x) for x in v]
+    return _canon(field, [c * x for x in v])
 
 
 def vec_dot(field, u, v):
-    s = field.zero()
-    for a, b in zip(u, v):
-        s = field.add(s, field.mul(a, b))
-    return s
+    return _canon(field, [sum(map(mul, u, v), field.zero())])[0]
 
 
 def vec_mat(field, v, m):
     """Row vector times matrix: the row-convention application of a map."""
-    ncols = len(m[0]) if m else 0
-    out = zeros(field, ncols)
+    out = zeros(field, len(m[0]) if m else 0)
     for i, c in enumerate(v):
-        if field.is_zero(c):
-            continue
-        row = m[i]
-        for j in range(ncols):
-            out[j] = field.add(out[j], field.mul(c, row[j]))
-    return out
+        if c:
+            out = [a + c * b for a, b in zip(out, m[i])]
+    return _canon(field, out)
 
 
 def mat_mul(field, a, b):
-    n, k = len(a), len(b)
-    ncols = len(b[0]) if b else 0
-    out = [zeros(field, ncols) for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(k):
-            c = arow[t]
-            if field.is_zero(c):
-                continue
-            brow = b[t]
-            for j in range(ncols):
-                orow[j] = field.add(orow[j], field.mul(c, brow[j]))
-    return out
+    return [vec_mat(field, row, b) for row in a]
 
 
 def mat_add(field, a, b):
@@ -215,7 +214,7 @@ class SkewProduct:
             ys, dy = _int_support(y)
         acc = _accumulate(self._rows, xs, ys, [0] * self.out_dim)
         if p:
-            return [v % p for v in acc]
+            return _canon(self.field, acc)
         den = dx * dy * self._den
         return [Fraction(v, den) if v else _ZERO for v in acc]
 
@@ -228,7 +227,7 @@ class SkewProduct:
         acc = _accumulate(self._rows, xs, ys, [0] * self.out_dim)
         p = self.field.char
         if p:
-            return [v % p for v in acc], 1
+            return _canon(self.field, acc), 1
         return acc, dx * dy * self._den
 
     def basis_jacobian(self, i, j, k):
@@ -240,7 +239,7 @@ class SkewProduct:
             _accumulate(rows, rows[a][b], ((c, 1),), acc)
         p = self.field.char
         if p:
-            return [v % p for v in acc], 1
+            return _canon(self.field, acc), 1
         return acc, self._den * self._den
 
     def right_images(self, x):
@@ -283,7 +282,7 @@ def to_scaled(field, v):
     back into canonical scalars."""
     p = field.char
     if p:
-        return [a % p for a in v], 1
+        return _canon(field, v), 1
     den = lcm(*[a.denominator for a in v])
     return [a.numerator * (den // a.denominator) for a in v], den
 
@@ -291,9 +290,8 @@ def to_scaled(field, v):
 def from_scaled(field, ints, den):
     """The canonical scalars of the scaled vector ``ints/den``: one
     ``Fraction`` per nonzero entry over Q, residues over GF(p)."""
-    p = field.char
-    if p:
-        return [v % p for v in ints]
+    if field.char:
+        return _canon(field, ints)
     return [Fraction(v, den) if v else _ZERO for v in ints]
 
 
@@ -474,13 +472,10 @@ def _kernel_from_rref(field, red, pivots, ncols):
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = zeros(field, ncols)
-        v[fc] = field.one()
+        v = basis_vector(field, ncols, fc)
         for r, pc in enumerate(pivots):
-            c = red[r][fc]
-            if not field.is_zero(c):
-                v[pc] = field.neg(c)
-        basis.append(v)
+            v[pc] = -red[r][fc]
+        basis.append(_canon(field, v))
     return basis
 
 
@@ -537,15 +532,14 @@ class Subspace:
     def reduce(self, v):
         """Canonical representative of v modulo this subspace.  The rows
         vanish at each other's pivots and have pivot 1, so one pass
-        clears every pivot.  Over GF(p) the entries stay unreduced until
-        :func:`from_scaled` reads them off; over Q they are canonical."""
+        clears every pivot; the entries are reduced once, at the end."""
         if len(v) != self.ambient:
             raise DimensionMismatch("vector length does not match the ambient dimension")
         for row, piv in zip(self.rows, self._pivots):
             c = v[piv]
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
-        return from_scaled(self.field, v, 1) if self.field.char else list(v)
+        return _canon(self.field, v)
 
     def contains(self, v):
         return not any(self.reduce(v))
@@ -581,7 +575,7 @@ class Subspace:
         # columns: coefficients on a-rows then b-rows; rows: ambient coords
         stacked = []
         for coord in range(self.ambient):
-            row = [u[coord] for u in a] + [field.neg(v[coord]) for v in b]
+            row = [u[coord] for u in a] + [-v[coord] for v in b]
             stacked.append(row)
         combos = kernel_basis(field, stacked, len(a) + len(b))
         return Subspace(field, self.ambient, self.lift(c[: len(a)] for c in combos))
@@ -647,12 +641,13 @@ class AffineSolution:
         field = self.kernel.field
         out = [list(self.particular)]
         for k in self.kernel.rows:
-            out.append(vec_add(field, self.particular, list(k)))
+            out.append(vec_add(field, self.particular, k))
         return out
 
     def contains(self, v):
-        field = self.kernel.field
-        return self.kernel.contains(vec_sub(field, list(v), self.particular))
+        if len(v) != len(self.particular):
+            raise DimensionMismatch("vector length does not match the number of unknowns")
+        return self.kernel.contains(vec_sub(self.kernel.field, v, self.particular))
 
 
 def solve_affine(field, rows, rhs):

@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import (
     ENUM_CAP,
     Subspace,
+    _canon,
     basis_vector,
     kernel_basis,
     mat_mul,
@@ -89,15 +90,13 @@ def _stable_power(field, t, k):
     common denominator (residues over GF(p)), squared until the exponent
     reaches k or the matrix vanishes.  For a k x k matrix T, ker T^e and
     im T^e are those of T^k for every e >= k."""
-    p, size = field.char, len(t)
+    size = len(t)
     ints, _ = to_scaled(field, [x for row in t for x in row])
     m = [ints[i * size : (i + 1) * size] for i in range(size)]
     e = 1
     while e < k and any(map(any, m)):
         cols = list(zip(*m))
-        m = [[sum(map(mul, row, col)) for col in cols] for row in m]
-        if p:
-            m = [[x % p for x in row] for row in m]
+        m = [_canon(field, [sum(map(mul, row, col)) for col in cols]) for row in m]
         e *= 2
     return m
 
@@ -152,17 +151,11 @@ def _char_poly_q(field, matrix):
             m = [row[:] for row in matrix]
         else:
             shifted = [
-                [
-                    field.add(m[i][j], c if i == j else field.zero())
-                    for j in range(n)
-                ]
-                for i in range(n)
+                [x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)
             ]
             m = mat_mul(field, matrix, shifted)
-        trace = field.zero()
-        for i in range(n):
-            trace = field.add(trace, m[i][i])
-        c = field.div(field.neg(trace), field.coerce(k))
+        trace = sum((m[i][i] for i in range(n)), field.zero())
+        c = field.div(-trace, k)
         coeffs[n - k] = c
     return coeffs
 
@@ -257,8 +250,9 @@ def _eigenspaces(field, matrix):
         return None
     out = []
     for lam in candidates:
+        # unreduced over GF(p): the kernel and the power reduce their input
         shifted = [
-            [field.sub(x, lam) if i == j else x for j, x in enumerate(row)]
+            [x - lam if i == j else x for j, x in enumerate(row)]
             for i, row in enumerate(matrix)
         ]
         if kernel_basis(field, transpose(shifted), n):
@@ -315,15 +309,14 @@ def check_root_properties(alg: AnticommAlgebra, sub: Subspace):
         raise PreconditionFailed("the decomposition does not split over this field")
     ortho, brackets = [], []
     for (va, sa), (vb, sb) in combinations(dec.roots, 2):
-        sums = tuple(field.add(x, y) for x, y in zip(va, vb))
-        if any(not field.is_zero(s) for s in sums):
+        if any(vec_add(field, va, vb)):
             for ra in sa.rows:
                 for rb in sb.rows:
-                    if not field.is_zero(alg.omega(list(ra), list(rb))):
+                    if alg.omega(list(ra), list(rb)):
                         ortho.append((va, vb))
     for (va, sa) in dec.roots:
         for (vb, sb) in dec.roots:
-            sums = tuple(field.add(x, y) for x, y in zip(va, vb))
+            sums = tuple(vec_add(field, va, vb))
             target = dec.root_space(sums)
             for ra in sa.rows:
                 for rb in sb.rows:
@@ -365,10 +358,8 @@ def binomial_identity_check(alg: AnticommAlgebra, sub: Subspace, n_max: int):
 
         for a in shifts:
             for b in shifts:
-                ab = field.add(a, b)
-                ab_pows = [field.one()]
-                for _ in range(n_max):
-                    ab_pows.append(field.mul(ab_pows[-1], ab))
+                ab = a + b
+                ab_pows = _canon(field, [ab**k for k in range(n_max + 1)])
                 for xi in range(dim):
                     powers_x = shifted_powers(a, e[xi])
                     for yi in range(dim):
@@ -376,27 +367,19 @@ def binomial_identity_check(alg: AnticommAlgebra, sub: Subspace, n_max: int):
                         wxy = alg.omega(e[xi], e[yi])
                         powers_br = shifted_powers(ab, alg.bracket(e[xi], e[yi]))
                         for npow in range(1, n_max + 1):
-                            coeffs, pairs = [], []
-                            for i in range(npow + 1):
-                                coeffs.append(field.coerce(comb(npow, i)))
-                                pairs.append((powers_x[npow - i], powers_y[i]))
+                            coeffs = [comb(npow, i) for i in range(npow + 1)]
+                            pairs = [(powers_x[npow - i], powers_y[i]) for i in range(npow + 1)]
                             total = vec_dot(
                                 field, coeffs, [alg.omega(u, v) for u, v in pairs]
                             )
                             vec_total = vec_mat(
                                 field, coeffs, [alg.bracket(u, v) for u, v in pairs]
                             )
-                            if not field.is_zero(field.sub(total, field.mul(ab_pows[npow], wxy))):
+                            if any(_canon(field, [total - ab_pows[npow] * wxy])):
                                 return False
-                            correction = field.mul(
-                                field.coerce(npow), field.mul(ab_pows[npow - 1], wxy)
-                            )
-                            rhs = vec_sub(
-                                field,
-                                powers_br[npow],
-                                vec_scale(field, correction, list(h)),
-                            )
-                            if not vec_is_zero(field, vec_sub(field, vec_total, rhs)):
+                            correction = npow * ab_pows[npow - 1] * wxy
+                            rhs = vec_sub(field, powers_br[npow], vec_scale(field, correction, h))
+                            if vec_total != rhs:
                                 return False
     return True
 
@@ -508,8 +491,8 @@ def _rank2_line_parameters(alg, core: Subspace):
         a = core.quotient_coords(alg.bracket(list(k), r1))
         b = core.quotient_coords(alg.bracket(list(k), r2))
         # cross((a + t b), (1, t)) = b0 t^2 + (a0 - b1) t - a1
-        polys.append([field.neg(a[1]), field.sub(a[0], b[1]), b[0]])
-    nontrivial = [p for p in polys if any(not field.is_zero(c) for c in p)]
+        polys.append(_canon(field, [-a[1], a[0] - b[1], b[0]]))
+    nontrivial = [p for p in polys if any(p)]
     if nontrivial:
         params = [
             t
@@ -520,7 +503,7 @@ def _rank2_line_parameters(alg, core: Subspace):
         params = [field.zero()]
     # the line through r2 alone: the t^2 coefficients, first quotient
     # coordinates of [k, r2], all vanish
-    if all(field.is_zero(p[2]) for p in polys):
+    if not any(p[2] for p in polys):
         params.append(None)
     return params
 
@@ -530,25 +513,24 @@ def _quadratic_roots(field, coeffs):
     polynomial c0 + c1 t + c2 t^2 given as [c0, c1, c2]; a quadratic is
     solved by its discriminant (the characteristic is not 2)."""
     c0, c1, c2 = coeffs
-    if not field.is_zero(c2):
-        disc = field.sub(field.mul(c1, c1), field.mul(field.coerce(4), field.mul(c2, c0)))
-        root = field.sqrt(disc)
+    if c2:
+        # sqrt and div take unreduced values and return canonical ones
+        root = field.sqrt(c1 * c1 - 4 * c2 * c0)
         if root is None:
             return []
-        twice = field.mul(field.coerce(2), c2)
-        roots = {field.div(field.sub(r, c1), twice) for r in (root, field.neg(root))}
-    elif not field.is_zero(c1):
-        roots = {field.div(field.neg(c0), c1)}
+        roots = {field.div(r - c1, 2 * c2) for r in (root, -root)}
+    elif c1:
+        roots = {field.div(-c0, c1)}
     else:
         roots = set()
     return sorted(roots)
 
 
 def _poly_eval_is_zero(field, coeffs, t):
-    value = field.zero()
+    value = 0
     for c in reversed(coeffs):
-        value = field.add(field.mul(value, t), c)
-    return field.is_zero(value)
+        value = value * t + c
+    return not any(_canon(field, [value]))
 
 
 def _hyperplanes_over_subspace(alg, core: Subspace):
@@ -628,7 +610,7 @@ def classify(alg: AnticommAlgebra):
             der.alpha
             for lam in (() if lam_set is None else lam_set.points())
             for der in al_derivation_space(alg, lam)
-            if not all(field.is_zero(x) for x in der.alpha)
+            if any(der.alpha)
         )
         kernels = (Subspace(field, n, kernel_basis(field, [a], n)) for a in alphas)
         witness = next(filter(lie_hyperplane, kernels), None)
@@ -656,6 +638,6 @@ def alpha_vanishing_scan(alg: AnticommAlgebra):
     ker_rows = [list(r) for r in alg.omega_kernel().rows]
     for lam in lam_set.points():
         for der in al_derivation_space(alg, lam):
-            if any(not field.is_zero(vec_dot(field, k, der.alpha)) for k in ker_rows):
+            if any(vec_dot(field, k, der.alpha) for k in ker_rows):
                 return False
     return True

@@ -12,9 +12,11 @@ building blocks.  The Fitting and abelian-witness references near the
 end, the derivation-check and eigenspace references after them, and
 the references of the systems and operators that now read the signed
 pair table (multiplicative forms, the almost-abelian system, the
-multiplicativity and module checks, the adjoint map) at the very end are the
+multiplicativity and module checks, the adjoint map) near the end are the
 library's earlier bodies, built on its own subspaces, kernels and dense
-matrix helpers: what they pin is the result of the earlier method.
+matrix helpers: what they pin is the result of the earlier method.  The
+dense helpers at the very end are the earlier bodies of those helpers,
+one field-method call per scalar.
 """
 
 import weakref
@@ -1206,3 +1208,92 @@ def check_representation_reference(alg, maps):
                 if not field.is_zero(field.sub(lhs[a][b], rhs)):
                     return False
     return True
+
+
+# -- the dense helpers, one field-method call per scalar -----------------------
+# The bodies the dense helpers of ``olie.linalg`` had before they computed
+# with operators and reduced each result entry once: the vector and
+# matrix arithmetic, the kernel read off ``rref_reference``, and the
+# intersection and lift of RREF bases.
+
+
+def vec_add_reference(field, u, v):
+    return [field.add(a, b) for a, b in zip(u, v)]
+
+
+def vec_sub_reference(field, u, v):
+    return [field.sub(a, b) for a, b in zip(u, v)]
+
+
+def vec_scale_reference(field, c, v):
+    return [field.mul(c, x) for x in v]
+
+
+def vec_dot_reference(field, u, v):
+    s = field.zero()
+    for a, b in zip(u, v):
+        s = field.add(s, field.mul(a, b))
+    return s
+
+
+def vec_mat_reference(field, v, m):
+    ncols = len(m[0]) if m else 0
+    out = [field.zero()] * ncols
+    for i, c in enumerate(v):
+        if field.is_zero(c):
+            continue
+        for j in range(ncols):
+            out[j] = field.add(out[j], field.mul(c, m[i][j]))
+    return out
+
+
+def mat_mul_reference(field, a, b):
+    return [vec_mat_reference(field, row, b) for row in a]
+
+
+def mat_add_reference(field, a, b):
+    return [vec_add_reference(field, ra, rb) for ra, rb in zip(a, b)]
+
+
+def mat_sub_reference(field, a, b):
+    return [vec_sub_reference(field, ra, rb) for ra, rb in zip(a, b)]
+
+
+def mat_scale_reference(field, c, a):
+    return [vec_scale_reference(field, c, row) for row in a]
+
+
+def kernel_reference(field, rows, ncols):
+    """Basis of {v : rows @ v = 0}, one vector per free column of
+    ``rref_reference``, in column order."""
+    red, _, pivots = rref_reference(field, rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            c = red[r][fc]
+            if not field.is_zero(c):
+                v[pc] = field.neg(c)
+        basis.append(v)
+    return basis
+
+
+def lift_reference(field, rows, coords):
+    return [vec_mat_reference(field, c, rows) for c in coords]
+
+
+def intersect_reference(field, ambient, a, b):
+    """The canonical rows of the intersection of the row spaces of the
+    RREF bases ``a`` and ``b``, by the coefficient-matching kernel."""
+    if not a or not b:
+        return []
+    stacked = [
+        [u[coord] for u in a] + [field.neg(v[coord]) for v in b] for coord in range(ambient)
+    ]
+    combos = kernel_reference(field, stacked, len(a) + len(b))
+    vectors = lift_reference(field, a, [c[: len(a)] for c in combos])
+    red, rank, _ = rref_reference(field, vectors)
+    return red[:rank]

@@ -642,6 +642,17 @@ def test_omega_assoc_rejects_bad_pair():
         minus_algebra(QQ, 4, product, w1, [F(0)] * 16)
 
 
+def test_minus_algebra_rejects_forms_of_the_wrong_length():
+    """An over-long pair was cut to length by the solution check and
+    read as satisfying the law; a long w1 with a short w2 also misaligns
+    the two forms."""
+    product = gl2_product()
+    zero = [F(0)] * 16
+    for w1, w2 in ((zero + [F(7)], zero), (zero, zero + [F(7)]), (zero + [F(0)], zero[1:])):
+        with pytest.raises(DimensionMismatch):
+            minus_algebra(QQ, 4, product, w1, w2)
+
+
 def test_omega_assoc_random_dim2_search():
     rng = random.Random(12)
     found = 0

@@ -7,7 +7,10 @@ module's tree, function bodies and annotations included.
 
 No module calls ``basis_bracket``: systems and operators read the signed
 pair table in ints.  ``identities`` and ``derivations`` use no ``%``:
-the GF(p) reduction of their int values is left to ``linalg``.
+the GF(p) reduction of their int values is left to ``linalg``.  No
+module but ``fields`` calls the per-scalar ``add``, ``sub``, ``mul``,
+``neg`` or ``is_zero`` of a field: scalars are computed with operators
+and reduced by ``linalg``.
 """
 
 import ast
@@ -78,3 +81,35 @@ def test_the_checks_see_calls_and_modulo():
     source = "def f(alg, p, v):\n    v %= p\n    return alg.basis_bracket(0, 1), basis_bracket(1, 0), v % p\n"
     assert calls_to(source, "basis_bracket") == [3, 3]
     assert modulo_uses(source) == [2, 3]
+
+
+SCALAR_OPS = {"add", "sub", "mul", "neg", "is_zero"}
+
+
+def field_scalar_calls(source):
+    """Line numbers of the calls of a per-scalar field op on a receiver
+    named ``field`` or ending in ``.field``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in SCALAR_OPS:
+            receiver = node.func.value
+            if "field" in (getattr(receiver, "id", None), getattr(receiver, "attr", None)):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "fields.py"], ids=lambda p: p.name
+)
+def test_no_per_scalar_field_calls(path):
+    assert field_scalar_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_per_scalar_field_calls():
+    source = (
+        "def f(self, field, alg, span, a):\n"
+        "    span.add(a)\n"
+        "    x = field.add(a, a), field.inv(a), field.mul\n"
+        "    return alg.field.neg(a), self.field.is_zero(a), field.coerce(a)\n"
+    )
+    assert field_scalar_calls(source) == [3, 4, 4]

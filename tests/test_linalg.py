@@ -11,22 +11,41 @@ from olie.linalg import (
     basis_vector,
     identity_matrix,
     kernel_basis,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_sub,
     projective_points,
     rref,
     solve_affine,
+    vec_add,
     vec_dot,
     vec_mat,
+    vec_scale,
+    vec_sub,
 )
 
 from oracles import (
+    intersect_reference,
+    kernel_reference,
+    lift_reference,
+    mat_add_reference,
+    mat_mul_reference,
+    mat_scale_reference,
+    mat_sub_reference,
     matrix_rank,
     rank_gf,
     rank_q,
     reduce_reference,
     rref_gf_dense,
     rref_reference,
+    vec_add_reference,
+    vec_dot_reference,
+    vec_mat_reference,
+    vec_scale_reference,
+    vec_sub_reference,
 )
-from strategies import FIELDS, scalars
+from strategies import FIELDS, assert_canonical, scalars
 
 
 def test_rref_identity():
@@ -87,6 +106,17 @@ def test_subspace_rejects_vectors_of_the_wrong_length(field):
             with pytest.raises(DimensionMismatch):
                 method(v)
     assert line.coords([1, 0, 0]) == [1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_affine_solution_rejects_vectors_of_the_wrong_length(field):
+    """The particular point was subtracted entry by entry up to the
+    shorter length, so an over-long vector read as a solution."""
+    sol = solve_affine(field, [[1, 0, 0]], [1])
+    assert sol.contains([1, 5, 7])
+    for v in ([1, 5], [1, 5, 7, 99]):
+        with pytest.raises(DimensionMismatch):
+            sol.contains(v)
 
 
 def test_quotient_reps_complete_basis():
@@ -446,3 +476,44 @@ def test_projective_points_order(p):
         points = list(projective_points(p, k))
         assert points == list(_projective_recursive(p, k))
         assert len(points) == (p**k - 1) // (p - 1)
+
+
+# -- the dense helpers against their per-scalar bodies -------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(1000003)], ids=str)
+@given(data=st.data())
+def test_dense_helpers_match_per_scalar_references(field, data):
+    """Exact equality with one field-method call per scalar, and every
+    entry canonical: over GF(1000003) products of residues pass p, so a
+    result entry left unreduced shows."""
+    k, r, m = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        row = st.lists(scalars(field), min_size=ncols, max_size=ncols)
+        return data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+    (u, v), c = matrix(2, k), data.draw(scalars(field))
+    a, b, a2 = matrix(r, k), matrix(k, m), matrix(r, k)
+    left, right = Subspace(field, k, matrix(r, k)), Subspace(field, k, matrix(m, k))
+    coords = matrix(3, left.dim)
+    pairs = [
+        ([vec_add(field, u, v)], [vec_add_reference(field, u, v)]),
+        ([vec_sub(field, u, v)], [vec_sub_reference(field, u, v)]),
+        ([vec_scale(field, c, u)], [vec_scale_reference(field, c, u)]),
+        ([[vec_dot(field, u, v)]], [[vec_dot_reference(field, u, v)]]),
+        ([vec_mat(field, u, b)], [vec_mat_reference(field, u, b)]),
+        (mat_mul(field, a, b), mat_mul_reference(field, a, b)),
+        (mat_add(field, a, a2), mat_add_reference(field, a, a2)),
+        (mat_sub(field, a, a2), mat_sub_reference(field, a, a2)),
+        (mat_scale(field, c, a), mat_scale_reference(field, c, a)),
+        (kernel_basis(field, a, k), kernel_reference(field, a, k)),
+        (
+            left.intersect(right).basis(),
+            intersect_reference(field, k, left.basis(), right.basis()),
+        ),
+        (left.lift(coords), lift_reference(field, left.basis(), coords)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert_canonical(field, [x for row in got for x in row])
