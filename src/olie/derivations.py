@@ -126,10 +126,19 @@ def check_al_derivation(alg: AnticommAlgebra, der: AlphaLambdaDerivation):
     """Exact test of the defining relation on all basis pairs: the rows
     that :func:`al_derivation_space` solves, evaluated on the scaled
     (D, alpha) vector, each row sum zero in the field."""
+    field = alg.field
+    return _holds_al_derivation(
+        alg,
+        [[field.coerce(x) for x in row] for row in der.matrix],
+        [field.coerce(x) for x in der.alpha],
+        [field.coerce(x) for x in der.lam],
+    )
+
+
+def _holds_al_derivation(alg: AnticommAlgebra, matrix, alpha, lam):
+    """:func:`check_al_derivation` on canonical scalars, coerced by the
+    caller."""
     field, n = alg.field, alg.dim
-    matrix = [[field.coerce(x) for x in row] for row in der.matrix]
-    alpha = [field.coerce(x) for x in der.alpha]
-    lam = [field.coerce(x) for x in der.lam]
     if len(matrix) != n or any(len(row) != n for row in matrix) or len(alpha) != n:
         raise DimensionMismatch("derivation data does not match the algebra")
     unknowns, _ = to_scaled(field, [x for row in matrix for x in row] + alpha)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import AnticommAlgebra, OmegaAlgebra
-from .derivations import AlphaLambdaDerivation, check_al_derivation
+from .derivations import _holds_al_derivation
 from .errors import (
     DimensionMismatch,
     NotACocycle,
@@ -79,8 +79,7 @@ def extend_codim1(alg: AnticommAlgebra, lam, matrix, alpha):
         raise DimensionMismatch("extension data does not match the base dimension")
     if not is_multiplicative_for(alg, lam):
         raise NotMultiplicative("lambda does not reproduce the form on brackets")
-    der = AlphaLambdaDerivation(matrix, alpha, lam)
-    if not check_al_derivation(alg, der):
+    if not _holds_al_derivation(alg, matrix, alpha, lam):
         raise NotADerivation("(D, alpha) fails the derivation relation for this lambda")
     bracket = {pair: dict(row) for pair, row in alg._bracket.items()}
     omega = dict(alg._omega)

@@ -97,12 +97,12 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero in Q")
-        return 1 / a
+        return 1 / Fraction(a)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by zero in Q")
-        return a / b
+        return Fraction(a) / b
 
     def is_zero(self, a):
         return a == 0

@@ -14,11 +14,14 @@ two arguments repeat, so the lexicographically first counterexample is
 unchanged; this fast path is unit-tested against full enumeration).
 
 Evaluation runs a :class:`Program`: the term compiled once into a node
-list in which each distinct subterm appears once (``degree5`` has 960
-bracket nodes as a tree and 440 as a program).  An :class:`Identity`
-compiles its term when it is built (its arity is that of the program)
-and its direct form on first use, and keeps both; built-in identities
-are built once per process.
+list with one node per subterm modulo anticommutativity.  ``[u,v]`` and
+``-[v,u]`` share a node, ``[u,u]`` vanishes and like terms of a sum are
+collected, which every :class:`AnticommAlgebra` allows in every
+characteristic (``degree5`` has 960 bracket nodes as a tree, 440 with
+subterms shared only up to syntax, and 190 as a program, with one
+90-part sum).  An :class:`Identity` compiles its term when it is built
+(its arity is that of the term) and its direct form on first use, and
+keeps both; built-in identities are built once per process.
 
 A program runs on scaled values (``linalg.to_scaled``): every node holds
 ints over one denominator, ``ints/den`` over Q and ints with ``den`` 1
@@ -308,12 +311,25 @@ def format_term(term):
 
 @dataclass(frozen=True)
 class Program:
-    """A term compiled into a hash-consed node list.
+    """A term compiled into a node list, one node per subterm modulo
+    anticommutativity.
 
-    Each distinct subterm is one node, and every node comes after the
-    nodes it reads, so the root is last.  A node is a tuple: ``(VAR, k)``,
-    ``(INT, k)``, ``(SUM, (i, ...))``, or ``(tag, i, j)`` for the bracket,
-    the form and scaling, where ``i``, ``j`` are node indices.
+    Every node comes after the nodes it reads, and every node but the
+    root is read by a later one, so the root is last.  A node is a tuple:
+    ``(VAR, k)``, ``(INT, k)``, ``(SUM, ((c, i), ...))`` with int
+    coefficients ``c`` on node indices ``i``, or ``(tag, i, j)`` for the
+    bracket, the form and scaling (``i`` is the scalar), where ``i``,
+    ``j`` are node indices.
+
+    The compiler merges what every :class:`AnticommAlgebra` makes equal:
+    ``[u,v]`` and ``-[v,u]`` are one bracket node with ``i < j`` (the
+    form likewise), ``[u,u]`` and ``w(u,u)`` are zero, integer scalings
+    become coefficients, nested sums are flattened with like parts
+    collected (parts in node order, none with coefficient 0), and nodes
+    the root does not read are dropped.  So an ``INT`` node is ``1``
+    inside a sum, or ``0`` as the root of a vanishing scalar term; the
+    empty sum is the zero vector.  ``num_vars`` is the largest variable
+    of the term, whether the root reads it or not.
     """
 
     nodes: tuple
@@ -321,28 +337,84 @@ class Program:
 
 
 def compile_term(term):
-    """Compile a term into a :class:`Program`; equal subterms share a node."""
+    """Compile a term into a :class:`Program`; subterms equal modulo
+    anticommutativity share a node."""
     nodes, index = [], {}
 
-    def visit(t):
-        tag = t[0]
-        if tag in (VAR, INT):
-            key = t
-        elif tag == SUM:
-            key = (SUM, tuple(visit(u) for u in t[1]))
-        elif tag in (BRACKET, OMEGA, SCALE):
-            key = (tag, visit(t[1]), visit(t[2]))
-        else:
-            raise IdentityTypeError(f"unknown node {tag!r}")
+    def node(key):
         at = index.get(key)
         if at is None:
             at = index[key] = len(nodes)
             nodes.append(key)
         return at
 
-    visit(term)
+    def parts(t):
+        """The term as ``{node: coefficient}``, without zero coefficients."""
+        tag = t[0]
+        if tag == SUM:
+            out = {}
+            for u in t[1]:
+                for i, c in parts(u).items():
+                    out[i] = out.get(i, 0) + c
+            return {i: c for i, c in out.items() if c}
+        if tag == VAR:
+            return {node(t): 1}
+        if tag == INT:
+            return {node((INT, 1)): t[1]} if t[1] else {}
+        if tag not in (BRACKET, OMEGA, SCALE):
+            raise IdentityTypeError(f"unknown node {tag!r}")
+        left, right = parts(t[1]), parts(t[2])
+        if tag == SCALE and left.keys() <= {index.get((INT, 1))}:  # an integer
+            k = sum(left.values())
+            return {i: k * c for i, c in right.items()} if k else {}
+        (c, i), (d, j) = single(left), single(right)
+        if not c or not d or i == j:
+            return {}
+        if i > j and tag != SCALE:
+            i, j, c = j, i, -c
+        return {node((tag, i, j)): c * d}
+
+    def single(combination):
+        """A ``{node: coefficient}`` combination as ``(coefficient, node)``,
+        with coefficient 0 if it is empty."""
+        collected = sorted(combination.items())
+        if not collected:
+            return 0, None
+        if len(collected) == 1:
+            (i, c), = collected
+            return c, i
+        return 1, node((SUM, tuple((c, i) for i, c in collected)))
+
+    c, root = single(parts(term))
     num_vars = max((k for tag, k, *_ in nodes if tag == VAR), default=0)
-    return Program(tuple(nodes), num_vars)
+    if c != 1:
+        zero = (INT, 0) if term_type(term) == "scalar" else (SUM, ())
+        nodes.append((SUM, ((c, root),)) if c else zero)
+        root = len(nodes) - 1
+    live = [False] * root + [True]
+    for at in range(root, -1, -1):
+        if live[at]:
+            for i in _operands(nodes[at]):
+                live[i] = True
+    kept, new = [], {}
+    for at in range(root + 1):
+        if live[at]:
+            key = nodes[at]
+            if key[0] == SUM:
+                key = (SUM, tuple((c, new[i]) for c, i in key[1]))
+            elif key[0] not in (VAR, INT):
+                key = (key[0], new[key[1]], new[key[2]])
+            new[at] = len(kept)
+            kept.append(key)
+    return Program(tuple(kept), num_vars)
+
+
+def _operands(node):
+    """The node indices a program node reads."""
+    tag = node[0]
+    if tag == SUM:
+        return [i for _, i in node[1]]
+    return () if tag in (VAR, INT) else node[1:]
 
 
 def _program(ident, direct):
@@ -365,13 +437,16 @@ def _run(alg: AnticommAlgebra, program, args):
             (c, dc), (v, dv) = vals[node[1]], vals[node[2]]
             value = [c * x for x in v], dc * dv
         elif tag == SUM:
-            parts = [vals[i] for i in node[1]]
-            den = lcm(*[d for _, d in parts])
-            if isinstance(parts[0][0], list):
-                parts = [v if d == den else [den // d * x for x in v] for v, d in parts]
+            parts = [(c, vals[i]) for c, i in node[1]]
+            den = lcm(*[d for _, (_, d) in parts])
+            parts = [(c * (den // d), v) for c, (v, d) in parts]
+            if not parts:  # the zero vector; the zero scalar is (INT, 0)
+                value = [0] * alg.dim, 1
+            elif isinstance(parts[0][1], list):
+                parts = [v if c == 1 else [c * x for x in v] for c, v in parts]
                 value = [sum(col) for col in zip(*parts)], den
             else:
-                value = sum(c * (den // d) for c, d in parts), den
+                value = sum(c * v for c, v in parts), den
         elif tag == VAR:
             value = args[node[1] - 1]
         elif tag == INT:

@@ -16,13 +16,19 @@ multiplicativity and module checks, the adjoint map) near the end are the
 library's earlier bodies, built on its own subspaces, kernels and dense
 matrix helpers: what they pin is the result of the earlier method.  The
 dense helpers at the very end are the earlier bodies of those helpers,
-one field-method call per scalar.
+one field-method call per scalar.  The identity compiler and program
+runner at the very end are the library's earlier pair, which shared
+subterms only up to syntax: what they pin is the value of a term.
 """
 
 import weakref
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
+from math import lcm
+
+from olie.errors import IdentityTypeError
+from olie.identities import BRACKET, INT, OMEGA, SCALE, SUM, VAR, Program
 
 
 def _to_int_rows(rows):
@@ -1297,3 +1303,59 @@ def intersect_reference(field, ambient, a, b):
     vectors = lift_reference(field, a, [c[: len(a)] for c in combos])
     red, rank, _ = rref_reference(field, vectors)
     return red[:rank]
+
+
+def compile_term_reference(term):
+    """Compile a term into a :class:`Program`; equal subterms share a node."""
+    nodes, index = [], {}
+
+    def visit(t):
+        tag = t[0]
+        if tag in (VAR, INT):
+            key = t
+        elif tag == SUM:
+            key = (SUM, tuple(visit(u) for u in t[1]))
+        elif tag in (BRACKET, OMEGA, SCALE):
+            key = (tag, visit(t[1]), visit(t[2]))
+        else:
+            raise IdentityTypeError(f"unknown node {tag!r}")
+        at = index.get(key)
+        if at is None:
+            at = index[key] = len(nodes)
+            nodes.append(key)
+        return at
+
+    visit(term)
+    num_vars = max((k for tag, k, *_ in nodes if tag == VAR), default=0)
+    return Program(tuple(nodes), num_vars)
+
+
+def run_reference(alg, program, args):
+    """The root value of a program with ``x_k`` bound to the scaled vector
+    ``args[k - 1]``, as a scaled vector or scalar: ints over one
+    denominator, 1 over GF(p).  Sums and scalings are not reduced mod p;
+    the bracket, the form and :func:`~olie.linalg.from_scaled` are."""
+    vals = []
+    for node in program.nodes:
+        tag = node[0]
+        if tag == BRACKET:
+            value = alg.bracket_scaled(vals[node[1]], vals[node[2]])
+        elif tag == SCALE:
+            (c, dc), (v, dv) = vals[node[1]], vals[node[2]]
+            value = [c * x for x in v], dc * dv
+        elif tag == SUM:
+            parts = [vals[i] for i in node[1]]
+            den = lcm(*[d for _, d in parts])
+            if isinstance(parts[0][0], list):
+                parts = [v if d == den else [den // d * x for x in v] for v, d in parts]
+                value = [sum(col) for col in zip(*parts)], den
+            else:
+                value = sum(c * (den // d) for c, d in parts), den
+        elif tag == VAR:
+            value = args[node[1] - 1]
+        elif tag == INT:
+            value = node[1], 1
+        else:
+            value = alg.omega_scaled(vals[node[1]], vals[node[2]])
+        vals.append(value)
+    return vals[-1]

@@ -114,6 +114,20 @@ def test_extension_rejects_bad_data(n3, sl2):
         extend_codim1(sl2, [0, 0, 0], h_to_e, [0, -1, 0])
 
 
+def test_extension_coerces_its_data_once(gf5, monkeypatch):
+    """D, alpha and lambda are coerced once each: the derivation check
+    reads the canonical values, as does a wrong-length row of D."""
+    n3 = catalog.builtin_algebra("omega.n3", gf5)
+    calls = []
+    coerce = type(gf5).coerce
+    monkeypatch.setattr(type(gf5), "coerce", lambda self, x: calls.append(x) or coerce(self, x))
+    with pytest.raises(NotADerivation):
+        extend_codim1(n3, [2, 0, 0], [[2, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 2, 0])
+    assert len(calls) == 3 * 3 + 2 * 3
+    with pytest.raises(DimensionMismatch):
+        extend_codim1(n3, [2, 0, 0], [[0, 0, -1], [1, 0], [0, 0, 0]], [0, 2, 0])
+
+
 def test_extension_of_an_uncertified_base_is_certified(n3):
     # the table of omega.n3 without its form breaks the law on (1,2,3);
     # zero data pass both extension checks, so only the certification

@@ -14,6 +14,12 @@ def test_rational_arithmetic():
     assert QQ.inv(Fraction(-2, 5)) == Fraction(-5, 2)
 
 
+def test_rational_inverse_and_quotient_of_ints_are_fractions():
+    for got in (QQ.inv(3), QQ.div(1, 3)):
+        assert got == Fraction(1, 3) and type(got) is Fraction
+    assert type(QQ.div(Fraction(1, 2), 3)) is Fraction
+
+
 def test_gf_arithmetic():
     f = GF(5)
     assert f.inv(3) == 2

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +28,14 @@ from olie.errors import (
     NotMultilinear,
     UnknownIdentity,
 )
+from olie import identities
 from olie.identities import (
     BRACKET,
+    INT,
+    OMEGA,
+    SCALE,
+    SUM,
+    Identity,
     b,
     compile_term,
     format_term,
@@ -37,10 +47,10 @@ from olie.identities import (
     var,
     w,
 )
-from olie.linalg import basis_vector, vec_is_zero
+from olie.linalg import basis_vector, from_scaled, to_scaled, vec_is_zero
 
-from oracles import d_omega_reference, eval_reference
-from strategies import FIELDS, algebras, assert_canonical
+from oracles import compile_term_reference, d_omega_reference, eval_reference, run_reference
+from strategies import FIELDS, algebras, assert_canonical, scalars
 
 
 def test_parse_vector_term():
@@ -221,11 +231,75 @@ def test_engel_and_bin_direct_forms(sl2, n3):
 def test_compiled_degree5_shares_subterms():
     program = builtin("degree5").compiled()
     brackets = [node for node in program.nodes if node[0] == BRACKET]
-    # 20 + 60 + 120 + 120 distinct left-normed brackets and 120 products
-    # [[[a,b],c],[d,e]], against 960 bracket nodes in the tree
-    assert len(brackets) == 440
+    # modulo anticommutativity [a,b] is one node per pair a < b, so there
+    # are 10 brackets [a,b], 30 [[a,b],c], 60 [[[a,b],c],d], 60 [[[[a,b],c],d],e]
+    # and 30 products [[[a,b],c],[d,e]] (the pair d < e is what is left):
+    # 10 + 30 + 60 + 60 + 30, against 440 shared only up to syntax and
+    # 960 bracket nodes in the tree
+    assert len(brackets) == 10 + 30 + 60 + 60 + 30 == 190
+    # the 120 signed monomials collect into one sum of the 90 products
+    assert program.nodes[-1][0] == SUM and len(program.nodes[-1][1]) == 60 + 30
     assert program.num_vars == 5
     assert builtin("degree5") is builtin("degree5")
+
+
+def assert_canonical_program(program):
+    """No bracket or form node with ``i >= j``, no sum part with
+    coefficient 0 or out of node order, each node read only after it is
+    built, and every node but the root read by a later node."""
+    nodes, read = program.nodes, set()
+    for at, node in enumerate(nodes):
+        tag = node[0]
+        if tag == SUM:
+            operands = [i for _, i in node[1]]
+            assert all(c for c, _ in node[1])
+            assert operands == sorted(set(operands))
+        elif tag in (BRACKET, OMEGA, SCALE):
+            operands = node[1:]
+            assert tag == SCALE or node[1] < node[2]
+        else:
+            operands = ()
+        assert all(i < at for i in operands)
+        read.update(operands)
+    assert read == set(range(len(nodes) - 1))
+    assert len(set(nodes)) == len(nodes)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_programs_are_canonical(name):
+    ident = builtin(name)
+    assert_canonical_program(ident.compiled())
+    assert_canonical_program(ident.compiled(direct=True))
+
+
+def test_cancelling_identity_keeps_its_arity(sl2):
+    ident = Identity("z", parse_term("(+ (b x1 x2) (b x2 x1))"))
+    assert ident.num_vars == 2
+    assert evaluate(sl2, ident, (0, 1)) == [F(0)] * 3
+    assert holds(sl2, ident)
+    with pytest.raises(ArityMismatch):
+        evaluate(sl2, ident, (0,))
+
+
+def test_compiled_programs_do_not_depend_on_the_hash_seed():
+    """Built-in programs compile to equal node lists in fresh interpreters
+    with different string-hash seeds."""
+    script = (
+        "from olie.identities import builtin, builtin_names\n"
+        "for name in builtin_names():\n"
+        "    ident = builtin(name)\n"
+        "    print(name, ident.compiled().nodes, ident.compiled(direct=True).nodes)\n"
+    )
+    src = str(Path(identities.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == len(builtin_names())
 
 
 def _is_zero_value(field, value):
@@ -250,11 +324,44 @@ def _test_algebras():
     yield chain
 
 
+def _degree5_algebras():
+    """Past the dimension-5 chain of :func:`_test_algebras`: a chain of
+    dimension 6, on which degree5 holds, and random tables of dimensions
+    5 and 6, on which it fails."""
+    chain = catalog.random_extension_chain(GF(5), 0, 6)
+    assert not isinstance(chain, catalog.Stuck)
+    yield chain
+    rng = random.Random("degree5/tables")
+    for field, n in ((QQ, 5), (GF(7), 6)):
+        pairs = list(combinations(range(n), 2))
+        bracket = {
+            pair: {k: field.coerce(rng.randint(-2, 2)) for k in rng.sample(range(n), 2)}
+            for pair in pairs
+        }
+        omega = {pair: field.coerce(rng.randint(-2, 2)) for pair in pairs}
+        yield AnticommAlgebra(field, n, bracket, omega)
+
+
+def reference_value(alg, term, vectors):
+    """The value of a term by the earlier compiler and runner, which share
+    subterms only up to syntax."""
+    field = alg.field
+    args = [to_scaled(field, v) for v in vectors]
+    ints, den = run_reference(alg, compile_term_reference(term), args)
+    if isinstance(ints, list):
+        return from_scaled(field, ints, den)
+    return from_scaled(field, [ints], den)[0]
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_builtins_match_reference(name):
     ident = builtin(name)
     rng = random.Random(f"builtin/{name}")
-    for alg in _test_algebras():
+    algebras = list(_test_algebras())
+    if name == "degree5":
+        algebras += _degree5_algebras()
+    counterexamples = []
+    for alg in algebras:
         field, n = alg.field, alg.dim
         e = [basis_vector(field, n, i) for i in range(n)]
 
@@ -263,22 +370,25 @@ def test_builtins_match_reference(name):
 
         k = ident.num_vars
         order = list(_lex_tuples(ident, n))
-        if name == "degree5":  # 960 dense reference brackets a tuple
-            for tup in order[:1]:
-                assert evaluate(alg, ident, tup) == reference(ident.lhs, tup)
-        else:
-            for tup in rng.sample(order, min(6, len(order))):
-                assert evaluate(alg, ident, tup) == reference(ident.lhs, tup)
-            first = next(
-                (t for t in order if not _is_zero_value(field, reference(ident.lhs, t))), None
-            )
-            assert find_counterexample(alg, ident) == first
+        if name == "degree5":
+            # 960 dense reference brackets a tuple in the tree, so every
+            # tuple is checked against the earlier program instead
+            reference = lambda term, tup: reference_value(alg, term, [e[i] for i in tup])
+        for tup in order if name == "degree5" else rng.sample(order, min(6, len(order))):
+            assert evaluate(alg, ident, tup) == reference(ident.lhs, tup)
+        first = next(
+            (t for t in order if not _is_zero_value(field, reference(ident.lhs, t))), None
+        )
+        assert find_counterexample(alg, ident) == first
+        counterexamples.append(first)
         if ident.direct is not None:
             for tup in product(range(n), repeat=ident.direct_num_vars):
                 assert evaluate(alg, ident, tup, direct=True) == reference(ident.direct, tup)
         vectors = [[field.coerce(rng.randint(-3, 3)) for _ in range(n)] for _ in range(k)]
         want = eval_reference(alg, ident.lhs, {j + 1: v for j, v in enumerate(vectors)})
         assert evaluate_on_vectors(alg, ident, vectors) == want
+    if name == "degree5":  # the random tables
+        assert sum(first is not None for first in counterexamples) == 2
 
 
 @st.composite
@@ -368,6 +478,82 @@ def test_find_counterexample_matches_reference(field, data):
         None,
     )
     assert find_counterexample(alg, ident) == first
+
+
+@st.composite
+def cancelling_terms(draw, kind, depth=3):
+    """A well-typed term in x1..x3 of ``kind`` ('vec' or 'scalar') built to
+    cancel: t - t, [t,t], [u,v] + [v,u], w(t,t), w(u,v) + w(v,u), 0 t,
+    and repeated subterms, between plain brackets, forms and scalings."""
+    if depth == 0:
+        if kind == "vec":
+            return var(draw(st.integers(1, 3)))
+        return (INT, draw(st.integers(-2, 2)))
+
+    def sub(kind):
+        return draw(cancelling_terms(kind, depth - 1))
+
+    if kind == "scalar":
+        shape = draw(st.sampled_from(["int", "w", "w(t,t)", "w+w", "sum", "t+t"]))
+        if shape == "int":
+            return (INT, draw(st.integers(-2, 2)))
+        if shape == "w":
+            return w(sub("vec"), sub("vec"))
+        if shape == "w(t,t)":
+            t = sub("vec")
+            return w(t, t)
+        if shape == "w+w":
+            u, v = sub("vec"), sub("vec")
+            return plus(w(u, v), w(v, u))
+        if shape == "sum":
+            return plus(sub("scalar"), sub("scalar"))
+        t = sub("scalar")
+        return plus(t, sub("scalar"), t)
+    shape = draw(st.sampled_from(["var", "b", "[t,t]", "b+b", "t-t", "k t", "s", "t+t"]))
+    if shape == "var":
+        return var(draw(st.integers(1, 3)))
+    if shape == "b":
+        return b(sub("vec"), sub("vec"))
+    if shape == "[t,t]":
+        t = sub("vec")
+        return b(t, t)
+    if shape == "b+b":
+        u, v = sub("vec"), sub("vec")
+        return plus(b(u, v), b(v, u))
+    if shape == "t-t":
+        t = sub("vec")
+        return minus(t, t)
+    if shape == "k t":
+        return s(draw(st.integers(-2, 2)), sub("vec"))
+    if shape == "s":
+        return s(sub("scalar"), sub("vec"))
+    t = sub("vec")
+    return plus(t, sub("vec"), s(-1, t), t)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(1000003)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cancelling_terms_match_the_earlier_program(field, data):
+    """The compiler merges subterms modulo anticommutativity, collects like
+    parts and drops zeros; the values are those of the earlier program,
+    which shares subterms only up to syntax."""
+    term = data.draw(cancelling_terms(data.draw(st.sampled_from(["vec", "scalar"]))))
+    program = compile_term(term)
+    assert_canonical_program(program)
+    k = program.num_vars
+    assert k == compile_term_reference(term).num_vars == max_var(term)
+    alg = data.draw(algebras(field, max_dim=4, min_dim=1))
+    n = alg.dim
+    vectors = [data.draw(st.lists(scalars(field), min_size=n, max_size=n)) for _ in range(k)]
+    want = reference_value(alg, term, vectors)
+    got = evaluate_on_vectors(alg, term, vectors)
+    assert got == want and type(got) is type(want)
+    assert_canonical(field, got if isinstance(got, list) else [got])
+    tup = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    got = evaluate(alg, term, tup)
+    assert got == reference_value(alg, term, [basis_vector(field, n, i) for i in tup])
+    assert_canonical(field, got if isinstance(got, list) else [got])
 
 
 def test_degree5_with_growing_denominators():
