@@ -391,6 +391,7 @@ def compile_term(term):
         zero = (INT, 0) if term_type(term) == "scalar" else (SUM, ())
         nodes.append((SUM, ((c, root),)) if c else zero)
         root = len(nodes) - 1
+    # keep the nodes the root reads, in their order
     live = [False] * root + [True]
     for at in range(root, -1, -1):
         if live[at]:
