@@ -342,50 +342,61 @@ class AnticommAlgebra:
 
     def ideal_closure(self, generators):
         """Smallest subspace containing the generators and closed under
-        bracketing with every basis vector (spinning).
+        bracketing with every basis vector: an :class:`Echelon` of the
+        generators grown by its spin kernel (:meth:`Echelon.spin`), which
+        spins each kept row once through the signed pair table, in ints,
+        and stops at full rank.
 
-        Spinning stops below dimension n only once every kept row has
-        been spun, so a result of dimension < n is an ideal by
-        construction; the searches test only whether it is abelian."""
-        field, n = self.field, self.dim
-        span = Echelon(field)
+        A result of dimension < n has had every kept row spun, so it is
+        an ideal by construction; the searches test only whether it is
+        abelian."""
+        return self._spin(generators).subspace(self.dim)
+
+    def _spin(self, generators, commute=False):
+        """The :class:`Echelon` of the spun closure of the generators, or
+        None when ``commute`` is on and the closure is not abelian (the
+        cut-off of :meth:`Echelon.spin`)."""
+        n = self.dim
+        span = Echelon(self.field)
         for v in generators:
             if len(v) != n:
                 raise DimensionMismatch("vector length does not match the algebra")
             span.add(v)
-        # each kept row is spun once; the rows grow while they are read
-        rows, images = span.rows, self._product.right_images
-        spun = 0
-        while spun < len(rows) < n:
-            for w in images(rows[spun]):
-                span.add(w)
-            spun += 1
-        return span.subspace(n)
+        return span if span.spin(self._product, commute) else None
 
-    def _proper_closures(self, vectors, seen):
+    def _proper_closures(self, vectors, seen, commute=False):
         """The spun closures of dimension 0 < d < n, each an ideal (see
-        :meth:`ideal_closure`).  ``seen`` is one search's set of spun
-        vectors (as tuples of canonical scalars) and closures: each
-        distinct nonzero vector is spun once and each distinct closure
-        yielded once, across every call that shares it."""
+        :meth:`ideal_closure`); with ``commute`` on, only the abelian
+        ones, each spin giving up at its first non-commuting pair.
+        ``seen`` is one search's set of spun vectors (as tuples of
+        canonical scalars) and closures: each distinct nonzero vector is
+        spun once and each distinct closure yielded once, across every
+        call that shares it."""
         n = self.dim
         for v in vectors:
             key = tuple(v)
             if key in seen or not any(key):
                 continue
             seen.add(key)
-            spun = self.ideal_closure([v])
-            if 0 < spun.dim < n and spun not in seen:
+            span = self._spin([v], commute)
+            if span is None or not 0 < span.rank < n:
+                continue
+            spun = span.subspace(n)
+            if spun not in seen:
                 seen.add(spun)
                 yield spun
 
     def is_ideal(self, sub: Subspace):
-        if sub.ambient != self.dim:
-            raise DimensionMismatch("subspace ambient does not match the algebra")
+        self._check_ambient(sub)
         images = self._product.right_images
         return all(sub.contains(w) for row in sub.rows for w in images(row))
 
+    def _check_ambient(self, sub):
+        if sub.ambient != self.dim:
+            raise DimensionMismatch("subspace ambient does not match the algebra")
+
     def is_subalgebra(self, sub: Subspace):
+        self._check_ambient(sub)
         rows = [list(r) for r in sub.rows]
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
@@ -395,12 +406,10 @@ class AnticommAlgebra:
 
     def is_abelian_subspace(self, sub: Subspace):
         """Do the basis rows of ``sub`` bracket to zero pairwise?  Then
-        [sub, sub] = 0, so ``sub`` is also a subalgebra."""
-        field = self.field
-        return all(
-            vec_is_zero(field, self.bracket(list(u), list(v)))
-            for u, v in combinations(sub.rows, 2)
-        )
+        [sub, sub] = 0, so ``sub`` is also a subalgebra.  Decided by the
+        int commute test of :meth:`SkewProduct.commutes_pairwise`."""
+        self._check_ambient(sub)
+        return self._product.commutes_pairwise(sub.rows)
 
     def restrict(self, sub: Subspace):
         """Subalgebra on the canonical basis of ``sub``."""
@@ -623,14 +632,20 @@ class AnticommAlgebra:
         inside the radical.  A spun closure below dimension n is an
         ideal by construction (see :meth:`ideal_closure`), and so is a
         subspace holding the commutant, so only their abelian test
-        runs; each distinct closure is tested once per search.  Over a
-        small prime field (p^n at most ``linalg.ENUM_CAP``) the search is
-        then made complete for a certified algebra: an abelian ideal of codimension >= 2 lies
+        runs.  Every closure is spun with the cut-off of
+        :meth:`Echelon.spin`: the spin gives up at the first kept row
+        that fails to commute with an earlier one, so a non-abelian
+        closure is never completed, and an abelian one is the answer.
+        These spins run in the search, not through the public
+        :meth:`ideal_closure`.  Over a small prime field (p^n at most
+        ``linalg.ENUM_CAP``) the search is then made complete for a
+        certified algebra: an abelian ideal of codimension >= 2 lies
         inside the radical of the form and contains the spun closure of
         each of its lines, so scanning the closures of all radical lines
         decides that case; a codimension-1 abelian ideal contains the
         commutant, so the finitely many hyperplanes over the commutant
-        decide the rest.  A None from the complete search is a
+        decide the rest.  An uncertified table scans the closures of
+        every line instead.  A None from the complete search is a
         definitive nonexistence answer.  A 1-dimensional algebra is its
         own abelian ideal.
         """
@@ -640,7 +655,7 @@ class AnticommAlgebra:
         seen = set()
 
         def closures(vectors):
-            return ((spun, True) for spun in self._proper_closures(vectors, seen))
+            return ((spun, True) for spun in self._proper_closures(vectors, seen, True))
 
         def candidates():
             # (subspace, whether it is an ideal by construction)

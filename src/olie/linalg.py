@@ -25,8 +25,12 @@ they are primitive integer rows, cleared fraction-free, and ``Fraction``
 values are built only when the canonical rows are read off.  Rows of
 canonical scalars or of Python ints are accepted.  :func:`rref` adds
 every row and reads the canonical reduced row-echelon form off the kept
-rows, so the result depends only on the row space and the row count;
-spinning loops add one vector at a time and ask whether the rank grew.
+rows, so the result depends only on the row space and the row count.
+Ideal closures spin inside it (:meth:`Echelon.spin`): each kept row's
+images under the basis right multiplications are built as int rows
+straight from a signed pair table and cleared in, with no dense or
+scalar form in between; other spinning loops add one vector at a time
+and ask whether the rank grew.
 Subspaces are stored as reduced row-echelon bases, so equality of
 subspaces is equality of their canonical representations.
 
@@ -47,7 +51,10 @@ deformations, multiplicative forms, cochain differentials, the
 almost-abelian system, the commutant, adjoint maps) is built from its
 signed pair table (:meth:`SkewProduct.signed_table`, or
 :meth:`SkewProduct.image` and :meth:`SkewProduct.right_images`) as int
-rows.
+rows.  No other module reads the table's private ``_rows``.  Whether
+vectors bracket to zero pairwise is one int test on the table
+(:meth:`SkewProduct.commutes_pairwise`), the same one the spin's
+commute cut-off runs.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -257,6 +264,22 @@ class SkewProduct:
         den = dx * self._den
         return [from_scaled(field, acc, den) for acc in accs]
 
+    def commutes_pairwise(self, vectors):
+        """Whether the product vanishes on every pair of the vectors
+        (canonical scalars): each vector becomes an int row once, and
+        each pair runs the int commute test of :meth:`_commutes`."""
+        rows = [dict(_int_support(v)[0]) for v in vectors]
+        return all(self._commutes(u, v) for u, v in combinations(rows, 2))
+
+    def _commutes(self, u, v):
+        """Whether the product of the int rows ``u`` and ``v`` (``{column:
+        int}`` dicts, each at any nonzero scale) is zero: one int
+        accumulation through the signed pair table, reduced mod p over
+        GF(p)."""
+        acc = _accumulate(self._rows, u.items(), v.items(), [0] * self.out_dim)
+        p = self.field.char
+        return not any(x % p for x in acc) if p else not any(acc)
+
 
 def _accumulate(rows, xs, ys, acc):
     """Add into ``acc`` the int products of the supports ``xs`` and ``ys``
@@ -297,7 +320,8 @@ def from_scaled(field, ints, den):
 
 def _int_support(v):
     """The nonzero coordinates of a rational vector as ``(index, int)``
-    pairs over their least common denominator, and that denominator."""
+    pairs over their least common denominator, and that denominator.
+    A vector of ints comes back as it is, over 1."""
     support = [(i, a) for i, a in enumerate(v) if a]
     den = lcm(*[a.denominator for _, a in support])
     if den == 1:
@@ -372,11 +396,16 @@ class Echelon:
     """The one elimination kernel: a row space grown one vector at a time.
 
     The kept rows are ``{column: int}`` dicts keyed by pivot, in reduced
-    form throughout: each is zero at the pivots of the others.  A new
-    vector is cleared at the kept pivots it meets (:func:`_clear_mod`
-    over GF(p), :func:`_clear` over Q) and dropped if nothing is left;
-    otherwise its leading column becomes a pivot, which is cleared from
-    the kept rows in turn.
+    form throughout: each is zero at the pivots of the others.  Rows
+    enter by one path, :meth:`_insert`: a new row is cleared at the kept
+    pivots it meets (:func:`_clear_mod` over GF(p), :func:`_clear` over
+    Q) and dropped if nothing is left; otherwise its leading column
+    becomes a pivot, which is cleared from the kept rows in turn.
+    :meth:`add` feeds it dense vectors; :meth:`spin`, the one spin
+    kernel, feeds it the int images of the kept rows under a
+    :class:`SkewProduct` until the span is closed or full, and with its
+    commute cut-off gives up at the first kept row that fails to
+    commute with an earlier one.
 
     ``rows`` holds the vectors that raised the rank, as given and in
     order; :meth:`subspace` reads the canonical form of their span off
@@ -405,10 +434,10 @@ class Echelon:
         return False
 
     def _keep(self, v):
-        """Clear ``v`` into the kept rows; returns whether it raised the
-        rank.  :func:`rref` calls this directly: it never reads ``rows``,
-        and its elimination stays one call."""
-        p, kept = self._p, self._kept
+        """Clear the dense vector ``v`` into the kept rows; returns whether
+        it raised the rank.  :func:`rref` calls this directly: it never
+        reads ``rows``, and its elimination stays one call."""
+        p = self._p
         if p:
             r = {c: x % p for c, x in enumerate(v) if x % p}
         else:
@@ -423,12 +452,22 @@ class Echelon:
             g = gcd(*r.values())
             if g > 1:
                 r = {c: x // g for c, x in r.items()}
+        return self._insert(r) is not None
+
+    def _insert(self, r):
+        """Clear the int row ``r`` (a dict of nonzero entries: residues over
+        GF(p), a primitive row over Q) at the kept pivots it meets and
+        keep what is left, its pivot cleared from the kept rows: the one
+        path by which rows enter.  Returns the row as kept, or None when
+        ``r`` lies in the span."""
+        kept = self._kept
         hits = [(c, kept[c]) for c in r if c in kept]
         if hits:
             r = self._clear(r, hits)
         if not r:
-            return False
+            return None
         piv = min(r)
+        p = self._p
         if p and r[piv] != 1:
             inv = pow(r[piv], p - 2, p)
             r = {c: x * inv % p for c, x in r.items()}
@@ -436,6 +475,60 @@ class Echelon:
             if piv in k:
                 kept[c] = self._clear(k, ((piv, r),))
         kept[piv] = r
+        return r
+
+    def spin(self, skew, commute=False):
+        """Grow the span to its closure under the right multiplications
+        ``x -> [x, e_j]`` of ``skew``, a :class:`SkewProduct` of K^n
+        into itself; returns whether the spin ran to the end.
+
+        The spin kernel: each row is spun once, as it stood when it was
+        kept (the rows kept so far, then each row kept on the way), so
+        the spun rows are a basis of the span.  A row's n images are
+        built as int dicts straight through the signed pair table,
+        reduced mod p over GF(p) or divided by their gcd over Q, and
+        enter through the same clearing step as :meth:`add`.  The spin
+        stops at full rank.
+
+        The cut-off: with ``commute`` on, every newly kept row is tested
+        against each row kept before it with the int commute test of
+        :meth:`SkewProduct.commutes_pairwise`, and the spin gives up at
+        the first pair whose product is nonzero, returning False with
+        the span part-grown.  The tested rows are a basis of the span,
+        so a spin that runs to the end has an abelian closure, and one
+        that gives up does not.  The rows kept before the spin are
+        tested pairwise first."""
+        table, n, p = skew._rows, skew.out_dim, self._p
+        commutes = skew._commutes
+        queue = list(self._kept.values())
+        if commute and not all(commutes(u, v) for u, v in combinations(queue, 2)):
+            return False
+        for r in queue:  # the queue grows while it is read
+            if len(self._kept) == n:
+                break
+            support = [(table[i], a) for i, a in r.items()]
+            for j in range(len(table)):
+                image = {}
+                for row, a in support:
+                    for k, c in row[j]:
+                        image[k] = image.get(k, 0) + a * c
+                if p:
+                    w = {k: y for k, x in image.items() if (y := x % p)}
+                else:
+                    w = {k: x for k, x in image.items() if x}
+                    g = gcd(*w.values())
+                    if g > 1:
+                        w = {k: x // g for k, x in w.items()}
+                if not w:
+                    continue
+                w = self._insert(w)
+                if w is None:
+                    continue
+                if commute and not all(commutes(u, w) for u in queue):
+                    return False
+                queue.append(w)
+                if len(self._kept) == n:
+                    break
         return True
 
     def _canonical_rows(self, ncols):

@@ -16,6 +16,7 @@ from olie.errors import (
     ZeroVector,
 )
 from olie.linalg import (
+    Echelon,
     SkewProduct,
     basis_vector,
     from_scaled,
@@ -783,6 +784,168 @@ def test_searches_match_eager_reference_on_random_tables(field, data):
     alg = data.draw(algebras(field, max_dim=4))
     assert_same_verdict(alg.simplicity(), simplicity_reference(alg))
     assert alg.find_abelian_ideal() == find_abelian_ideal_reference(alg)
+
+
+# -- the spin kernel and its commute cut-off --------------------------------
+
+
+def abelian_reference(alg, rows):
+    field = alg.field
+    return all(
+        vec_is_zero(field, bracket_reference(alg, list(u), list(v)))
+        for u, v in combinations(rows, 2)
+    )
+
+
+def assert_spin_matches_reference(alg, gens):
+    """Without the cut-off the spin always runs to the end; with it, it
+    gives up exactly when the reference closure is not abelian.  A spin
+    that runs to the end has the reference rows."""
+    field, n = alg.field, alg.dim
+    want = ideal_closure_reference(alg, gens)
+    abelian = abelian_reference(alg, want)
+    for commute in (False, True):
+        span = Echelon(field)
+        for v in gens:
+            span.add(v)
+        done = span.spin(alg._product, commute)
+        assert done == (abelian or not commute)
+        if done:
+            got = span.subspace(n)
+            assert [list(r) for r in got.rows] == want
+            assert_canonical(field, [x for r in got.rows for x in r])
+    # the searches' path to the same spin
+    spun = alg._spin(gens, True)
+    assert (spun is not None) == abelian
+    if spun is not None:
+        assert [list(r) for r in spun.subspace(n).rows] == want
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_spin_cut_off_matches_reference_on_random_tables(field, data):
+    # several generators, over Q with denominators: the int images of a
+    # scaled row must span what the scalar images span
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    gens = data.draw(st.lists(vectors(field, n), min_size=1, max_size=4))
+    assert_spin_matches_reference(alg, gens)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), dim=st.integers(3, 5), data=st.data())
+def test_spin_cut_off_matches_reference_on_chains(field, seed, dim, data):
+    # most chains have an abelian ideal, and a vector inside it spins to
+    # an abelian closure, so both outcomes of the cut-off occur
+    alg = catalog.random_extension_chain(field, seed, dim)
+    assume(not isinstance(alg, catalog.Stuck))
+    n = alg.dim
+    lines = [basis_vector(field, n, i) for i in range(n)]
+    for sub in (alg.omega_kernel(), alg.find_abelian_ideal()):
+        if sub is not None:
+            lines += [list(r) for r in sub.rows]
+    gens = data.draw(
+        st.lists(st.one_of(st.sampled_from(lines), vectors(field, n)), min_size=1, max_size=3)
+    )
+    assert_spin_matches_reference(alg, gens)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@given(data=st.data())
+def test_commute_test_matches_reference_brackets(field, data):
+    alg = data.draw(algebras(field))
+    n = alg.dim
+    rows = data.draw(st.lists(vectors(field, n), max_size=4))
+    assert alg._product.commutes_pairwise(rows) == abelian_reference(alg, rows)
+
+
+def test_commute_test_reduces_mod_p(gf5):
+    # [e0, e1 + e2] = e2 + 4 e2 = 5 e2: zero over GF(5), not in ints
+    alg = AnticommAlgebra(gf5, 3, {(0, 1): {2: 1}, (0, 2): {2: 4}})
+    u, v = basis_vector(gf5, 3, 0), vec(gf5, 0, 1, 1)
+    assert alg._product.commutes_pairwise([u, v])
+    assert alg.is_abelian_subspace(Subspace(gf5, 3, [u, v]))
+    assert not alg.is_abelian_subspace(Subspace(gf5, 3, [u, basis_vector(gf5, 3, 1)]))
+
+
+def test_spin_kernel_edge_cases(sl2):
+    product = sl2._product
+    # nothing kept: nothing to spin
+    span = Echelon(QQ)
+    assert span.spin(product, True) and span.rank == 0
+    # rows kept before the spin are tested pairwise first
+    span = Echelon(QQ)
+    span.add(basis_vector(QQ, 3, 0))
+    span.add(basis_vector(QQ, 3, 1))
+    assert not span.spin(product, True) and span.rank == 2
+    # a simple algebra spins any line to the whole space, and stops there
+    span = Echelon(QQ)
+    span.add(vec(QQ, F(1, 2), F(-2, 3), 3))
+    assert span.spin(product) and span.rank == 3
+
+
+# -- the complete abelian-ideal scan -----------------------------------------
+
+
+@pytest.mark.parametrize("seed", [22, 28, 38, 50])
+def test_complete_scan_proves_none_on_dim6_chains(gf5, seed):
+    alg = catalog.random_extension_chain(gf5, seed, 6)
+    assert isinstance(alg, OmegaAlgebra) and not alg.is_lie()
+    # no early candidate hits, so the radical lines and the hyperplanes
+    # over the commutant decide
+    assert find_abelian_ideal_reference(alg, enum_cap=0) is None
+    assert alg.find_abelian_ideal() is None
+    assert find_abelian_ideal_reference(alg) is None
+
+
+def test_complete_scan_finds_an_ideal_among_the_radical_lines(gf5):
+    alg = catalog.random_extension_chain(gf5, 1, 6)
+    assert isinstance(alg, OmegaAlgebra)
+    assert find_abelian_ideal_reference(alg, enum_cap=0) is None
+    got = alg.find_abelian_ideal()
+    assert got == find_abelian_ideal_reference(alg)
+    # a line inside the radical, below the hyperplanes' codimension 1
+    assert got.rows == [(1, 0, 0, 1, 4, 1)]
+    assert alg.omega_kernel().contains_subspace(got)
+
+
+# a GF(5) table that fails the law, with an abelian ideal line that no
+# early candidate finds: the ideal K e_0 of a table moved to a random basis
+UNCERTIFIED_BRACKET = {
+    (0, 1): {0: 4, 1: 4, 2: 2, 3: 3, 4: 4},
+    (0, 2): {0: 4, 1: 3, 2: 4, 3: 2, 4: 4},
+    (0, 3): {0: 3, 1: 4, 2: 1, 3: 4},
+    (0, 4): {0: 3, 1: 2, 2: 1, 3: 3, 4: 4},
+    (1, 2): {0: 1, 1: 1, 2: 3},
+    (1, 3): {0: 4, 2: 2, 3: 3, 4: 4},
+    (1, 4): {0: 1, 1: 1, 2: 3, 3: 4, 4: 3},
+    (2, 3): {1: 3, 2: 4},
+    (2, 4): {1: 2, 2: 1, 3: 1, 4: 2},
+    (3, 4): {0: 2, 2: 3, 3: 1, 4: 4},
+}
+UNCERTIFIED_OMEGA = {
+    (0, 1): 1, (0, 2): 2, (0, 4): 2, (1, 2): 4, (1, 3): 2, (2, 3): 2, (2, 4): 3, (3, 4): 3,
+}
+
+
+def test_uncertified_table_takes_the_all_lines_fallback(gf5):
+    alg = AnticommAlgebra(gf5, 5, UNCERTIFIED_BRACKET, UNCERTIFIED_OMEGA)
+    assert alg._first_violation() is not None
+    assert find_abelian_ideal_reference(alg, enum_cap=0) is None
+    got = alg.find_abelian_ideal()
+    assert got == find_abelian_ideal_reference(alg)
+    assert got.rows == [(1, 1, 3, 0, 2)]
+
+
+def test_subspace_predicates_reject_the_wrong_ambient(gf5):
+    alg = catalog.random_extension_chain(gf5, 7001, 5)
+    assert alg.dim == 5
+    sub = Subspace(gf5, 7, [basis_vector(gf5, 7, 0)])
+    for check in (alg.is_subalgebra, alg.is_abelian_subspace, alg.is_ideal, alg.restrict):
+        with pytest.raises(DimensionMismatch):
+            check(sub)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

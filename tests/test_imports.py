@@ -10,7 +10,9 @@ pair table in ints.  ``identities`` and ``derivations`` use no ``%``:
 the GF(p) reduction of their int values is left to ``linalg``.  No
 module but ``fields`` calls the per-scalar ``add``, ``sub``, ``mul``,
 ``neg`` or ``is_zero`` of a field: scalars are computed with operators
-and reduced by ``linalg``.
+and reduced by ``linalg``.  No module but ``linalg`` reads the private
+pair table ``SkewProduct._rows``: the others go through
+``signed_table()``, so field-specific int work stays behind ``linalg``.
 """
 
 import ast
@@ -113,3 +115,28 @@ def test_the_check_sees_per_scalar_field_calls():
         "    return alg.field.neg(a), self.field.is_zero(a), field.coerce(a)\n"
     )
     assert field_scalar_calls(source) == [3, 4, 4]
+
+
+def private_table_reads(source):
+    """Line numbers of the reads of an attribute named ``_rows``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_rows"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_only_linalg_reads_the_pair_table(path):
+    assert private_table_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_pair_table_reads():
+    source = (
+        "def f(alg, skew, _rows):\n"
+        "    table = alg._product._rows\n"
+        "    return skew._rows[0], alg._product.signed_table(), _rows\n"
+    )
+    assert private_table_reads(source) == [2, 3]
