@@ -26,11 +26,9 @@ values are built only when the canonical rows are read off.  Rows of
 canonical scalars or of Python ints are accepted.  :func:`rref` adds
 every row and reads the canonical reduced row-echelon form off the kept
 rows, so the result depends only on the row space and the row count.
-Ideal closures spin inside it (:meth:`Echelon.spin`): each kept row's
-images under the basis right multiplications are built as int rows
-straight from a signed pair table and cleared in, with no dense or
-scalar form in between; other spinning loops add one vector at a time
-and ask whether the rank grew.
+Ideal closures spin inside it, in ints straight from a signed pair
+table (:meth:`Echelon.spin`); other spinning loops add one vector at a
+time and ask whether the rank grew.
 Subspaces are stored as reduced row-echelon bases, so equality of
 subspaces is equality of their canonical representations.
 
@@ -407,8 +405,8 @@ class Echelon:
     commute cut-off gives up at the first kept row that fails to
     commute with an earlier one.
 
-    ``rows`` holds the vectors that raised the rank, as given and in
-    order; :meth:`subspace` reads the canonical form of their span off
+    ``rows`` holds the vectors :meth:`add` kept, as given and in
+    order; :meth:`subspace` reads the canonical form of the span off
     the kept rows.
     """
 
@@ -552,8 +550,9 @@ class Echelon:
         return out, pivots
 
     def subspace(self, ambient):
-        """The span as a :class:`Subspace` of K^ambient, equal to
-        ``Subspace(field, ambient, self.rows)``, read off the kept rows."""
+        """The span as a :class:`Subspace` of K^ambient, read off the kept
+        rows; before a :meth:`spin` it equals ``Subspace(field, ambient,
+        self.rows)``."""
         rows, pivots = self._canonical_rows(ambient)
         return Subspace._reduced(self._field, ambient, [tuple(r) for r in rows], pivots)
 
