@@ -31,12 +31,12 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _echelon,
     basis_vector,
     from_scaled,
     kernel_basis,
     mat_mul,
     mat_sub,
-    rref,
     solve_affine,
     to_scaled,
     vec_mat,
@@ -285,8 +285,8 @@ def h2_dimension(alg: AnticommAlgebra, lam):
     d1, _ = _differential_matrix(alg, lam, 1)
     d2, _ = _differential_matrix(alg, lam, 2)
     n2 = len(_cochain_keys(n, 2))
-    _, rank1, _ = rref(field, d1)
-    _, rank2, _ = rref(field, d2)
+    rank1 = _echelon(field, d1, n2).rank
+    rank2 = _echelon(field, d2, len(_cochain_keys(n, 3))).rank
     return (n2 - rank2) - rank1
 
 
@@ -364,8 +364,7 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
         omega1 = {pair: v[nphi + t] for pair, t in pos.items() if v[nphi + t]}
         basis.append(DeformationSolution(phi1, omega1))
         omega_block.append(v[nphi:])
-    _, wrank, _ = rref(field, omega_block)
-    return DeformationSpace(basis, wrank)
+    return DeformationSpace(basis, _echelon(field, omega_block, len(pairs)).rank)
 
 
 def _deformation_rows(alg: AnticommAlgebra, pos):

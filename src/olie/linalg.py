@@ -11,24 +11,26 @@ int in ``[0, p)`` over GF(p).  Code computes with ``+ - *`` and tests for
 zero by truthiness, which is exact in both fields; the one step that
 depends on the field, an exact value becoming a canonical scalar (``x %
 p`` over GF(p), the identity over Q), is the private ``_canon``, applied
-once per result entry.  The dense helpers (``vec_*``, ``mat_*``), the
-kernel read-off, :meth:`Subspace.reduce`, the products and the scaled
-codecs all reduce through it, and so does algebra code that builds a
-scalar from canonical ones.
+once per result entry.  The dense helpers (``vec_*``, ``mat_*``),
+:meth:`Subspace.reduce`, the products and the scaled codecs all reduce
+through it, and so does algebra code that builds a scalar from
+canonical ones; the elimination kernel keeps its rows as residues or
+ints and reads results off them itself.
 
 There is one elimination kernel, :class:`Echelon`, for both fields.  It
 holds each row as a ``{column: int}`` dict of its nonzero entries and
 adds the rows one at a time to a set of kept rows that stays in reduced
-form.  The fields differ only in the clear step: over GF(p) rows are
-residues with pivot 1, cleared by a modular multiply-subtract; over Q
-they are primitive integer rows, cleared fraction-free, and ``Fraction``
-values are built only when the canonical rows are read off.  Rows of
-canonical scalars or of Python ints are accepted.  :func:`rref` adds
-every row and reads the canonical reduced row-echelon form off the kept
-rows, so the result depends only on the row space and the row count.
-Ideal closures spin inside it, in ints straight from a signed pair
-table (:meth:`Echelon.spin`); other spinning loops add one vector at a
-time and ask whether the rank grew.
+form.  Rows enter one way: a dense vector of canonical scalars or ints
+(:meth:`Echelon.add`) and an image spun inside the kernel
+(:meth:`Echelon.spin`) pass the same normalizer, to residues over GF(p)
+and a primitive integer row over Q, and the same clear step, a modular
+multiply-subtract over GF(p) and fraction-free over Q.  Results come out
+one way, read straight off the kept rows with a ``Fraction`` built only
+per entry read: the canonical rows behind :class:`Subspace`, and the
+kernel (:meth:`Echelon.kernel`) behind :func:`kernel_basis` and
+:func:`solve_affine`, whose particular point is the augmented column.
+The solvers' one entry checks the length of every row.  :func:`rref`
+pads the canonical rows with zero rows; no other module calls it.
 Subspaces are stored as reduced row-echelon bases, so equality of
 subspaces is equality of their canonical representations.
 
@@ -148,8 +150,8 @@ def transpose(m):
 
 # the budget of the exhaustive searches over GF(p): each scans
 # projective_points only when its own count is at most this, p^n
-# vectors for the ideal and witness scans and (p^q - 1)/(p - 1)
-# hyperplanes over a codimension-q subspace
+# vectors for the ideal and witness scans and p + 1 hyperplanes over a
+# codimension-2 subspace
 ENUM_CAP = 10**6
 
 
@@ -331,21 +333,28 @@ def rref(field, rows):
     """Reduced row-echelon form.  Returns (rref_rows, rank, pivot_columns).
 
     All ``len(rows)`` rows come back, the zero rows last, every entry a
-    canonical scalar of ``field``.  The rows are added to an
-    :class:`Echelon` one at a time and the canonical rows read off it.
+    canonical scalar of ``field``: the canonical rows of an
+    :class:`Echelon` of the rows, padded.
     """
     if not rows:
         return [], 0, []
     ncols = len(rows[0])
+    out, pivots = _echelon(field, rows, ncols)._canonical_rows(ncols)
+    out = [list(r) for r in out]
+    out.extend(zeros(field, ncols) for _ in range(len(rows) - len(pivots)))
+    return out, len(pivots), pivots
+
+
+def _echelon(field, rows, ncols):
+    """The :class:`Echelon` of dense rows of length ``ncols``, the solvers'
+    entry: it checks every row, also past full rank, where it stops."""
     ech = Echelon(field)
     for row in rows:
-        ech._keep(row)
-        if ech.rank == ncols:
-            break
-    out, pivots = ech._canonical_rows(ncols)
-    zero = 0 if field.char else _ZERO
-    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, len(pivots), pivots
+        if len(row) != ncols:
+            raise DimensionMismatch(f"a row of length {len(row)} in a system of {ncols} columns")
+        if ech.rank < ncols:
+            ech.add(row)
+    return ech
 
 
 def _clear(v, hits):
@@ -394,63 +403,50 @@ class Echelon:
     """The one elimination kernel: a row space grown one vector at a time.
 
     The kept rows are ``{column: int}`` dicts keyed by pivot, in reduced
-    form throughout: each is zero at the pivots of the others.  Rows
-    enter by one path, :meth:`_insert`: a new row is cleared at the kept
-    pivots it meets (:func:`_clear_mod` over GF(p), :func:`_clear` over
-    Q) and dropped if nothing is left; otherwise its leading column
-    becomes a pivot, which is cleared from the kept rows in turn.
-    :meth:`add` feeds it dense vectors; :meth:`spin`, the one spin
-    kernel, feeds it the int images of the kept rows under a
-    :class:`SkewProduct` until the span is closed or full, and with its
-    commute cut-off gives up at the first kept row that fails to
-    commute with an earlier one.
-
-    ``rows`` holds the vectors :meth:`add` kept, as given and in
-    order; :meth:`subspace` reads the canonical form of the span off
-    the kept rows.
+    form throughout: each is zero at the pivots of the others.  Every
+    row enters as a normalized int row (:meth:`_row`) through
+    :meth:`_insert`: it is cleared at the kept pivots it meets
+    (:func:`_clear_mod` over GF(p), :func:`_clear` over Q) and dropped
+    if nothing is left; otherwise its leading column becomes a pivot,
+    which is cleared from the kept rows in turn.  :meth:`add` feeds it a
+    dense vector; :meth:`spin`, the one spin kernel, feeds it the int
+    images of the kept rows under a :class:`SkewProduct` until the span
+    is closed or full, and with its commute cut-off gives up at the
+    first kept row that fails to commute with an earlier one.
+    :meth:`subspace` and :meth:`kernel` read results off the kept rows.
     """
 
-    __slots__ = ("_field", "_p", "_clear", "_kept", "rows")
+    __slots__ = ("_field", "_p", "_clear", "_kept")
 
     def __init__(self, field):
         self._field = field
         self._p = p = field.char
         self._clear = partial(_clear_mod, p) if p else _clear
         self._kept = {}
-        self.rows = []
 
     @property
     def rank(self):
         return len(self._kept)
 
     def add(self, v):
-        """Keep ``v`` if it lies outside the span; returns whether it was
-        kept."""
-        if self._keep(v):
-            self.rows.append(v)
-            return True
-        return False
+        """Clear the dense vector ``v`` (canonical scalars or Python ints)
+        into the kept rows; returns whether it raised the rank."""
+        entries = enumerate(v) if self._p else _int_support(v)[0]
+        return self._insert(self._row(entries)) is not None
 
-    def _keep(self, v):
-        """Clear the dense vector ``v`` into the kept rows; returns whether
-        it raised the rank.  :func:`rref` calls this directly: it never
-        reads ``rows``, and its elimination stays one call."""
+    def _row(self, entries):
+        """The int row of the ``(column, int)`` pairs ``entries`` as
+        :meth:`_insert` takes it: the nonzero residues over GF(p), the
+        nonzero entries divided by their gcd over Q.  The one normalizer,
+        for the vectors of :meth:`add` and the images of :meth:`spin`."""
         p = self._p
         if p:
-            r = {c: x % p for c, x in enumerate(v) if x % p}
-        else:
-            pairs = [(c, x.as_integer_ratio()) for c, x in enumerate(v) if x]
-            if not pairs:
-                return False
-            den = lcm(*[d for _, (_, d) in pairs])
-            if den == 1:
-                r = {c: a for c, (a, _) in pairs}
-            else:
-                r = {c: a * (den // d) for c, (a, d) in pairs}
-            g = gcd(*r.values())
-            if g > 1:
-                r = {c: x // g for c, x in r.items()}
-        return self._insert(r) is not None
+            return {c: y for c, x in entries if (y := x % p)}
+        r = {c: x for c, x in entries if x}
+        g = gcd(*r.values())
+        if g > 1:
+            return {c: x // g for c, x in r.items()}
+        return r
 
     def _insert(self, r):
         """Clear the int row ``r`` (a dict of nonzero entries: residues over
@@ -483,10 +479,9 @@ class Echelon:
         The spin kernel: each row is spun once, as it stood when it was
         kept (the rows kept so far, then each row kept on the way), so
         the spun rows are a basis of the span.  A row's n images are
-        built as int dicts straight through the signed pair table,
-        reduced mod p over GF(p) or divided by their gcd over Q, and
-        enter through the same clearing step as :meth:`add`.  The spin
-        stops at full rank.
+        built as ints straight through the signed pair table and enter
+        through :meth:`_row` and :meth:`_insert`, as the vectors of
+        :meth:`add` do.  The spin stops at full rank.
 
         The cut-off: with ``commute`` on, every newly kept row is tested
         against each row kept before it with the int commute test of
@@ -496,7 +491,7 @@ class Echelon:
         so a spin that runs to the end has an abelian closure, and one
         that gives up does not.  The rows kept before the spin are
         tested pairwise first."""
-        table, n, p = skew._rows, skew.out_dim, self._p
+        table, n = skew._rows, skew.out_dim
         commutes = skew._commutes
         queue = list(self._kept.values())
         if commute and not all(commutes(u, v) for u, v in combinations(queue, 2)):
@@ -510,16 +505,7 @@ class Echelon:
                 for row, a in support:
                     for k, c in row[j]:
                         image[k] = image.get(k, 0) + a * c
-                if p:
-                    w = {k: y for k, x in image.items() if (y := x % p)}
-                else:
-                    w = {k: x for k, x in image.items() if x}
-                    g = gcd(*w.values())
-                    if g > 1:
-                        w = {k: x // g for k, x in w.items()}
-                if not w:
-                    continue
-                w = self._insert(w)
+                w = self._insert(self._row(image.items()))
                 if w is None:
                     continue
                 if commute and not all(commutes(u, w) for u in queue):
@@ -530,7 +516,7 @@ class Echelon:
         return True
 
     def _canonical_rows(self, ncols):
-        """The canonical rows of the span, as dense lists of canonical
+        """The canonical rows of the span, as tuples of ``ncols`` canonical
         scalars in pivot order, and the pivots: each kept row divided by
         its pivot entry."""
         p, kept = self._p, self._kept
@@ -546,35 +532,37 @@ class Echelon:
                 a = r[c]
                 for k, x in r.items():
                     dense[k] = Fraction(x, a)
-            out.append(dense)
+            out.append(tuple(dense))
         return out, pivots
 
     def subspace(self, ambient):
         """The span as a :class:`Subspace` of K^ambient, read off the kept
-        rows; before a :meth:`spin` it equals ``Subspace(field, ambient,
-        self.rows)``."""
+        rows: equal to ``Subspace(field, ambient, vectors)`` for any
+        vectors that span it."""
         rows, pivots = self._canonical_rows(ambient)
-        return Subspace._reduced(self._field, ambient, [tuple(r) for r in rows], pivots)
+        return Subspace._reduced(self._field, ambient, rows, pivots)
 
-
-def _kernel_from_rref(field, red, pivots, ncols):
-    """Kernel basis read off an RREF whose first ``ncols`` columns are the
-    reduced system; one vector per free column, in column order."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = basis_vector(field, ncols, fc)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(_canon(field, v))
-    return basis
+    def kernel(self, ncols):
+        """A basis of the ``x`` in K^ncols with ``r @ x = 0`` for every kept
+        row ``r`` cut to its first ``ncols`` columns, which hold every
+        pivot: one vector per free column, in column order, 1 there, 0 at
+        the other free columns and minus the row entries at the pivots."""
+        p, kept = self._p, self._kept
+        zero, one = (0, 1) if p else (_ZERO, Fraction(1))
+        free = [c for c in range(ncols) if c not in kept]
+        vectors = {c: [zero] * c + [one] + [zero] * (ncols - c - 1) for c in free}
+        for piv, r in kept.items():
+            a = r[piv]
+            for k, x in r.items():
+                v = vectors.get(k)
+                if v is not None:
+                    v[piv] = -x % p if p else Fraction(-x, a)
+        return list(vectors.values())
 
 
 def kernel_basis(field, rows, ncols):
     """Basis of {v : rows @ v = 0} (column convention), canonical order."""
-    red, _, pivots = rref(field, rows)
-    return _kernel_from_rref(field, red, pivots, ncols)
+    return _echelon(field, rows, ncols).kernel(ncols)
 
 
 class Subspace:
@@ -585,9 +573,7 @@ class Subspace:
     def __init__(self, field, ambient, vectors=()):
         self.field = field
         self.ambient = ambient
-        reduced, rank, pivots = rref(field, list(vectors))
-        self.rows = [tuple(r) for r in reduced[:rank]]
-        self._pivots = pivots
+        self.rows, self._pivots = _echelon(field, vectors, ambient)._canonical_rows(ambient)
 
     @classmethod
     def _reduced(cls, field, ambient, rows, pivots):
@@ -651,7 +637,12 @@ class Subspace:
     def lift(self, coords):
         """The ambient vectors with the given coordinates in the RREF
         basis: the inverse of :meth:`coords`, one vector per entry."""
-        return [vec_mat(self.field, c, self.rows) for c in coords]
+        out = []
+        for c in coords:
+            if len(c) != len(self.rows):
+                raise DimensionMismatch("coordinate count does not match the dimension")
+            out.append(vec_mat(self.field, c, self.rows))
+        return out
 
     def sum(self, other):
         self._check_compatible(other)
@@ -743,18 +734,22 @@ class AffineSolution:
 
 
 def solve_affine(field, rows, rhs):
-    """Solve rows @ x = rhs.  Returns an AffineSolution or None."""
+    """Solve rows @ x = rhs.  Returns an AffineSolution or None: one
+    elimination of the rows ``[row | b]``, inconsistent exactly when the
+    augmented column is a pivot, else read off as the particular point
+    (zero at the free columns) and the kernel."""
+    if len(rhs) != len(rows):
+        raise DimensionMismatch("right-hand side length does not match the number of equations")
     if not rows:
         return AffineSolution([], Subspace.zero(field, 0))
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, rank, pivots = rref(field, aug)
-    if ncols in pivots:
+    ech = _echelon(field, (list(r) + [b] for r, b in zip(rows, rhs)), ncols + 1)
+    kept = ech._kept
+    if ncols in kept:
         return None
     particular = zeros(field, ncols)
-    for r, pc in enumerate(pivots):
-        particular[pc] = red[r][ncols]
-    # consistent, so the pivots all lie in the first ncols columns and
-    # those columns of the augmented RREF are the RREF of rows
-    kernel = Subspace(field, ncols, _kernel_from_rref(field, red, pivots, ncols))
-    return AffineSolution(particular, kernel)
+    for piv, r in kept.items():
+        x = r.get(ncols)
+        if x:
+            particular[piv] = x if field.char else Fraction(x, r[piv])
+    return AffineSolution(particular, Subspace(field, ncols, ech.kernel(ncols)))

@@ -534,15 +534,15 @@ def _poly_eval_is_zero(field, coeffs, t):
 
 
 def _hyperplanes_over_subspace(alg, core: Subspace):
-    """All hyperplanes containing ``core`` over a prime field (complete),
-    or, over the rationals, the complete rank-2 family when the quotient
-    is 2-dimensional plus a finite candidate family otherwise."""
+    """The hyperplanes containing ``core`` when it has codimension 2 (none
+    otherwise): all of them over a prime field, or, over the rationals,
+    the complete rank-2 family when ``core`` is a subalgebra plus a
+    finite candidate family otherwise."""
     field, n = alg.field, alg.dim
     reps = core.quotient_reps()
-    q = len(reps)
-    if q <= 1:
+    if len(reps) != 2:
         return
-    if q == 2 and alg.is_subalgebra(core):
+    if alg.is_subalgebra(core):
         r1, r2 = reps
         for t in _rank2_line_parameters(alg, core):
             if t is None:
@@ -551,9 +551,9 @@ def _hyperplanes_over_subspace(alg, core: Subspace):
                 vec = vec_add(field, r1, vec_scale(field, t, r2))
             yield Subspace(field, n, list(core.rows) + [vec])
         return
-    if field.char and (field.char**q - 1) // (field.char - 1) <= ENUM_CAP:
-        # lines in the quotient, projectively normalized
-        for coeffs in projective_points(field.char, q):
+    if field.char and field.char + 1 <= ENUM_CAP:
+        # the p + 1 lines of the quotient, projectively normalized
+        for coeffs in projective_points(field.char, 2):
             yield Subspace(field, n, list(core.rows) + [vec_mat(field, coeffs, reps)])
     else:
         seeds = [basis_vector(field, n, i) for i in range(n)]
@@ -591,7 +591,7 @@ def classify(alg: AnticommAlgebra):
 
     # search for a codimension-1 Lie subalgebra; any such subalgebra
     # contains the radical of the form (dim >= 4, non-Lie), so extending
-    # the radical is a complete search over a small prime field
+    # a codimension-2 radical is a complete search over a small prime field
     def lie_hyperplane(cand):
         # one subalgebra check per candidate; restrict() would repeat it
         return (

@@ -13,6 +13,8 @@ module but ``fields`` calls the per-scalar ``add``, ``sub``, ``mul``,
 and reduced by ``linalg``.  No module but ``linalg`` reads the private
 pair table ``SkewProduct._rows``: the others go through
 ``signed_table()``, so field-specific int work stays behind ``linalg``.
+No module but ``linalg`` calls ``rref``: the solvers read the kept rows
+of an ``Echelon`` directly, not a dense reduced copy of them.
 """
 
 import ast
@@ -140,3 +142,19 @@ def test_the_check_sees_pair_table_reads():
         "    return skew._rows[0], alg._product.signed_table(), _rows\n"
     )
     assert private_table_reads(source) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_only_linalg_calls_rref(path):
+    assert calls_to(path.read_text(encoding="utf-8"), "rref") == []
+
+
+def test_the_check_sees_rref_calls():
+    source = (
+        "def f(field, rows, rref_rows):\n"
+        "    _, rank, _ = rref(field, rows)\n"
+        "    return linalg.rref(field, rows_rref), rank, rref_rows\n"
+    )
+    assert calls_to(source, "rref") == [2, 3]

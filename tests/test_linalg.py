@@ -106,6 +106,36 @@ def test_subspace_rejects_vectors_of_the_wrong_length(field):
             with pytest.raises(DimensionMismatch):
                 method(v)
     assert line.coords([1, 0, 0]) == [1]
+    # a short or long spanning vector once became a row of the wrong
+    # length, and lift padded short coordinates or raised IndexError
+    for ambient, vectors in ((3, [[1, 2]]), (2, [[0, 0, 1]]), (2, [[1, 0], [0, 1], [1]])):
+        with pytest.raises(DimensionMismatch):
+            Subspace(field, ambient, vectors)
+    for coords in ([[]], [[1, 2]]):
+        with pytest.raises(DimensionMismatch):
+            line.lift(coords)
+    assert line.lift([[2]]) == [[field.coerce(2), field.zero(), field.zero()]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_solvers_reject_rows_of_the_wrong_length(field):
+    """A short right-hand side once dropped equations, and a ragged row
+    raised IndexError or was cut to length; rows past full rank are
+    checked too."""
+    calls = [
+        lambda: solve_affine(field, [[1, 0], [0, 1]], [1]),
+        lambda: solve_affine(field, [[1, 0]], [1, 2]),
+        lambda: solve_affine(field, [[1, 0], [0, 1, 1]], [1, 2]),
+        lambda: solve_affine(field, [[1, 0], [0, 1], [1]], [1, 2, 3]),
+        lambda: kernel_basis(field, [[1, 0]], 3),
+        lambda: kernel_basis(field, [[0, 0, 0, 1]], 3),
+        lambda: kernel_basis(field, [[1, 0], [0, 1], [1, 1, 1]], 2),
+        lambda: rref(field, [[1, 0], [0, 0, 1]]),
+        lambda: rref(field, [[1, 0], [0, 1], [1]]),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
@@ -404,25 +434,52 @@ def test_echelon_matches_rank_oracles(field, data):
     n = len(rows[0])
     frozen = [list(r) for r in rows]
     ech = Echelon(field)
-    accepted = []
     for k, row in enumerate(rows):
         grew = oracle_rank(field, rows[: k + 1]) > oracle_rank(field, rows[:k])
         assert ech.add(row) == grew
         assert ech.rank == oracle_rank(field, rows[: k + 1])
-        if grew:
-            accepted.append(row)
     assert rows == frozen
-    # rows: the vectors that raised the rank, as given and in order
-    assert len(ech.rows) == len(accepted)
-    assert all(got is want for got, want in zip(ech.rows, accepted))
-    assert Subspace(field, n, ech.rows) == Subspace(field, n, rows)
-    # the canonical form read off the kept rows is byte-equal to a full
-    # elimination of the accepted vectors, and leaves them as they were
-    got, want = ech.subspace(n), Subspace(field, n, ech.rows)
+    # the canonical form read off the kept rows is byte-equal to the
+    # reference elimination and to the subspace the rows span
+    got, want = ech.subspace(n), Subspace(field, n, rows)
+    red, rank, pivots = rref_reference(field, rows)
+    assert (got.rows, got._pivots) == ([tuple(r) for r in red[:rank]], pivots)
     assert (got.ambient, got.rows, got._pivots) == (want.ambient, want.rows, want._pivots)
     assert [[type(x) for x in r] for r in got.rows] == [[type(x) for x in r] for r in want.rows]
     assert repr(got) == repr(want)
+    # the kernel read off the kept rows is the reference one
+    assert ech.kernel(n) == kernel_reference(field, rows, n)
     assert rows == frozen
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kernel_and_affine_read_off_edge_cases(field):
+    """No rows, zero rows only, full rank, and a pivot in the augmented
+    column, against the reference elimination."""
+    z, one, two = field.zero(), field.one(), field.coerce(2)
+    systems = [
+        ([], 3),
+        ([[z, z, z], [z, z, z]], 3),
+        ([[one, two], [two, one]], 2),  # full rank, square
+        ([[one, z, two], [z, one, one]], 3),  # full row rank
+        ([[two, one], [one, one], [one, two]], 2),  # full rank, past it
+    ]
+    for rows, n in systems:
+        want = kernel_reference(field, rows, n)
+        assert kernel_basis(field, rows, n) == want
+        assert_canonical(field, [x for v in want for x in v])
+        if rows:
+            x0 = [field.coerce(k + 1) for k in range(n)]
+            sol = solve_affine(field, rows, [vec_dot(field, r, x0) for r in rows])
+            assert sol.kernel == Subspace(field, n, want)
+            assert [vec_dot(field, r, sol.particular) for r in rows] == [vec_dot(field, r, x0) for r in rows]
+            assert_canonical(field, sol.particular)
+    assert solve_affine(field, [], []).dim == 0
+    # a pivot in the augmented column: zero rows with a nonzero right-hand
+    # side, and two parallel rows with different ones
+    assert solve_affine(field, [[z, z], [z, z]], [z, one]) is None
+    assert solve_affine(field, [[one, two], [two, field.coerce(4)]], [one, one]) is None
+    assert solve_affine(field, [[one, two], [two, field.coerce(4)]], [one, two]).dim == 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -266,6 +266,32 @@ def test_classify_is_definitive_over_the_rationals():
             assert verdict.case in ("codim_one_lie_subalgebra", "kernel_codim_two")
 
 
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+def test_hyperplanes_over_subspace_cover_codimension_two_only(field):
+    """Over a core of codimension q >= 3 the helper once yielded the core
+    plus each line of the quotient, of dimension n - q + 1, which the
+    hyperplane check rejected one by one (31 of them for span(e1, e2) in
+    this GF(5) algebra); over a codimension-2 core it yields the same
+    hyperplanes as before."""
+    alg = catalog.random_extension_chain(field, 0, 5)
+    e = [basis_vector(field, 5, i) for i in range(5)]
+
+    def hyperplanes(*idx):
+        return list(structure._hyperplanes_over_subspace(alg, Subspace(field, 5, [e[i] for i in idx])))
+
+    assert hyperplanes(0, 1) == hyperplanes(0) == []
+    # a subalgebra core: the rank-2 line family of its quotient
+    want = [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]] if field.char else [[0, 0, 0, 1, -4], [0, 0, 0, 1, 0]]
+    assert hyperplanes(0, 1, 2) == [Subspace(field, 5, e[:3] + [w]) for w in want]
+    if field.char:
+        # not a subalgebra: the core plus each line of the quotient
+        core = [e[0], e[1], e[3]]
+        want = [Subspace(field, 5, core + [vec_add(field, vec_scale(field, a, e[2]), vec_scale(field, b, e[4]))])
+                for a, b in projective_points(5, 2)]
+        assert hyperplanes(0, 1, 3) == want and len(want) == 6
+        assert all(h.dim == 4 for h in want)
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
