@@ -18,21 +18,32 @@ canonical ones; the elimination kernel keeps its rows as residues or
 ints and reads results off them itself.
 
 There is one elimination kernel, :class:`Echelon`, for both fields.  It
-holds each row as a ``{column: int}`` dict of its nonzero entries and
-adds the rows one at a time to a set of kept rows that stays in reduced
-form.  Rows enter one way: a dense vector of canonical scalars or ints
+adds rows one at a time to a set of kept rows that stays in reduced
+form, and holds each row in one of two forms, fixed by the field:
+
+- *packed* over GF(p) with p <= 13: one Python int, the residue of
+  column c in byte c.  A row is cleared at a kept pivot by one big-int
+  multiply-add, and all its bytes are reduced mod p at once by
+  ``bytes.translate``, after as many clears as a byte can hold.  A byte
+  must hold a residue plus one product of two residues, (p - 1) +
+  (p - 1)**2 <= 255, which ends the form at p = 13.
+- *sparse* over Q and GF(p) with p > 13: a ``{column: int}`` dict of
+  the nonzero entries, cleared by a modular multiply-subtract over
+  GF(p) and fraction-free over Q.
+
+Rows enter one way: a dense vector of canonical scalars or ints
 (:meth:`Echelon.add`) and an image spun inside the kernel
-(:meth:`Echelon.spin`) pass the same normalizer, to residues over GF(p)
-and a primitive integer row over Q, and the same clear step, a modular
-multiply-subtract over GF(p) and fraction-free over Q.  Results come out
-one way, read straight off the kept rows with a ``Fraction`` built only
-per entry read: the canonical rows behind :class:`Subspace`, and the
-kernel (:meth:`Echelon.kernel`) behind :func:`kernel_basis` and
-:func:`solve_affine`, whose particular point is the augmented column.
-The solvers' one entry checks the length of every row.  :func:`rref`
-pads the canonical rows with zero rows; no other module calls it.
-Subspaces are stored as reduced row-echelon bases, so equality of
-subspaces is equality of their canonical representations.
+(:meth:`Echelon.spin`) become rows of the same form and pass the same
+insert step.  Results come out one way, read straight off the kept rows
+with a ``Fraction`` built only per entry read: the canonical rows
+behind :class:`Subspace`, and the kernel (:meth:`Echelon.kernel`)
+behind :func:`kernel_basis` and :func:`solve_affine`, whose particular
+point (:meth:`Echelon._particular`) is the augmented column.  No code
+outside :class:`Echelon` reads the kept rows.  The solvers' one entry
+checks the length of every row.  :func:`rref` pads the canonical rows
+with zero rows; no other module calls it.  Subspaces are stored as
+reduced row-echelon bases, so equality of subspaces is equality of
+their canonical representations.
 
 :class:`SkewProduct` is the matching kernel for alternating bilinear
 maps given on basis pairs (an algebra's bracket and its form): int
@@ -51,10 +62,15 @@ deformations, multiplicative forms, cochain differentials, the
 almost-abelian system, the commutant, adjoint maps) is built from its
 signed pair table (:meth:`SkewProduct.signed_table`, or
 :meth:`SkewProduct.image` and :meth:`SkewProduct.right_images`) as int
-rows.  No other module reads the table's private ``_rows``.  Whether
-vectors bracket to zero pairwise is one int test on the table
-(:meth:`SkewProduct.commutes_pairwise`), the same one the spin's
-commute cut-off runs.
+rows.  No other module reads the table's private ``_rows``.  Over
+GF(p) with p <= 13 the product also keeps the table packed, one int per
+basis vector ``e_i`` holding the bytes of every ``[e_i, e_j]``, so the
+n products ``[x, e_j]`` of :meth:`SkewProduct.right_images` and of the
+spin are one sum of packed ints.  Whether vectors bracket to zero
+pairwise is one int test on the table
+(:meth:`SkewProduct.commutes_pairwise`), the one the spin's commute
+cut-off runs on sparse rows; on packed rows it combines the packed
+images instead.
 """
 
 from __future__ import annotations
@@ -177,14 +193,17 @@ class SkewProduct:
     so the inner loop adds ints and one ``Fraction(v, dx*dy*D)`` is
     built per nonzero output entry.  ``__call__`` takes and returns
     canonical scalars; :meth:`scaled` and :meth:`basis_jacobian` stay in
-    scaled vectors (see :func:`to_scaled`).
+    scaled vectors (see :func:`to_scaled`).  Over GF(p) with p <= 13,
+    :meth:`right_images` and the spin of :class:`Echelon` read a packed
+    copy of the table instead (:meth:`_packed_images`).
     """
 
-    __slots__ = ("field", "out_dim", "_rows", "_den")
+    __slots__ = ("field", "out_dim", "_rows", "_den", "_packed")
 
     def __init__(self, field, dim, out_dim, entries):
         self.field = field
         self.out_dim = out_dim
+        self._packed = None
         den = 1
         if not field.char:
             den = lcm(*[c.denominator for image in entries.values() for c in image.values()])
@@ -202,6 +221,23 @@ class SkewProduct:
         every ordered pair.  Over GF(p) ``D`` is 1 and each ``c`` is a
         residue up to sign.  Callers only read it."""
         return self._rows, self._den
+
+    def _packed_images(self, pack, coeffs):
+        """The products ``[x, e_j]`` for every ``j`` over GF(p), p at most
+        13, as bytes: the residue of ``[x, e_j]_k`` in byte ``j * out_dim
+        + k``.  ``coeffs`` holds the residues of ``x`` as bytes, and the
+        result is one reduced sum ``sum_i x_i Q_i`` (:func:`_combine`)
+        over the packed pair table, whose int ``Q_i`` is laid out as the
+        result, with ``[e_i, e_j]``.  The table is built on first use and
+        kept on the product."""
+        table = self._packed
+        if table is None:
+            p, m = pack[0], self.out_dim
+            table = self._packed = [
+                sum((c % p) << 8 * (j * m + k) for j, pairs in enumerate(row) for k, c in pairs)
+                for row in self._rows
+            ]
+        return _combine(pack, coeffs, table).to_bytes(len(table) * self.out_dim, "little")
 
     def image(self, i, j):
         """The product of the basis vectors ``i`` and ``j``, as a scaled
@@ -252,8 +288,14 @@ class SkewProduct:
     def right_images(self, x):
         """The products ``[x, e_j]`` for every basis vector ``e_j``, in one
         pass over the signed pair table: the right multiplications of
-        the basis applied to ``x``."""
+        the basis applied to ``x``.  Over GF(p) with p <= 13 they are the
+        byte slices of one sum of packed ints (:meth:`_packed_images`)."""
         field, rows = self.field, self._rows
+        pack = _PACKINGS.get(field.char)
+        if pack:
+            p, m = pack[0], self.out_dim
+            b = self._packed_images(pack, bytes([a % p for a in x]))
+            return [list(b[j * m : j * m + m]) for j in range(len(rows))]
         xv, dx = to_scaled(field, x)
         accs = [[0] * self.out_dim for _ in rows]
         for a, row in zip(xv, rows):
@@ -399,30 +441,87 @@ def _clear_mod(p, v, hits):
     return out
 
 
+def _packing(p):
+    """The constants of packed rows over GF(p): ``p``, the translate
+    table that reduces every byte mod p, the inverse of each residue,
+    and how many multiply-adds ``a * r`` of residues may pile onto a
+    residue before a byte must be reduced, so that none carries."""
+    mod = bytes(b % p for b in range(256))
+    inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+    return p, mod, inv, (256 - p) // (p - 1) ** 2
+
+
+# GF(p) rows are packed one byte per column when a byte holds a residue
+# plus one multiply-add, (p - 1) + (p - 1)**2 <= 255: for p <= 13, one
+# entry per prime field from GF(5) on
+_PACKINGS = {p: _packing(p) for p in (5, 7, 11, 13)}
+
+
+def _reduce(x, mod):
+    """The packed row ``x`` with every byte reduced by the table ``mod``."""
+    return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(mod), "little")
+
+
+def _combine(pack, coeffs, rows):
+    """``sum_i coeffs[i] rows[i]`` of packed rows, reduced: ``coeffs`` is
+    a bytes of residues, and the bytes are reduced after every
+    ``steps`` multiply-adds, before any can carry."""
+    _, mod, _, steps = pack
+    acc = count = 0
+    for a, r in zip(coeffs, rows):
+        if a:
+            acc += a * r
+            count += 1
+            if count == steps:
+                acc, count = _reduce(acc, mod), 0
+    return _reduce(acc, mod) if count else acc
+
+
 class Echelon:
     """The one elimination kernel: a row space grown one vector at a time.
 
-    The kept rows are ``{column: int}`` dicts keyed by pivot, in reduced
-    form throughout: each is zero at the pivots of the others.  Every
-    row enters as a normalized int row (:meth:`_row`) through
-    :meth:`_insert`: it is cleared at the kept pivots it meets
-    (:func:`_clear_mod` over GF(p), :func:`_clear` over Q) and dropped
-    if nothing is left; otherwise its leading column becomes a pivot,
-    which is cleared from the kept rows in turn.  :meth:`add` feeds it a
-    dense vector; :meth:`spin`, the one spin kernel, feeds it the int
-    images of the kept rows under a :class:`SkewProduct` until the span
-    is closed or full, and with its commute cut-off gives up at the
-    first kept row that fails to commute with an earlier one.
-    :meth:`subspace` and :meth:`kernel` read results off the kept rows.
+    The kept rows are keyed by pivot and stay in reduced form: each is
+    zero at the pivots of the others.  A row takes one of two forms,
+    fixed by the field:
+
+    - *packed*, over GF(p) with p at most 13: one Python int with the
+      residue of column c in byte c.  A row is cleared at a kept pivot
+      with entry ``t`` by one big-int multiply-add ``x + (p - t) r``,
+      and its bytes are reduced mod p by one ``bytes.translate`` pass
+      after as many of these as a byte can hold, ``(256 - p) // (p -
+      1)**2``: 15 at p = 5, 6 at p = 7, 2 at p = 11, 1 at p = 13.  Past
+      13 a residue plus one product, (p - 1) + (p - 1)**2, no longer
+      fits in a byte.
+    - *sparse*, over Q and the larger primes: a ``{column: int}`` dict
+      of the nonzero entries, cleared by :func:`_clear_mod` (residues
+      with pivot 1) over GF(p) and by :func:`_clear` (fraction-free,
+      primitive) over Q.
+
+    Every row enters through the insert step of its form
+    (:meth:`_insert_packed`, :meth:`_insert`): it is cleared at the kept
+    pivots it meets and dropped if nothing is left; otherwise its
+    leading column becomes a pivot, which is cleared from the kept rows
+    in turn.  :meth:`add` feeds it a dense vector; :meth:`spin`, the one
+    spin kernel, feeds it the images of the kept rows under a
+    :class:`SkewProduct` until the span is closed or full, and with its
+    commute cut-off gives up at the first kept row that fails to commute
+    with an earlier one.  :meth:`subspace`, :meth:`kernel` and the
+    augmented-column read-off :meth:`_particular` read results off the
+    kept rows; no code outside this class reads them.
     """
 
-    __slots__ = ("_field", "_p", "_clear", "_kept")
+    __slots__ = ("_field", "_p", "_clear", "_kept", "_pack", "_mask")
 
     def __init__(self, field):
         self._field = field
         self._p = p = field.char
-        self._clear = partial(_clear_mod, p) if p else _clear
         self._kept = {}
+        if not p:
+            self._clear, self._pack = _clear, None
+        elif pack := _PACKINGS.get(p):
+            self._pack, self._mask = pack, 0  # 255 in the byte of every pivot
+        else:
+            self._clear, self._pack = partial(_clear_mod, p), None
 
     @property
     def rank(self):
@@ -431,14 +530,20 @@ class Echelon:
     def add(self, v):
         """Clear the dense vector ``v`` (canonical scalars or Python ints)
         into the kept rows; returns whether it raised the rank."""
+        pack = self._pack
+        if pack:
+            p = pack[0]
+            x = int.from_bytes(bytes([a % p for a in v]), "little")
+            return self._insert_packed(x) is not None
         entries = enumerate(v) if self._p else _int_support(v)[0]
         return self._insert(self._row(entries)) is not None
 
     def _row(self, entries):
-        """The int row of the ``(column, int)`` pairs ``entries`` as
+        """The sparse row of the ``(column, int)`` pairs ``entries`` as
         :meth:`_insert` takes it: the nonzero residues over GF(p), the
-        nonzero entries divided by their gcd over Q.  The one normalizer,
-        for the vectors of :meth:`add` and the images of :meth:`spin`."""
+        nonzero entries divided by their gcd over Q.  The one normalizer
+        of sparse rows, for the vectors of :meth:`add` and the images of
+        :meth:`spin`."""
         p = self._p
         if p:
             return {c: y for c, x in entries if (y := x % p)}
@@ -449,11 +554,10 @@ class Echelon:
         return r
 
     def _insert(self, r):
-        """Clear the int row ``r`` (a dict of nonzero entries: residues over
-        GF(p), a primitive row over Q) at the kept pivots it meets and
-        keep what is left, its pivot cleared from the kept rows: the one
-        path by which rows enter.  Returns the row as kept, or None when
-        ``r`` lies in the span."""
+        """Clear the sparse row ``r`` (a dict of nonzero entries: residues
+        over GF(p), a primitive row over Q) at the kept pivots it meets
+        and keep what is left, its pivot cleared from the kept rows.
+        Returns the row as kept, or None when ``r`` lies in the span."""
         kept = self._kept
         hits = [(c, kept[c]) for c in r if c in kept]
         if hits:
@@ -471,6 +575,42 @@ class Echelon:
         kept[piv] = r
         return r
 
+    def _insert_packed(self, x):
+        """:meth:`_insert` on a packed row ``x`` of residues.  The kept
+        pivots it hits are the set bytes of ``x`` under the pivot mask;
+        each is cleared by one multiply-add, which leaves the other hit
+        bytes alone, as the kept rows vanish there, and the bytes are
+        reduced after every ``steps`` clears, before any can carry.  The
+        pivot is the lowest nonzero byte, scaled to 1 by the inverse
+        table."""
+        p, mod, inv, steps = self._pack
+        kept = self._kept
+        hit = x & self._mask
+        count = 0
+        while hit:
+            s = ((hit & -hit).bit_length() - 1) & ~7
+            t = (hit >> s) & 255
+            hit ^= t << s
+            x += (p - t) * kept[s >> 3]
+            count += 1
+            if count == steps:
+                x, count = _reduce(x, mod), 0
+        if count:
+            x = _reduce(x, mod)
+        if not x:
+            return None
+        s = ((x & -x).bit_length() - 1) & ~7
+        a = (x >> s) & 255
+        if a != 1:
+            x = _reduce(x * inv[a], mod)
+        for c, k in kept.items():
+            t = (k >> s) & 255
+            if t:
+                kept[c] = _reduce(k + (p - t) * x, mod)
+        kept[s >> 3] = x
+        self._mask |= 255 << s
+        return x
+
     def spin(self, skew, commute=False):
         """Grow the span to its closure under the right multiplications
         ``x -> [x, e_j]`` of ``skew``, a :class:`SkewProduct` of K^n
@@ -478,19 +618,22 @@ class Echelon:
 
         The spin kernel: each row is spun once, as it stood when it was
         kept (the rows kept so far, then each row kept on the way), so
-        the spun rows are a basis of the span.  A row's n images are
-        built as ints straight through the signed pair table and enter
-        through :meth:`_row` and :meth:`_insert`, as the vectors of
-        :meth:`add` do.  The spin stops at full rank.
+        the spun rows are a basis of the span.  Its n images enter, in
+        the order of ``j``, through the insert step, as the vectors of
+        :meth:`add` do.  Sparse rows build their images as ints straight
+        through the signed pair table and pass :meth:`_row`; packed rows
+        take theirs from :meth:`SkewProduct._packed_images`.  The spin
+        stops at full rank.
 
         The cut-off: with ``commute`` on, every newly kept row is tested
-        against each row kept before it with the int commute test of
-        :meth:`SkewProduct.commutes_pairwise`, and the spin gives up at
-        the first pair whose product is nonzero, returning False with
-        the span part-grown.  The tested rows are a basis of the span,
-        so a spin that runs to the end has an abelian closure, and one
-        that gives up does not.  The rows kept before the spin are
-        tested pairwise first."""
+        against each row kept before it, and the spin gives up at the
+        first pair whose product is nonzero, returning False with the
+        span part-grown.  The tested rows are a basis of the span, so a
+        spin that runs to the end has an abelian closure, and one that
+        gives up does not.  The rows kept before the spin are tested
+        pairwise first."""
+        if self._pack:
+            return self._spin_packed(skew, commute)
         table, n = skew._rows, skew.out_dim
         commutes = skew._commutes
         queue = list(self._kept.values())
@@ -515,12 +658,55 @@ class Echelon:
                     break
         return True
 
+    def _spin_packed(self, skew, commute):
+        """:meth:`spin` on packed rows.  A row's n images are the byte
+        slices of :meth:`SkewProduct._packed_images`, computed once: when
+        the row is kept if the cut-off is on, where they serve its commute
+        tests, as ``[w, u] = sum_j u_j [w, e_j]`` is zero exactly when that
+        combination of the images of ``w`` is, and then its turn to be
+        spun."""
+        n, pack, kept = skew.out_dim, self._pack, self._kept
+
+        def images(r):
+            b = skew._packed_images(pack, r.to_bytes(n, "little"))
+            return [int.from_bytes(b[s : s + n], "little") for s in range(0, len(b), n)]
+
+        def commutes(ims, rows):
+            return not any(_combine(pack, u.to_bytes(n, "little"), ims) for u in rows)
+
+        queue = list(kept.values())
+        spun = [None] * len(queue)
+        if commute:
+            for i, u in enumerate(queue):
+                spun[i] = images(u)
+                if not commutes(spun[i], queue[:i]):
+                    return False
+        for i, r in enumerate(queue):  # the queue grows while it is read
+            if len(kept) == n:
+                break
+            for w in spun[i] or images(r):
+                w = self._insert_packed(w)
+                if w is None:
+                    continue
+                ims = None
+                if commute:
+                    ims = images(w)
+                    if not commutes(ims, queue):
+                        return False
+                queue.append(w)
+                spun.append(ims)
+                if len(kept) == n:
+                    break
+        return True
+
     def _canonical_rows(self, ncols):
         """The canonical rows of the span, as tuples of ``ncols`` canonical
         scalars in pivot order, and the pivots: each kept row divided by
-        its pivot entry."""
+        its pivot entry.  A packed row is its bytes."""
         p, kept = self._p, self._kept
         pivots = sorted(kept)
+        if self._pack:
+            return [tuple(kept[c].to_bytes(ncols, "little")) for c in pivots], pivots
         out = []
         for c in pivots:
             dense = [0 if p else _ZERO] * ncols
@@ -552,12 +738,31 @@ class Echelon:
         free = [c for c in range(ncols) if c not in kept]
         vectors = {c: [zero] * c + [one] + [zero] * (ncols - c - 1) for c in free}
         for piv, r in kept.items():
-            a = r[piv]
-            for k, x in r.items():
+            a = 1 if p else r[piv]
+            if self._pack:  # its bytes, zeros included, which write zeros
+                entries = enumerate(r.to_bytes((r.bit_length() + 7) >> 3, "little"))
+            else:
+                entries = r.items()
+            for k, x in entries:
                 v = vectors.get(k)
                 if v is not None:
                     v[piv] = -x % p if p else Fraction(-x, a)
         return list(vectors.values())
+
+    def _particular(self, ncols):
+        """The solution of a system ``[rows | b]`` with its right-hand side
+        in column ``ncols``, zero at the free columns, read off that
+        column of the kept rows; None when the column is a pivot, that
+        is, when the system is inconsistent."""
+        p, kept = self._p, self._kept
+        if ncols in kept:
+            return None
+        out = zeros(self._field, ncols)
+        for piv, r in kept.items():
+            x = (r >> 8 * ncols) & 255 if self._pack else r.get(ncols)
+            if x:
+                out[piv] = x if p else Fraction(x, r[piv])
+        return out
 
 
 def kernel_basis(field, rows, ncols):
@@ -641,7 +846,10 @@ class Subspace:
         for c in coords:
             if len(c) != len(self.rows):
                 raise DimensionMismatch("coordinate count does not match the dimension")
-            out.append(vec_mat(self.field, c, self.rows))
+            if self.rows:
+                out.append(vec_mat(self.field, c, self.rows))
+            else:  # no row to size the vector by
+                out.append(zeros(self.field, self.ambient))
         return out
 
     def sum(self, other):
@@ -744,12 +952,7 @@ def solve_affine(field, rows, rhs):
         return AffineSolution([], Subspace.zero(field, 0))
     ncols = len(rows[0])
     ech = _echelon(field, (list(r) + [b] for r, b in zip(rows, rhs)), ncols + 1)
-    kept = ech._kept
-    if ncols in kept:
+    particular = ech._particular(ncols)
+    if particular is None:
         return None
-    particular = zeros(field, ncols)
-    for piv, r in kept.items():
-        x = r.get(ncols)
-        if x:
-            particular[piv] = x if field.char else Fraction(x, r[piv])
     return AffineSolution(particular, Subspace(field, ncols, ech.kernel(ncols)))

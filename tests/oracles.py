@@ -1287,8 +1287,10 @@ def kernel_reference(field, rows, ncols):
     return basis
 
 
-def lift_reference(field, rows, coords):
-    return [vec_mat_reference(field, c, rows) for c in coords]
+def lift_reference(field, ambient, rows, coords):
+    """The vectors of K^ambient with the given coordinates in ``rows``:
+    zero vectors when there are no rows."""
+    return [vec_mat_reference(field, c, rows) if rows else [field.zero()] * ambient for c in coords]
 
 
 def intersect_reference(field, ambient, a, b):
@@ -1300,7 +1302,7 @@ def intersect_reference(field, ambient, a, b):
         [u[coord] for u in a] + [field.neg(v[coord]) for v in b] for coord in range(ambient)
     ]
     combos = kernel_reference(field, stacked, len(a) + len(b))
-    vectors = lift_reference(field, a, [c[: len(a)] for c in combos])
+    vectors = lift_reference(field, ambient, a, [c[: len(a)] for c in combos])
     red, rank, _ = rref_reference(field, vectors)
     return red[:rank]
 

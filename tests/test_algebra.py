@@ -147,7 +147,11 @@ def test_bracket_and_omega_match_reference(field, data):
             assert_canonical(field, image)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+# the fields of the suite and the last two with packed rows in ``linalg``
+PACKED_EDGE_FIELDS = FIELDS + [GF(11), GF(13)]
+
+
+@pytest.mark.parametrize("field", PACKED_EDGE_FIELDS, ids=str)
 @given(data=st.data())
 def test_right_images_match_reference(field, data):
     alg = data.draw(algebras(field))
@@ -821,7 +825,7 @@ def assert_spin_matches_reference(alg, gens):
         assert [list(r) for r in spun.subspace(n).rows] == want
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", PACKED_EDGE_FIELDS, ids=str)
 @settings(deadline=None)
 @given(data=st.data())
 def test_spin_cut_off_matches_reference_on_random_tables(field, data):
@@ -831,6 +835,58 @@ def test_spin_cut_off_matches_reference_on_random_tables(field, data):
     n = alg.dim
     gens = data.draw(st.lists(vectors(field, n), min_size=1, max_size=4))
     assert_spin_matches_reference(alg, gens)
+
+
+@st.composite
+def codim1_abelian_ideal_tables(draw, field, min_dim, max_dim):
+    """A random table on which span(e_0, ..., e_{n-2}) is an abelian
+    ideal, with a generator inside it: the entries are dense and most
+    are p - 1, so byte sums of packed rows reach past 255 without their
+    reductions."""
+    n = draw(st.integers(min_value=min_dim, max_value=max_dim))
+    p = field.char
+    heavy = st.sampled_from([p - 1] * 8 + [1, p - 2])
+    bracket = {}
+    for i in range(n - 1):
+        image = draw(st.lists(heavy, min_size=n - 1, max_size=n - 1))
+        bracket[(i, n - 1)] = dict(enumerate(image))
+    gen = draw(st.lists(heavy, min_size=n - 1, max_size=n - 1)) + [0]
+    return AnticommAlgebra(field, n, bracket), gen
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_spin_cut_off_matches_reference_past_a_byte(p, data):
+    """Rows of 8 to 10 heavy entries: a packed image sum or commute test
+    over GF(7) takes 7 or more products of up to 36, past a byte, so
+    only the chunked reduction keeps it exact; GF(11) and GF(13) carry
+    within 3 and 2 products.  Both outcomes of the cut-off occur: the
+    generator inside the abelian ideal spins to an abelian closure, a
+    dense one on a random table mostly does not."""
+    field = GF(p)
+    if data.draw(st.booleans()):
+        alg, gen = data.draw(codim1_abelian_ideal_tables(field, 8, 10))
+        gens = [gen]
+    else:
+        alg = data.draw(algebras(field, min_dim=8, max_dim=9))
+        gens = data.draw(st.lists(vectors(field, alg.dim), min_size=1, max_size=2))
+    assert_spin_matches_reference(alg, gens)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_packed_images_match_reference_past_a_byte(p):
+    # [e_i, e_j] = (p - 1) times the all-ones vector for i < j, and x is
+    # p - 1 times it: [x, e_j]_k sums j products (p - 1)**2, up to 19
+    field = GF(p)
+    for n in (2, 9, 17, 20):
+        ones = {k: p - 1 for k in range(n)}
+        alg = AnticommAlgebra(field, n, {pair: ones for pair in combinations(range(n), 2)})
+        x = [p - 1] * n
+        images = alg._product.right_images(x)
+        for j, image in enumerate(images):
+            assert image == bracket_reference(alg, x, basis_vector(field, n, j))
+        assert_spin_matches_reference(alg, [x])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

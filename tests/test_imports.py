@@ -14,7 +14,10 @@ and reduced by ``linalg``.  No module but ``linalg`` reads the private
 pair table ``SkewProduct._rows``: the others go through
 ``signed_table()``, so field-specific int work stays behind ``linalg``.
 No module but ``linalg`` calls ``rref``: the solvers read the kept rows
-of an ``Echelon`` directly, not a dense reduced copy of them.
+of an ``Echelon`` directly, not a dense reduced copy of them.  No code
+outside ``class Echelon`` reads its kept rows ``_kept``, whose form (a
+packed int or a sparse dict) depends on the field: results are read
+off through the methods of ``Echelon``.
 """
 
 import ast
@@ -158,3 +161,42 @@ def test_the_check_sees_rref_calls():
         "    return linalg.rref(field, rows_rref), rank, rref_rows\n"
     )
     assert calls_to(source, "rref") == [2, 3]
+
+
+def kept_reads_outside_echelon(source):
+    """Line numbers of the reads of an attribute named ``_kept`` outside
+    the body of a class named ``Echelon``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "Echelon"
+        for node in ast.walk(cls)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_kept" and id(node) not in inside
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_echelon_reads_its_kept_rows(path):
+    assert kept_reads_outside_echelon(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_kept_row_reads():
+    source = (
+        "class Echelon:\n"
+        "    def rank(self):\n"
+        "        return len(self._kept)\n"
+        "\n"
+        "def solve(ech, _kept):\n"
+        "    kept = ech._kept\n"
+        "    return kept, _kept, ech.kernel(3)\n"
+        "\n"
+        "class Other:\n"
+        "    def f(self, ech):\n"
+        "        return ech._kept.get(0)\n"
+    )
+    assert kept_reads_outside_echelon(source) == [6, 11]

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from olie import GF, QQ, Subspace
 from olie.errors import DimensionMismatch
 from olie.linalg import (
+    _PACKINGS,
     Echelon,
+    _packing,
     basis_vector,
     identity_matrix,
     kernel_basis,
@@ -46,6 +48,9 @@ from oracles import (
     vec_sub_reference,
 )
 from strategies import FIELDS, assert_canonical, scalars
+
+# the fields of the suite and the last two with packed rows
+ECHELON_FIELDS = FIELDS + [GF(11), GF(13)]
 
 
 def test_rref_identity():
@@ -364,7 +369,7 @@ def test_rref_kernel_edge_cases(field):
         assert_rref_matches_reference(field, rows)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=str)
 @given(data=st.data())
 def test_solve_affine_kernel_from_one_elimination(field, data):
     rows = data.draw(matrices(field))
@@ -391,12 +396,12 @@ def test_solve_affine_kernel_from_one_elimination(field, data):
 
 
 @st.composite
-def int_rows(draw, p, max_rows=60, max_cols=15):
+def int_rows(draw, p, max_rows=60, max_cols=15, min_rows=1, min_cols=1):
     """Int rows with negative and out-of-range residues, up to tall
     shapes; half the time combinations of a few base rows, so the rank
     falls short of both sides."""
-    nrows = draw(st.integers(min_value=1, max_value=max_rows))
-    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    nrows = draw(st.integers(min_value=min_rows, max_value=max_rows))
+    ncols = draw(st.integers(min_value=min_cols, max_value=max_cols))
     entry = st.one_of(st.just(0), st.integers(min_value=-3 * p, max_value=3 * p), st.integers())
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     if draw(st.booleans()):
@@ -406,16 +411,62 @@ def int_rows(draw, p, max_rows=60, max_cols=15):
     return [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(ncols)] for cs in coeffs]
 
 
-@pytest.mark.parametrize("p", [5, 7])
-@settings(deadline=None)
-@given(data=st.data())
-def test_rref_gf_matches_the_dense_kernel(p, data):
-    rows = data.draw(int_rows(p))
+# the packed rows end at p = 13; 17 and 1000003 take the sparse ones
+GF_PRIMES = [5, 7, 11, 13, 17, 1000003]
+
+
+def assert_rref_gf_matches_the_dense_kernel(p, rows):
     frozen = [list(r) for r in rows]
     got, want = rref(GF(p), rows), rref_gf_dense(p, rows)
     assert got == want and repr(got) == repr(want)
-    assert all(type(x) is int for r in got[0] for x in r)
+    assert_canonical(GF(p), [x for r in got[0] for x in r])
+    ncols = len(rows[0])
+    assert kernel_basis(GF(p), rows, ncols) == kernel_reference(GF(p), rows, ncols)
     assert rows == frozen
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+@settings(deadline=None)
+@given(data=st.data())
+def test_rref_gf_matches_the_dense_kernel(p, data):
+    assert_rref_gf_matches_the_dense_kernel(p, data.draw(int_rows(p)))
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rref_gf_matches_the_dense_kernel_on_wide_systems(p, data):
+    # ranks past 15: a row meets more kept pivots than a byte of a packed
+    # row takes between reductions, at every packed p
+    rows = data.draw(int_rows(p, max_rows=40, max_cols=32, min_rows=20, min_cols=20))
+    assert_rref_gf_matches_the_dense_kernel(p, rows)
+
+
+@pytest.mark.parametrize("p", sorted(_PACKINGS))
+def test_packed_clears_reduce_before_a_byte_carries(p):
+    """The last row meets m kept pivots, and every kept row holds p - 1
+    in the one free column m, where the last row holds p - 1 too: the
+    clears pile m products (p - 1)**2 onto that residue, on both sides
+    of the reduction bound of the field."""
+    steps = _packing(p)[3]
+    for m in sorted({1, steps, steps + 1, 2 * steps + 1, 40}):
+        rows = [[1 if k == c else p - 1 if k == m else 0 for k in range(m + 1)] for c in range(m)]
+        rows.append([1] * m + [p - 1])
+        assert_rref_gf_matches_the_dense_kernel(p, rows)
+
+
+def test_packing_bounds_on_both_sides_of_a_byte():
+    """A byte of a packed row holds a residue plus ``steps`` products of
+    two residues and carries with one more; GF(13) takes one product and
+    GF(17) none, so it stays sparse."""
+    for p, want in [(5, 15), (7, 6), (11, 2), (13, 1), (17, 0)]:
+        _, mod, inv, steps = _packing(p)
+        assert steps == want
+        assert (p - 1) + steps * (p - 1) ** 2 <= 255 < (p - 1) + (steps + 1) * (p - 1) ** 2
+        assert list(mod) == [b % p for b in range(256)]
+        assert all(a * inv[a] % p == 1 for a in range(1, p))
+    assert sorted(_PACKINGS) == [5, 7, 11, 13]
+    assert not Echelon(GF(17))._pack and not Echelon(QQ)._pack
 
 
 # -- the incremental echelon and the GF(p) fast paths ---------------------------
@@ -427,7 +478,7 @@ def oracle_rank(field, rows):
     return rank_gf(rows, field.char) if field.char else rank_q(rows)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=str)
 @given(data=st.data())
 def test_echelon_matches_rank_oracles(field, data):
     rows = data.draw(matrices(field, max_rows=9))
@@ -447,12 +498,21 @@ def test_echelon_matches_rank_oracles(field, data):
     assert (got.ambient, got.rows, got._pivots) == (want.ambient, want.rows, want._pivots)
     assert [[type(x) for x in r] for r in got.rows] == [[type(x) for x in r] for r in want.rows]
     assert repr(got) == repr(want)
+    assert_canonical(field, [x for r in got.rows for x in r])
     # the kernel read off the kept rows is the reference one
-    assert ech.kernel(n) == kernel_reference(field, rows, n)
+    kernel = ech.kernel(n)
+    assert kernel == kernel_reference(field, rows, n)
+    assert_canonical(field, [x for v in kernel for x in v])
+    # the particular point read off the last column, as a system [A | b]
+    if n > 1:
+        sol = solve_affine(field, [r[:-1] for r in rows], [r[-1] for r in rows])
+        if sol is not None:
+            assert_canonical(field, sol.particular)
+            assert [vec_dot(field, r[:-1], sol.particular) for r in rows] == [r[-1] for r in rows]
     assert rows == frozen
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=str)
 def test_kernel_and_affine_read_off_edge_cases(field):
     """No rows, zero rows only, full rank, and a pivot in the augmented
     column, against the reference elimination."""
@@ -482,7 +542,7 @@ def test_kernel_and_affine_read_off_edge_cases(field):
     assert solve_affine(field, [[one, two], [two, field.coerce(4)]], [one, two]).dim == 1
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=str)
 def test_echelon_edge_cases(field):
     ech = Echelon(field)
     assert not ech.add([]) and ech.rank == 0
@@ -569,8 +629,20 @@ def test_dense_helpers_match_per_scalar_references(field, data):
             left.intersect(right).basis(),
             intersect_reference(field, k, left.basis(), right.basis()),
         ),
-        (left.lift(coords), lift_reference(field, left.basis(), coords)),
+        (left.lift(coords), lift_reference(field, k, left.basis(), coords)),
     ]
     for got, want in pairs:
         assert got == want
         assert_canonical(field, [x for row in got for x in row])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_lift_through_a_zero_subspace_gives_ambient_zero_vectors(field):
+    # a zero subspace has no rows to size the vectors by
+    zero = Subspace.zero(field, 3)
+    assert zero.lift([[]]) == [[field.zero()] * 3]
+    assert zero.lift([[], []]) == [[field.zero()] * 3] * 2
+    assert_canonical(field, zero.lift([[]])[0])
+    assert Subspace.zero(field, 0).lift([[]]) == [[]]
+    with pytest.raises(DimensionMismatch):
+        zero.lift([[field.one()]])
