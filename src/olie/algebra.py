@@ -40,6 +40,7 @@ its matrix follows the row convention of :mod:`olie.linalg`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 
 from .errors import (
@@ -111,7 +112,13 @@ class AlmostAbelianResult:
 
 
 class AnticommAlgebra:
-    """Finite-dimensional anticommutative algebra with a skew form."""
+    """Finite-dimensional anticommutative algebra with a skew form.
+
+    The derived invariants (the Gram matrix, the radical of the form and
+    its abelian part, the center, the commutant) are computed once per
+    object, on first use; callers must not mutate what they return.
+    Every construction builds a new object, which starts with none.
+    """
 
     def __init__(self, field, dim, bracket=None, omega=None):
         table, form = {}, {}
@@ -141,20 +148,32 @@ class AnticommAlgebra:
         self._omega = omega
         self._product = SkewProduct(field, dim, dim, bracket)
         self._form = SkewProduct(field, dim, 1, {pair: {0: c} for pair, c in omega.items()})
-        self._gram = None
+        self._cache = {}
+
+    @staticmethod
+    def _once(method):
+        """A method of no arguments whose value is kept in ``_cache``."""
+        name = method.__name__
+
+        @wraps(method)
+        def once(self):
+            if name not in self._cache:
+                self._cache[name] = method(self)
+            return self._cache[name]
+
+        return once
 
     # -- tables ---------------------------------------------------------
 
+    @_once
     def gram(self):
         """Matrix of the form on the basis."""
-        if self._gram is None:
-            field, n = self.field, self.dim
-            g = zero_matrix(field, n, n)
-            for (i, j), c in self._omega.items():
-                g[i][j] = c
-                g[j][i] = -c
-            self._gram = [_canon(field, row) for row in g]
-        return self._gram
+        field, n = self.field, self.dim
+        g = zero_matrix(field, n, n)
+        for (i, j), c in self._omega.items():
+            g[i][j] = c
+            g[j][i] = -c
+        return [_canon(field, row) for row in g]
 
     def basis_bracket(self, i, j):
         return from_scaled(self.field, *self._product.image(i, j))
@@ -279,6 +298,7 @@ class AnticommAlgebra:
 
     # -- form invariants -------------------------------------------------
 
+    @_once
     def omega_kernel(self):
         """Radical of the form: {x : w(x, L) = 0}."""
         return Subspace(
@@ -325,11 +345,13 @@ class AnticommAlgebra:
 
     # -- spans and ideals --------------------------------------------------
 
+    @_once
     def commutant(self):
         image = self._product.image
         vectors = [image(i, j)[0] for i, j in combinations(range(self.dim), 2)]
         return Subspace(self.field, self.dim, vectors)
 
+    @_once
     def center(self):
         """{x : [x, L] = 0}; always an abelian ideal when nonzero."""
         field, n = self.field, self.dim
@@ -458,6 +480,11 @@ class AnticommAlgebra:
         if dec.kind != "almost_abelian":
             return None
         return Subspace(self.field, self.dim, sub.lift(dec.abelian_part.rows))
+
+    @_once
+    def _radical_part(self):
+        """:meth:`_abelian_part` of the radical of the form."""
+        return self._abelian_part(self.omega_kernel())
 
     # -- multiplicativity and related solves ------------------------------
 
@@ -662,7 +689,7 @@ class AnticommAlgebra:
             yield self.center(), True
             ker = self.omega_kernel()
             yield ker, False
-            part = self._abelian_part(ker)
+            part = self._radical_part()
             if part is not None:
                 yield part, False
             lam_set = self.multiplicative_lambda()

@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     UnknownName,
 )
-from .extensions import extend_codim1
+from .extensions import _extension, extend_codim1
 from .fields import field_from_json, scalar_from_json
 from .linalg import (
     identity_matrix, mat_add, mat_mul, mat_scale, mat_sub, vec_add, vec_mat, vec_scale, zeros
@@ -290,7 +290,9 @@ def random_extension_chain(field, seed, target_dim):
                 break
         else:
             return Stuck("only the zero derivation", alg.dim)
-        alg = extend_codim1(alg, lam, matrix, alpha)
+        # lam solves the multiplicativity system and (D, alpha) is a point
+        # of the derivation space for it, so extend_codim1's checks hold
+        alg = _extension(alg, lam, matrix, alpha)
     return alg
 
 

@@ -381,14 +381,14 @@ def _scan_structure_one(field_tag, seed, dim):
         "codim_one_lie_subalgebra",
         "kernel_codim_two",
     )
-    witness_ok = False
-    if verdict.abelian_small_codim is not None:
-        sub = verdict.abelian_small_codim
-        witness_ok = sub.codim <= 3 and alg.is_abelian_subspace(sub)
-    out["witness_ok"] = witness_ok
+    sub = verdict.abelian_small_codim
+    out["witness_ok"] = sub is not None and sub.codim <= 3 and alg.is_abelian_subspace(sub)
     if alg.dim >= 5:
-        out["not_simple_ok"] = alg.simplicity().kind != "simple"
-        out["abelian_ideal_ok"] = alg.find_abelian_ideal() is not None
+        ideal = alg.find_abelian_ideal()
+        # an ideal was found, so the algebra is not simple: "simple" needs
+        # M(L) = End(L) or a complete spin, and either excludes the ideal
+        out["not_simple_ok"] = ideal is not None or alg.simplicity().kind != "simple"
+        out["abelian_ideal_ok"] = ideal is not None
     return out
 
 

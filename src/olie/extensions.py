@@ -81,6 +81,14 @@ def extend_codim1(alg: AnticommAlgebra, lam, matrix, alpha):
         raise NotMultiplicative("lambda does not reproduce the form on brackets")
     if not _holds_al_derivation(alg, matrix, alpha, lam):
         raise NotADerivation("(D, alpha) fails the derivation relation for this lambda")
+    return _extension(alg, lam, matrix, alpha)
+
+
+def _extension(alg: AnticommAlgebra, lam, matrix, alpha):
+    """The extension by canonical data already known to be multiplicative
+    and a derivation: trusted over an :class:`OmegaAlgebra`, certified
+    over a plain table (see :func:`extend_codim1`)."""
+    field, n = alg.field, alg.dim
     bracket = {pair: dict(row) for pair, row in alg._bracket.items()}
     omega = dict(alg._omega)
     for i in range(n):

@@ -489,7 +489,11 @@ def evaluate_on_vectors(alg: AnticommAlgebra, ident, vectors, direct=False):
 
 
 def find_counterexample(alg: AnticommAlgebra, ident: Identity):
-    """First basis tuple (lexicographic) where the identity fails, or None."""
+    """First basis tuple (lexicographic) where the identity fails, or None.
+    A term that compiles to zero vanishes on every algebra, so it is not
+    evaluated at all."""
+    if ident.compiled().nodes[-1] in ((SUM, ()), (INT, 0)):
+        return None
     n, k = alg.dim, ident.num_vars
     tuples = (
         combinations(range(n), k) if ident.alternating else product(range(n), repeat=k)

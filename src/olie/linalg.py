@@ -9,68 +9,20 @@ usual column convention ``m @ x``.
 Every scalar this module returns is canonical: a ``Fraction`` over Q, an
 int in ``[0, p)`` over GF(p).  Code computes with ``+ - *`` and tests for
 zero by truthiness, which is exact in both fields; the one step that
-depends on the field, an exact value becoming a canonical scalar (``x %
-p`` over GF(p), the identity over Q), is the private ``_canon``, applied
-once per result entry.  The dense helpers (``vec_*``, ``mat_*``),
-:meth:`Subspace.reduce`, the products and the scaled codecs all reduce
-through it, and so does algebra code that builds a scalar from
-canonical ones; the elimination kernel keeps its rows as residues or
-ints and reads results off them itself.
+depends on the field, an exact value becoming a canonical scalar, is the
+private ``_canon``, applied once per result entry.
 
-There is one elimination kernel, :class:`Echelon`, for both fields.  It
-adds rows one at a time to a set of kept rows that stays in reduced
-form, and holds each row in one of two forms, fixed by the field:
-
-- *packed* over GF(p) with p <= 13: one Python int, the residue of
-  column c in byte c.  A row is cleared at a kept pivot by one big-int
-  multiply-add, and all its bytes are reduced mod p at once by
-  ``bytes.translate``, after as many clears as a byte can hold.  A byte
-  must hold a residue plus one product of two residues, (p - 1) +
-  (p - 1)**2 <= 255, which ends the form at p = 13.
-- *sparse* over Q and GF(p) with p > 13: a ``{column: int}`` dict of
-  the nonzero entries, cleared by a modular multiply-subtract over
-  GF(p) and fraction-free over Q.
-
-Rows enter one way: a dense vector of canonical scalars or ints
-(:meth:`Echelon.add`) and an image spun inside the kernel
-(:meth:`Echelon.spin`) become rows of the same form and pass the same
-insert step.  Results come out one way, read straight off the kept rows
-with a ``Fraction`` built only per entry read: the canonical rows
-behind :class:`Subspace`, and the kernel (:meth:`Echelon.kernel`)
-behind :func:`kernel_basis` and :func:`solve_affine`, whose particular
-point (:meth:`Echelon._particular`) is the augmented column.  No code
-outside :class:`Echelon` reads the kept rows.  The solvers' one entry
-checks the length of every row.  :func:`rref` pads the canonical rows
-with zero rows; no other module calls it.  Subspaces are stored as
-reduced row-echelon bases, so equality of subspaces is equality of
-their canonical representations.
-
-:class:`SkewProduct` is the matching kernel for alternating bilinear
-maps given on basis pairs (an algebra's bracket and its form): int
-arithmetic on the nonzero coordinates only, over either field, in one
-accumulation loop.  Its ``__call__`` takes and returns canonical
-scalars.  For chains of products it also works on *scaled vectors*
-``(ints, den)``, meaning ``ints/den`` over Q and residues with ``den``
-1 over GF(p) (:func:`to_scaled`): ``scaled`` multiplies two of them and
-``basis_jacobian`` adds the three terms of a basis Jacobian, without
-building a ``Fraction``; :func:`from_scaled` turns the result into
-canonical scalars at the end.  Over GF(p) the ints of a scaled value
-may be unreduced between products: the products, :func:`from_scaled`
-and the elimination kernel reduce them, so callers never take ``% p``.
-Every linear system and operator read off the bracket (derivations,
-deformations, multiplicative forms, cochain differentials, the
-almost-abelian system, the commutant, adjoint maps) is built from its
-signed pair table (:meth:`SkewProduct.signed_table`, or
-:meth:`SkewProduct.image` and :meth:`SkewProduct.right_images`) as int
-rows.  No other module reads the table's private ``_rows``.  Over
-GF(p) with p <= 13 the product also keeps the table packed, one int per
-basis vector ``e_i`` holding the bytes of every ``[e_i, e_j]``, so the
-n products ``[x, e_j]`` of :meth:`SkewProduct.right_images` and of the
-spin are one sum of packed ints.  Whether vectors bracket to zero
-pairwise is one int test on the table
-(:meth:`SkewProduct.commutes_pairwise`), the one the spin's commute
-cut-off runs on sparse rows; on packed rows it combines the packed
-images instead.
+:class:`Echelon` is the one elimination kernel, for both fields: the
+solvers, :class:`Subspace` (a canonical reduced row-echelon basis, so
+equal subspaces compare equal) and :func:`rref` read their results
+off it.  :class:`SkewProduct` is the matching kernel for an algebra's
+bracket and form, and every system and operator read off the bracket
+is built from its signed pair table as int rows.  Both keep their
+field-specific int forms private; no other module reads them.  Chains
+of products run on scaled vectors ``(ints, den)`` (:func:`to_scaled`),
+whose ints over GF(p) may stay unreduced until a product,
+:func:`from_scaled` or the kernel reduces them, so callers never take
+``% p``.
 """
 
 from __future__ import annotations

@@ -436,41 +436,46 @@ class ClassificationVerdict:
         }
 
 
-def _abelian_witness(alg: AnticommAlgebra, ker: Subspace, part, extra=()):
-    """Best abelian subalgebra of small codimension among candidates;
-    ``ker`` is the radical of the form and ``part`` its abelian part."""
+def _abelian_witness(alg: AnticommAlgebra, extra=()):
+    """Best abelian subalgebra of small codimension among candidates: the
+    grown spans, the radical of the form, its abelian part, ``extra`` and
+    the center."""
     field, n = alg.field, alg.dim
     e = [basis_vector(field, n, i) for i in range(n)]
     table, _ = alg._product.signed_table()
+    best = None
+
+    def floor():
+        return 0 if best is None else best.dim
+
+    def consider(sub):
+        nonlocal best
+        if sub is not None and sub.dim > floor() and alg.is_abelian_subspace(sub):
+            best = sub
 
     def grown(start, clash):
         # start, then each basis vector commuting with all taken so far;
         # clash[j] is truthy iff [start, e_j] != 0, and a pair table
-        # entry is empty iff its bracket is zero
+        # entry is empty iff its bracket is zero.  The span has dimension
+        # len(taken), plus 1 when start has support outside taken; it is
+        # built only when that beats the best so far
         taken = []
         for j in range(n):
             if not clash[j] and not any(table[m][j] for m in taken):
                 taken.append(j)
-        return Subspace(field, n, [start] + [e[j] for j in taken])
+        if len(taken) + any(c for j, c in enumerate(start) if j not in taken) > floor():
+            consider(Subspace(field, n, [start] + [e[j] for j in taken]))
 
-    candidates = [grown(ei, table[i]) for i, ei in enumerate(e)]
-    candidates += [ker, part, *extra, alg.center()]
-    best = None
-
-    def consider(sub):
-        nonlocal best
-        floor = 0 if best is None else best.dim
-        if sub is not None and sub.dim > floor and alg.is_abelian_subspace(sub):
-            best = sub
-
-    for cand in candidates:
+    for i, ei in enumerate(e):
+        grown(ei, table[i])
+    for cand in (alg.omega_kernel(), alg._radical_part(), *extra, alg.center()):
         consider(cand)
     if (best is None or best.codim > 3) and field.char and field.char**n <= ENUM_CAP:
         # last resort over a small prime field: largest abelian subalgebra
         # among spans of projective vectors, grown greedily
         images = alg._product.right_images
         for v in projective_points(field.char, n):
-            consider(grown(v, [any(w) for w in images(v)]))
+            grown(v, [any(w) for w in images(v)])
             if best is not None and best.codim <= 3:
                 break
     return best
@@ -568,10 +573,10 @@ def classify(alg: AnticommAlgebra):
     """Structural verdict for a certified algebra; see the module docstring."""
     field, n = alg.field, alg.dim
     ker = alg.omega_kernel()
-    part = alg._abelian_part(ker)
+    part = alg._radical_part()
 
     def verdict(case, extra=(), **labels):
-        witness = _abelian_witness(alg, ker, part, extra)
+        witness = _abelian_witness(alg, extra)
         return ClassificationVerdict(case, abelian_small_codim=witness, **labels)
 
     if alg.is_lie():

@@ -18,7 +18,9 @@ matrix helpers: what they pin is the result of the earlier method.  The
 dense helpers at the very end are the earlier bodies of those helpers,
 one field-method call per scalar.  The identity compiler and program
 runner at the very end are the library's earlier pair, which shared
-subterms only up to syntax: what they pin is the value of a term.
+subterms only up to syntax: what they pin is the value of a term.  The
+scan reference after them is the CLI's earlier per-chain scan, which ran
+both ideal searches on a fresh, certified copy of each chain.
 """
 
 import weakref
@@ -1361,3 +1363,38 @@ def run_reference(alg, program, args):
             value = alg.omega_scaled(vals[node[1]], vals[node[2]])
         vals.append(value)
     return vals[-1]
+
+
+def scan_structure_one_reference(field_tag, seed, dim):
+    """One chain of ``olie scan-structure``, as the CLI scanned it before
+    the search for an abelian ideal also decided non-simplicity: both
+    searches run, on a certified copy of the chain with no kept
+    invariants."""
+    from olie import catalog
+    from olie.algebra import OmegaAlgebra
+    from olie.fields import field_from_tag
+    from olie.structure import classify
+
+    field = field_from_tag(field_tag)
+    result = catalog.random_extension_chain(field, seed, dim)
+    if isinstance(result, catalog.Stuck):
+        return {"seed": seed, "stuck": result.reason}
+    alg = OmegaAlgebra(field, result.dim, result._bracket, result._omega)
+    out = {"seed": seed, "stuck": None, "dim": alg.dim, "lie": alg.is_lie()}
+    verdict = classify(alg)
+    out["case"] = verdict.case
+    if out["lie"]:
+        return out
+    out["verdict_ok"] = verdict.case in (
+        "codim_one_lie_subalgebra",
+        "kernel_codim_two",
+    )
+    witness_ok = False
+    if verdict.abelian_small_codim is not None:
+        sub = verdict.abelian_small_codim
+        witness_ok = sub.codim <= 3 and alg.is_abelian_subspace(sub)
+    out["witness_ok"] = witness_ok
+    if alg.dim >= 5:
+        out["not_simple_ok"] = alg.simplicity().kind != "simple"
+        out["abelian_ideal_ok"] = alg.find_abelian_ideal() is not None
+    return out

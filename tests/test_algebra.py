@@ -15,6 +15,8 @@ from olie.errors import (
     PreconditionFailed,
     ZeroVector,
 )
+from olie.derivations import al_derivation_space
+from olie.extensions import extend_codim1
 from olie.linalg import (
     Echelon,
     SkewProduct,
@@ -24,6 +26,7 @@ from olie.linalg import (
     to_scaled,
     vec_is_zero,
 )
+from olie.structure import _abelian_witness
 
 from oracles import (
     ad_reference,
@@ -1032,6 +1035,53 @@ def test_multiplication_algebra_is_computed_only_when_no_candidate_hits(gf5, mon
         verdict = alg.simplicity()
         assert verdict.is_simple and verdict.certificate == "full multiplication algebra"
         assert calls == [alg]
+
+
+# -- invariants kept once per algebra -----------------------------------------
+
+INVARIANTS = ("gram", "omega_kernel", "center", "commutant", "_radical_part")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kept_invariants_match_a_fresh_algebra(field, data):
+    alg = data.draw(algebras(field, max_dim=4))
+    first = {name: getattr(alg, name)() for name in INVARIANTS}
+    # the searches and the witness read the kept invariants; none may
+    # change them
+    alg.simplicity()
+    alg.find_abelian_ideal()
+    _abelian_witness(alg)
+    assert set(alg._cache) == set(INVARIANTS)
+    fresh = AnticommAlgebra(field, alg.dim, alg._bracket, alg._omega)
+    for name in INVARIANTS:
+        again = getattr(alg, name)()
+        assert again is first[name]
+        assert again == getattr(fresh, name)()
+
+
+def _keep_all(alg):
+    for name in INVARIANTS:
+        getattr(alg, name)()
+    return alg._cache
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_constructions_start_with_no_kept_invariants(field, data):
+    alg = data.draw(algebras(field, max_dim=4))
+    assert _keep_all(alg)
+    assert alg.restrict(alg.commutant())._cache == {}
+    assert alg.with_field(field)._cache == {}
+    chain = catalog.random_extension_chain(field, data.draw(st.integers(0, 10**6)), 4)
+    assume(not isinstance(chain, catalog.Stuck))
+    assert _keep_all(chain)
+    lam = chain.multiplicative_lambda().particular
+    for der in al_derivation_space(chain, lam)[:2]:
+        assert extend_codim1(chain, lam, der.matrix, der.alpha)._cache == {}
+    assert chain.quotient(Subspace.zero(field, chain.dim))._cache == {}
 
 
 # -- serialization -----------------------------------------------------------

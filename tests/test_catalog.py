@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from olie import GF, QQ, OmegaAlgebra, Violation
 from olie import catalog
@@ -11,6 +13,7 @@ from olie.errors import (
     SchemaError,
     UnknownName,
 )
+from olie.extensions import extend_codim1
 
 
 def test_valid_entries_validate():
@@ -110,6 +113,30 @@ def test_chain_results_are_valid_or_stuck():
         else:
             assert out.is_valid() and out.dim == 4
     assert not catalog.Stuck("not multiplicative", 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dim=st.integers(4, 7))
+def test_trusted_chain_steps_equal_extend_codim1(field, seed, dim):
+    # the generator extends by its own solved data without extend_codim1's
+    # checks; here every step is run through them as well
+    steps = []
+    trusted = catalog._extension
+
+    def checked(alg, lam, matrix, alpha):
+        out = trusted(alg, lam, matrix, alpha)
+        steps.append((out, extend_codim1(alg, lam, matrix, alpha)))
+        return out
+
+    with mock.patch.object(catalog, "_extension", checked):
+        result = catalog.random_extension_chain(field, seed, dim)
+    assert steps or isinstance(result, catalog.Stuck)
+    for got, want in steps:
+        assert got == want
+        assert type(got) is type(want) is OmegaAlgebra
+    if not isinstance(result, catalog.Stuck):
+        assert result is steps[-1][0] and result.dim == dim
 
 
 def test_save_load_roundtrip(tmp_path, s4):

@@ -10,9 +10,10 @@ from hypothesis import event, given, settings, strategies as st
 
 import olie
 from olie import GF, QQ, AlphaLambdaDerivation, catalog
-from olie.cli import SCAN_DIMS, SCAN_MAX_COUNT, main
+from olie.cli import SCAN_DIMS, SCAN_MAX_COUNT, _scan_structure_one, main
 from olie.identities import builtin_names
 from olie.errors import InputError, OlieError, ParseError, SchemaError
+from oracles import scan_structure_one_reference
 
 
 def run_cli(args):
@@ -203,6 +204,42 @@ def test_scan_structure_small():
     payload = json.loads(out)
     assert code == 0 and payload["failures"] == []
     assert payload["dims"]["4"]["count"] == 10
+
+
+# the seed-0 scan-gf5 benchmark chains (seed s at dim 4 + s % 3) with no
+# abelian ideal, on which the scan still runs the simplicity search
+NO_ABELIAN_IDEAL_SEEDS = (
+    28, 37, 38, 50, 92, 97, 113, 142, 155, 172, 199, 217, 223, 232, 244, 304,
+    314, 326, 346, 347, 349, 391, 419, 422, 451, 463, 470, 476, 496, 514, 535,
+    541, 547, 559, 574, 590, 592, 613, 629, 635, 643, 670, 676, 677, 688, 710,
+    724, 745, 752, 757, 760, 763, 770, 772, 779, 791, 794, 817, 820, 851, 868,
+    872, 878, 883,
+)
+SMALL_CHAINS = [(seed, dim) for seed in range(16) for dim in (4, 5, 6)]
+
+
+@pytest.mark.parametrize(
+    "field_tag, chains, no_ideal",
+    [
+        ("gf5", SMALL_CHAINS, False),
+        ("q", SMALL_CHAINS, False),
+        ("gf5", [(seed, 4 + seed % 3) for seed in NO_ABELIAN_IDEAL_SEEDS], True),
+    ],
+    ids=["gf5", "q", "gf5-no-abelian-ideal"],
+)
+def test_scan_structure_one_matches_the_two_search_reference(field_tag, chains, no_ideal):
+    # the abelian-ideal search answers both verdicts when it finds an
+    # ideal; the reference runs both searches on a fresh certified copy
+    searched = []
+    for seed, dim in chains:
+        got = _scan_structure_one(field_tag, seed, dim)
+        want = scan_structure_one_reference(field_tag, seed, dim)
+        assert list(got.items()) == list(want.items()), (seed, dim)
+        if "abelian_ideal_ok" in got:
+            searched.append(got["abelian_ideal_ok"])
+    assert searched
+    if no_ideal:
+        assert searched == [False] * len(chains)
 
 
 def test_workers_do_not_change_output():

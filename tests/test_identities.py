@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction as F
 from itertools import combinations, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -478,6 +479,28 @@ def test_find_counterexample_matches_reference(field, data):
         None,
     )
     assert find_counterexample(alg, ident) == first
+
+
+@pytest.mark.parametrize(
+    "text, root",
+    [
+        # the 5-variable term that enumerated 12**5 basis tuples at dim 12
+        ("(+ (b (b x1 x2) (b x3 (b x4 x5))) (b (b x3 (b x4 x5)) (b x1 x2)))", (SUM, ())),
+        ("(+ (w (b x1 x2) x3) (w x3 (b x1 x2)))", (INT, 0)),
+        ("(- (s (w x1 x2) x3) (s (w x1 x2) x3))", (SUM, ())),
+    ],
+)
+def test_a_term_compiling_to_zero_holds_without_enumeration(gf5, text, root):
+    ident = parse_identity(text)
+    assert ident.compiled().nodes == (root,)
+    alg = catalog.random_extension_chain(gf5, 0, 6)
+    with mock.patch.object(identities, "evaluate", wraps=identities.evaluate) as spy:
+        assert find_counterexample(alg, ident) is None
+        assert holds(alg, ident)
+        assert spy.call_count == 0
+        # a term that does not compile to zero is still enumerated
+        assert find_counterexample(alg, parse_identity("(b x1 x2)")) == (0, 1)
+        assert spy.call_count > 0
 
 
 @st.composite

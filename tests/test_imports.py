@@ -17,7 +17,10 @@ No module but ``linalg`` calls ``rref``: the solvers read the kept rows
 of an ``Echelon`` directly, not a dense reduced copy of them.  No code
 outside ``class Echelon`` reads its kept rows ``_kept``, whose form (a
 packed int or a sparse dict) depends on the field: results are read
-off through the methods of ``Echelon``.
+off through the methods of ``Echelon``.  No code outside ``class
+AnticommAlgebra`` reads its kept invariants ``_cache``: they are shared
+objects, read through the methods that compute them, so no module can
+reach one to change it.
 """
 
 import ast
@@ -163,26 +166,48 @@ def test_the_check_sees_rref_calls():
     assert calls_to(source, "rref") == [2, 3]
 
 
-def kept_reads_outside_echelon(source):
-    """Line numbers of the reads of an attribute named ``_kept`` outside
-    the body of a class named ``Echelon``."""
+def reads_outside_class(source, attr, owner):
+    """Line numbers of the reads of an attribute named ``attr`` outside
+    the body of a class named ``owner``."""
     tree = ast.parse(source)
     inside = {
         id(node)
         for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and cls.name == "Echelon"
+        if isinstance(cls, ast.ClassDef) and cls.name == owner
         for node in ast.walk(cls)
     }
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_kept" and id(node) not in inside
+        if isinstance(node, ast.Attribute) and node.attr == attr and id(node) not in inside
     )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_echelon_reads_its_kept_rows(path):
-    assert kept_reads_outside_echelon(path.read_text(encoding="utf-8")) == []
+    assert reads_outside_class(path.read_text(encoding="utf-8"), "_kept", "Echelon") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_algebra_reads_its_kept_invariants(path):
+    source = path.read_text(encoding="utf-8")
+    assert reads_outside_class(source, "_cache", "AnticommAlgebra") == []
+
+
+def test_the_check_sees_kept_invariant_reads():
+    source = (
+        "class AnticommAlgebra:\n"
+        "    def center(self):\n"
+        "        return self._cache['center']\n"
+        "\n"
+        "def widen(alg):\n"
+        "    alg._cache['center'].rows.append(())\n"
+        "\n"
+        "class OmegaAlgebra(AnticommAlgebra):\n"
+        "    def center(self):\n"
+        "        return self._cache.get('center')\n"
+    )
+    assert reads_outside_class(source, "_cache", "AnticommAlgebra") == [6, 10]
 
 
 def test_the_check_sees_kept_row_reads():
@@ -199,4 +224,4 @@ def test_the_check_sees_kept_row_reads():
         "    def f(self, ech):\n"
         "        return ech._kept.get(0)\n"
     )
-    assert kept_reads_outside_echelon(source) == [6, 11]
+    assert reads_outside_class(source, "_kept", "Echelon") == [6, 11]

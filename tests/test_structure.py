@@ -611,9 +611,8 @@ def dense_tables(draw, field, dim):
 def _witness_rows(alg, extra=()):
     """The rows of the witness and of its reference, and whether the
     witness search grew projective lines."""
-    ker = alg.omega_kernel()
     with mock.patch.object(structure, "projective_points", wraps=projective_points) as spy:
-        got = _abelian_witness(alg, ker, alg._abelian_part(ker), extra)
+        got = _abelian_witness(alg, extra)
     want = abelian_witness_reference(alg, extra)
     rows = [None if s is None else s.rows for s in (got, want)]
     return *rows, spy.called
@@ -664,9 +663,10 @@ def _seeded_dense_table(field, dim, seed):
 
 
 def test_classify_computes_the_radical_once(monkeypatch, s4):
-    """One ``classify`` call computes the radical of the form once and its
-    abelian part once, whichever verdict it reaches, and the candidates
-    grown from basis vectors read the pair table, not the bracket."""
+    """The radical of the form and its abelian part are computed once per
+    algebra, whichever verdict ``classify`` reaches and however often it
+    runs, and the candidates grown from basis vectors read the pair
+    table, not the bracket."""
     chain = catalog.random_extension_chain(QQ, 0, 5)
     codim_one = catalog.random_extension_chain(QQ, 2, 4)
     calls = []
@@ -678,19 +678,24 @@ def test_classify_computes_the_radical_once(monkeypatch, s4):
             # between a bracket and the function that runs it
             frame = sys._getframe(1)
             callers = {frame.f_code.co_name, frame.f_back.f_code.co_name}
-            calls.append((_name, self, args, callers))
-            return _real(self, *args)
+            result = _real(self, *args)
+            calls.append((_name, self, args, callers, result))
+            return result
 
         monkeypatch.setattr(AnticommAlgebra, name, counted)
     cases = set()
     for alg in (s4, chain, codim_one):
         ker = alg.omega_kernel()
-        calls.clear()
-        cases.add(classify(alg).case)
-        own = [(name, args) for name, who, args, _ in calls if who is alg]
-        assert sum(name == "omega_kernel" for name, _ in own) == 1
-        assert sum(name == "_abelian_part" and args == (ker,) for name, args in own) == 1
-        assert not [c for c in calls if c[0] == "bracket" and "grown" in c[3]]
+        for run in range(2):
+            calls.clear()
+            cases.add(classify(alg).case)
+            own = [(name, args, result) for name, who, args, _, result in calls if who is alg]
+            # every call returns the radical computed first
+            assert all(result is ker for name, _, result in own if name == "omega_kernel")
+            # its abelian part is computed by the first verdict only
+            parts = sum(name == "_abelian_part" and args == (ker,) for name, args, _ in own)
+            assert parts == (1 if run == 0 else 0)
+            assert not [c for c in calls if c[0] == "bracket" and "grown" in c[3]]
         # the earlier body grew its candidates by brackets
         calls.clear()
         abelian_witness_reference(alg)
