@@ -51,6 +51,7 @@ from .errors import (
     PreconditionFailed,
     ZeroVector,
 )
+from .fields import same_field
 from .linalg import (
     ENUM_CAP,
     AffineSolution,
@@ -414,6 +415,7 @@ class AnticommAlgebra:
         return all(sub.contains(w) for row in sub.rows for w in images(row))
 
     def _check_ambient(self, sub):
+        same_field(self.field, sub.field)
         if sub.ambient != self.dim:
             raise DimensionMismatch("subspace ambient does not match the algebra")
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from inspect import signature
 from itertools import combinations, permutations, product
-from math import lcm
+from math import comb, lcm
 
 from .algebra import AnticommAlgebra
 from .errors import (
@@ -49,9 +49,10 @@ from .errors import (
     IdentitySyntaxError,
     IdentityTypeError,
     NotMultilinear,
+    PreconditionFailed,
     UnknownIdentity,
 )
-from .linalg import from_scaled, to_scaled
+from .linalg import ENUM_CAP, from_scaled, to_scaled
 
 # term node tags
 VAR, BRACKET, OMEGA, SCALE, SUM, INT = "var", "b", "w", "s", "+", "int"
@@ -491,10 +492,18 @@ def evaluate_on_vectors(alg: AnticommAlgebra, ident, vectors, direct=False):
 def find_counterexample(alg: AnticommAlgebra, ident: Identity):
     """First basis tuple (lexicographic) where the identity fails, or None.
     A term that compiles to zero vanishes on every algebra, so it is not
-    evaluated at all."""
+    evaluated at all.  Otherwise the C(n, k) or n^k tuples must number
+    at most ``ENUM_CAP``; past it, :class:`PreconditionFailed` is raised
+    before any is evaluated."""
     if ident.compiled().nodes[-1] in ((SUM, ()), (INT, 0)):
         return None
     n, k = alg.dim, ident.num_vars
+    count = comb(n, k) if ident.alternating else n**k
+    if count > ENUM_CAP:
+        raise PreconditionFailed(
+            f"identity {ident.name!r} needs {count} basis tuples at dimension {n}, "
+            f"past the enumeration limit of {ENUM_CAP}"
+        )
     tuples = (
         combinations(range(n), k) if ident.alternating else product(range(n), repeat=k)
     )

@@ -116,10 +116,10 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-# the budget of the exhaustive searches over GF(p): each scans
-# projective_points only when its own count is at most this, p^n
-# vectors for the ideal and witness scans and p + 1 hyperplanes over a
-# codimension-2 subspace
+# the budget of the exhaustive searches: each enumerates only when its
+# own count is at most this, p^n vectors for the ideal and witness scans
+# over GF(p), p + 1 hyperplanes over a codimension-2 subspace, and the
+# C(n, k) or n^k basis tuples of an identity
 ENUM_CAP = 10**6
 
 
@@ -145,9 +145,10 @@ class SkewProduct:
     so the inner loop adds ints and one ``Fraction(v, dx*dy*D)`` is
     built per nonzero output entry.  ``__call__`` takes and returns
     canonical scalars; :meth:`scaled` and :meth:`basis_jacobian` stay in
-    scaled vectors (see :func:`to_scaled`).  Over GF(p) with p <= 13,
-    :meth:`right_images` and the spin of :class:`Echelon` read a packed
-    copy of the table instead (:meth:`_packed_images`).
+    scaled vectors (see :func:`to_scaled`).  The images ``[x, e_j]``
+    that :meth:`right_images` and the spin of :class:`Echelon` read
+    take one pass: :meth:`_packed_images` over GF(p) with p <= 13,
+    :meth:`_int_images` otherwise.  Only this class reads the table.
     """
 
     __slots__ = ("field", "out_dim", "_rows", "_den", "_packed")
@@ -239,24 +240,33 @@ class SkewProduct:
 
     def right_images(self, x):
         """The products ``[x, e_j]`` for every basis vector ``e_j``, in one
-        pass over the signed pair table: the right multiplications of
-        the basis applied to ``x``.  Over GF(p) with p <= 13 they are the
-        byte slices of one sum of packed ints (:meth:`_packed_images`)."""
-        field, rows = self.field, self._rows
+        pass over the pair table: the right multiplications of the basis
+        applied to ``x``.  Over GF(p) with p <= 13 they are the byte
+        slices of one sum of packed ints (:meth:`_packed_images`), else
+        the int images of :meth:`_int_images`."""
+        field, m = self.field, self.out_dim
         pack = _PACKINGS.get(field.char)
         if pack:
-            p, m = pack[0], self.out_dim
-            b = self._packed_images(pack, bytes([a % p for a in x]))
-            return [list(b[j * m : j * m + m]) for j in range(len(rows))]
-        xv, dx = to_scaled(field, x)
-        accs = [[0] * self.out_dim for _ in rows]
-        for a, row in zip(xv, rows):
-            if a:
-                for acc, pairs in zip(accs, row):
-                    for k, c in pairs:
-                        acc[k] += a * c
+            b = self._packed_images(pack, bytes([a % pack[0] for a in x]))
+            return [list(b[j * m : j * m + m]) for j in range(len(self._rows))]
+        xs, dx = _int_support(x)
         den = dx * self._den
-        return [from_scaled(field, acc, den) for acc in accs]
+        return [from_scaled(field, acc, den) for acc in self._int_images(xs)]
+
+    def _int_images(self, xs):
+        """The products ``[x, e_j]`` for every ``j`` as int vectors over
+        the pair-table denominator ``D``, for ``x`` given by the ``(index,
+        int)`` pairs ``xs`` of its nonzero coordinates: the one pass of
+        the sparse row form over the signed pair table, which
+        :meth:`right_images` and the spin of :class:`Echelon` share.
+        Over GF(p) the ints are not reduced."""
+        rows = self._rows
+        accs = [[0] * self.out_dim for _ in rows]
+        for i, a in xs:
+            for acc, pairs in zip(accs, rows[i]):
+                for k, c in pairs:
+                    acc[k] += a * c
+        return accs
 
     def commutes_pairwise(self, vectors):
         """Whether the product vanishes on every pair of the vectors
@@ -278,7 +288,7 @@ class SkewProduct:
 def _accumulate(rows, xs, ys, acc):
     """Add into ``acc`` the int products of the supports ``xs`` and ``ys``
     (``(index, int)`` pairs) through the signed pair table ``rows``: the
-    one inner loop of :class:`SkewProduct`.  Returns ``acc``."""
+    product loop of :class:`SkewProduct`.  Returns ``acc``."""
     for i, a in xs:
         row = rows[i]
         for j, b in ys:
@@ -568,14 +578,15 @@ class Echelon:
         ``x -> [x, e_j]`` of ``skew``, a :class:`SkewProduct` of K^n
         into itself; returns whether the spin ran to the end.
 
-        The spin kernel: each row is spun once, as it stood when it was
-        kept (the rows kept so far, then each row kept on the way), so
-        the spun rows are a basis of the span.  Its n images enter, in
-        the order of ``j``, through the insert step, as the vectors of
-        :meth:`add` do.  Sparse rows build their images as ints straight
-        through the signed pair table and pass :meth:`_row`; packed rows
-        take theirs from :meth:`SkewProduct._packed_images`.  The spin
-        stops at full rank.
+        The spin kernel, one loop for both row forms: each row is spun
+        once, as it stood when it was kept (the rows kept so far, then
+        each row kept on the way), so the spun rows are a basis of the
+        span.  Its n images enter, in the order of ``j``, through the
+        insert step, as the vectors of :meth:`add` do.  Packed rows take
+        their images from :meth:`SkewProduct._packed_images`, sparse rows
+        from :meth:`SkewProduct._int_images` through :meth:`_row`.  A
+        row's images are computed once: when it is kept if the cut-off
+        is on, else at its turn to be spun.  The spin stops at full rank.
 
         The cut-off: with ``commute`` on, every newly kept row is tested
         against each row kept before it, and the spin gives up at the
@@ -583,67 +594,49 @@ class Echelon:
         span part-grown.  The tested rows are a basis of the span, so a
         spin that runs to the end has an abelian closure, and one that
         gives up does not.  The rows kept before the spin are tested
-        pairwise first."""
-        if self._pack:
-            return self._spin_packed(skew, commute)
-        table, n = skew._rows, skew.out_dim
-        commutes = skew._commutes
-        queue = list(self._kept.values())
-        if commute and not all(commutes(u, v) for u, v in combinations(queue, 2)):
-            return False
-        for r in queue:  # the queue grows while it is read
-            if len(self._kept) == n:
-                break
-            support = [(table[i], a) for i, a in r.items()]
-            for j in range(len(table)):
-                image = {}
-                for row, a in support:
-                    for k, c in row[j]:
-                        image[k] = image.get(k, 0) + a * c
-                w = self._insert(self._row(image.items()))
-                if w is None:
-                    continue
-                if commute and not all(commutes(u, w) for u in queue):
-                    return False
-                queue.append(w)
-                if len(self._kept) == n:
-                    break
-        return True
-
-    def _spin_packed(self, skew, commute):
-        """:meth:`spin` on packed rows.  A row's n images are the byte
-        slices of :meth:`SkewProduct._packed_images`, computed once: when
-        the row is kept if the cut-off is on, where they serve its commute
-        tests, as ``[w, u] = sum_j u_j [w, e_j]`` is zero exactly when that
-        combination of the images of ``w`` is, and then its turn to be
-        spun."""
+        pairwise first.  A packed row ``w`` is tested through its images,
+        as ``[w, u] = sum_j u_j [w, e_j]`` is zero exactly when that
+        combination of them is; a sparse one by
+        :meth:`SkewProduct._commutes`."""
         n, pack, kept = skew.out_dim, self._pack, self._kept
+        if pack:
+            insert = self._insert_packed
 
-        def images(r):
-            b = skew._packed_images(pack, r.to_bytes(n, "little"))
-            return [int.from_bytes(b[s : s + n], "little") for s in range(0, len(b), n)]
+            def images(r):
+                b = skew._packed_images(pack, r.to_bytes(n, "little"))
+                return [int.from_bytes(b[s : s + n], "little") for s in range(0, len(b), n)]
 
-        def commutes(ims, rows):
-            return not any(_combine(pack, u.to_bytes(n, "little"), ims) for u in rows)
+            def commutes(w, ims, rows):
+                return not any(_combine(pack, u.to_bytes(n, "little"), ims) for u in rows)
+        else:
+
+            def images(r):
+                return skew._int_images(r.items())
+
+            def insert(w):
+                return self._insert(self._row(enumerate(w)))
+
+            def commutes(w, ims, rows):
+                return all(skew._commutes(u, w) for u in rows)
 
         queue = list(kept.values())
         spun = [None] * len(queue)
         if commute:
             for i, u in enumerate(queue):
                 spun[i] = images(u)
-                if not commutes(spun[i], queue[:i]):
+                if not commutes(u, spun[i], queue[:i]):
                     return False
         for i, r in enumerate(queue):  # the queue grows while it is read
             if len(kept) == n:
                 break
             for w in spun[i] or images(r):
-                w = self._insert_packed(w)
+                w = insert(w)
                 if w is None:
                     continue
                 ims = None
                 if commute:
                     ims = images(w)
-                    if not commutes(ims, queue):
+                    if not commutes(w, ims, queue):
                         return False
                 queue.append(w)
                 spun.append(ims)

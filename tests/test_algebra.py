@@ -9,6 +9,7 @@ from olie import GF, QQ, AnticommAlgebra, OmegaAlgebra, Subspace, Violation
 from olie import catalog
 from olie.errors import (
     DimensionMismatch,
+    FieldMismatch,
     KernelConditionFailed,
     NotASubalgebra,
     PreconditionError,
@@ -152,9 +153,12 @@ def test_bracket_and_omega_match_reference(field, data):
 
 # the fields of the suite and the last two with packed rows in ``linalg``
 PACKED_EDGE_FIELDS = FIELDS + [GF(11), GF(13)]
+# and two with sparse rows of residues: the first prime past packing,
+# and one whose residues take three bytes each
+ROW_FORM_FIELDS = PACKED_EDGE_FIELDS + [GF(17), GF(1000003)]
 
 
-@pytest.mark.parametrize("field", PACKED_EDGE_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ROW_FORM_FIELDS, ids=str)
 @given(data=st.data())
 def test_right_images_match_reference(field, data):
     alg = data.draw(algebras(field))
@@ -828,7 +832,7 @@ def assert_spin_matches_reference(alg, gens):
         assert [list(r) for r in spun.subspace(n).rows] == want
 
 
-@pytest.mark.parametrize("field", PACKED_EDGE_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ROW_FORM_FIELDS, ids=str)
 @settings(deadline=None)
 @given(data=st.data())
 def test_spin_cut_off_matches_reference_on_random_tables(field, data):
@@ -929,20 +933,22 @@ def test_commute_test_reduces_mod_p(gf5):
     assert not alg.is_abelian_subspace(Subspace(gf5, 3, [u, basis_vector(gf5, 3, 1)]))
 
 
-def test_spin_kernel_edge_cases(sl2):
-    product = sl2._product
-    # nothing kept: nothing to spin
-    span = Echelon(QQ)
-    assert span.spin(product, True) and span.rank == 0
-    # rows kept before the spin are tested pairwise first
-    span = Echelon(QQ)
-    span.add(basis_vector(QQ, 3, 0))
-    span.add(basis_vector(QQ, 3, 1))
-    assert not span.spin(product, True) and span.rank == 2
-    # a simple algebra spins any line to the whole space, and stops there
-    span = Echelon(QQ)
-    span.add(vec(QQ, F(1, 2), F(-2, 3), 3))
-    assert span.spin(product) and span.rank == 3
+def test_spin_kernel_edge_cases():
+    # on every row form: sparse over Q and GF(17), packed over GF(5)
+    for field in (QQ, GF(5), GF(17)):
+        product = catalog.builtin_algebra("lie.sl2", field)._product
+        # nothing kept: nothing to spin
+        span = Echelon(field)
+        assert span.spin(product, True) and span.rank == 0
+        # rows kept before the spin are tested pairwise first
+        span = Echelon(field)
+        span.add(basis_vector(field, 3, 0))
+        span.add(basis_vector(field, 3, 1))
+        assert not span.spin(product, True) and span.rank == 2
+        # a simple algebra spins any line to the whole space, and stops there
+        span = Echelon(field)
+        span.add(vec(field, F(1, 2), F(-2, 3), 3))
+        assert span.spin(product) and span.rank == 3
 
 
 # -- the complete abelian-ideal scan -----------------------------------------
@@ -1004,6 +1010,15 @@ def test_subspace_predicates_reject_the_wrong_ambient(gf5):
     sub = Subspace(gf5, 7, [basis_vector(gf5, 7, 0)])
     for check in (alg.is_subalgebra, alg.is_abelian_subspace, alg.is_ideal, alg.restrict):
         with pytest.raises(DimensionMismatch):
+            check(sub)
+
+
+def test_subspace_predicates_reject_another_field(gf5):
+    alg = catalog.builtin_algebra("lie.sl2", gf5)
+    sub = Subspace(QQ, 3, [[F(1, 2), F(0), F(0)]])
+    checks = (alg.is_ideal, alg.is_abelian_subspace, alg.is_subalgebra, alg.restrict, alg.quotient)
+    for check in checks:
+        with pytest.raises(FieldMismatch):
             check(sub)
 
 

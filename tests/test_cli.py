@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import olie
-from olie import GF, QQ, AlphaLambdaDerivation, catalog
+from olie import GF, QQ, AlphaLambdaDerivation, AnticommAlgebra, catalog
 from olie.cli import SCAN_DIMS, SCAN_MAX_COUNT, _scan_structure_one, main
 from olie.identities import builtin_names
 from olie.errors import InputError, OlieError, ParseError, SchemaError
@@ -292,6 +292,16 @@ def test_deep_expr_nesting_is_a_parse_error(s4_file):
     code, out, err = run_cli_process(["identity", s4_file, "--expr", deep])
     assert code == 3 and "Traceback" not in err and out == ""
     assert "nested deeper than" in err
+
+
+def test_identity_past_the_enumeration_limit_exits_4(tmp_path):
+    # 16**5 basis tuples of a term that does not vanish: refused unrun
+    path = tmp_path / "abelian16.json"
+    catalog.save(AnticommAlgebra(GF(5), 16), path)
+    expr = "(b (b (b (b x1 x2) x3) x4) x5)"
+    code, out, err = run_cli_process(["identity", str(path), "--expr", expr])
+    assert code == 4 and "Traceback" not in err and out == ""
+    assert "enumeration limit of 1000000" in err
 
 
 def test_catalog_commands(tmp_path):

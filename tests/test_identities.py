@@ -27,6 +27,7 @@ from olie.errors import (
     IdentitySyntaxError,
     IdentityTypeError,
     NotMultilinear,
+    PreconditionFailed,
     UnknownIdentity,
 )
 from olie import identities
@@ -501,6 +502,24 @@ def test_a_term_compiling_to_zero_holds_without_enumeration(gf5, text, root):
         # a term that does not compile to zero is still enumerated
         assert find_counterexample(alg, parse_identity("(b x1 x2)")) == (0, 1)
         assert spy.call_count > 0
+
+
+def test_enumeration_past_the_limit_is_refused(gf5):
+    # 16**5 tuples of a 5-variable term and C(44, 5) increasing ones of
+    # degree5 are past ENUM_CAP = 10**6
+    term = parse_identity("(b (b (b (b x1 x2) x3) x4) x5)")
+    vanishing = parse_identity("(+ (b (b x1 x2) (b x3 (b x4 x5))) (b (b x3 (b x4 x5)) (b x1 x2)))")
+    refused = ((AnticommAlgebra(gf5, 16), term), (AnticommAlgebra(gf5, 44), builtin("degree5")))
+    with mock.patch.object(identities, "evaluate", wraps=identities.evaluate) as spy:
+        for alg, ident in refused:
+            with pytest.raises(PreconditionFailed, match="enumeration limit of 1000000"):
+                find_counterexample(alg, ident)
+        # a term compiling to zero holds at any dimension
+        assert holds(AnticommAlgebra(gf5, 64), vanishing)
+        assert spy.call_count == 0
+    # 15**5 tuples are within the limit: sl2 inside dim 15 is enumerated
+    sl2 = catalog.builtin_algebra("lie.sl2", gf5)
+    assert find_counterexample(AnticommAlgebra(gf5, 15, sl2._bracket), term) == (0, 1, 0, 1, 0)
 
 
 @st.composite

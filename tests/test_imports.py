@@ -12,7 +12,9 @@ module but ``fields`` calls the per-scalar ``add``, ``sub``, ``mul``,
 ``neg`` or ``is_zero`` of a field: scalars are computed with operators
 and reduced by ``linalg``.  No module but ``linalg`` reads the private
 pair table ``SkewProduct._rows``: the others go through
-``signed_table()``, so field-specific int work stays behind ``linalg``.
+``signed_table()``, so field-specific int work stays behind ``linalg``,
+and inside ``linalg`` no code outside ``class SkewProduct`` reads it:
+products, images and commute tests go through its methods.
 No module but ``linalg`` calls ``rref``: the solvers read the kept rows
 of an ``Echelon`` directly, not a dense reduced copy of them.  No code
 outside ``class Echelon`` reads its kept rows ``_kept``, whose form (a
@@ -208,6 +210,27 @@ def test_the_check_sees_kept_invariant_reads():
         "        return self._cache.get('center')\n"
     )
     assert reads_outside_class(source, "_cache", "AnticommAlgebra") == [6, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_product_reads_its_pair_table(path):
+    assert reads_outside_class(path.read_text(encoding="utf-8"), "_rows", "SkewProduct") == []
+
+
+def test_the_check_sees_pair_table_reads_outside_the_product():
+    source = (
+        "class SkewProduct:\n"
+        "    def image(self, i, j):\n"
+        "        return self._rows[i][j]\n"
+        "\n"
+        "class Echelon:\n"
+        "    def spin(self, skew):\n"
+        "        table = skew._rows\n"
+        "\n"
+        "def images(skew, _rows):\n"
+        "    return skew._rows[0], skew.signed_table(), _rows\n"
+    )
+    assert reads_outside_class(source, "_rows", "SkewProduct") == [7, 10]
 
 
 def test_the_check_sees_kept_row_reads():
