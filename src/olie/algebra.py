@@ -65,11 +65,11 @@ from .linalg import (
     kernel_basis,
     projective_points,
     solve_affine,
+    span_points,
     to_scaled,
     transpose,
     vec_add,
     vec_is_zero,
-    vec_mat,
     vec_scale,
     vec_sub,
     zero_matrix,
@@ -488,6 +488,22 @@ class AnticommAlgebra:
         """:meth:`_abelian_part` of the radical of the form."""
         return self._abelian_part(self.omega_kernel())
 
+    def _radical_core(self):
+        """The core of the radical of the form, the largest ideal inside
+        it, or None when it is zero: the common kernel of the Gram rows
+        spun under the coadjoint product (:meth:`SkewProduct.coadjoint`).
+        The spun covectors are the ``v -> w(e_i, [..[v, e_j1].., e_jt])``,
+        so their kernel is the ``v`` whose every image under a word in the
+        right multiplications lies in the radical."""
+        n = self.dim
+        span = Echelon(self.field)
+        for row in self.gram():
+            span.add(row)
+        span.spin(self._product.coadjoint())
+        if span.rank == n:
+            return None
+        return Subspace(self.field, n, span.kernel(n))
+
     # -- multiplicativity and related solves ------------------------------
 
     def multiplicative_lambda(self):
@@ -668,15 +684,18 @@ class AnticommAlgebra:
         These spins run in the search, not through the public
         :meth:`ideal_closure`.  Over a small prime field (p^n at most
         ``linalg.ENUM_CAP``) the search is then made complete for a
-        certified algebra: an abelian ideal of codimension >= 2 lies
-        inside the radical of the form and contains the spun closure of
-        each of its lines, so scanning the closures of all radical lines
-        decides that case; a codimension-1 abelian ideal contains the
-        commutant, so the finitely many hyperplanes over the commutant
-        decide the rest.  An uncertified table scans the closures of
-        every line instead.  A None from the complete search is a
-        definitive nonexistence answer.  A 1-dimensional algebra is its
-        own abelian ideal.
+        certified algebra.  An ideal of codimension 1 contains the
+        commutant, as the quotient is a line; so once the commutant has
+        been tested, no abelian ideal of codimension 1 is left.  One of
+        codimension >= 2 lies inside the radical of the form, so inside
+        its core N, the largest ideal there (:meth:`_radical_core`, by
+        linear algebra over any field), and it contains the spun closure
+        of each of its lines.  So the search returns None at once when N
+        is zero, and otherwise scans the closures of the lines of N, in
+        the order of the radical's lines.  An uncertified table scans the
+        closures of every line instead.  A None from the complete search
+        is a definitive nonexistence answer.  A 1-dimensional algebra is
+        its own abelian ideal.
         """
         field, n = self.field, self.dim
         if n == 1:
@@ -707,19 +726,9 @@ class AnticommAlgebra:
                 return
             # an OmegaAlgebra was certified when it was built
             if isinstance(self, OmegaAlgebra) or self._first_violation() is None:
-                # codim >= 2: scan spun closures of the radical's lines
-                lines = projective_points(field.char, ker.dim)
-                yield from closures(vec_mat(field, c, ker.rows) for c in lines)
-                # codim 1: hyperplanes over the commutant, as kernels of
-                # projective covectors on the quotient
-                reps = com.quotient_reps()
-                q = len(reps)
-                for covector in projective_points(field.char, q):
-                    extra = [
-                        vec_mat(field, combo, reps)
-                        for combo in kernel_basis(field, [covector], q)
-                    ]
-                    yield Subspace(field, n, list(com.rows) + extra), True
+                core = self._radical_core()
+                if core is not None:
+                    yield from closures(span_points(core))
             else:
                 # a line that is an ideal is its own closure
                 yield from closures(projective_points(field.char, n))

@@ -21,7 +21,8 @@ from .algebra import AlmostAbelianResult, AnticommAlgebra
 from .errors import DimensionMismatch, NotALieAlgebra, PreconditionFailed, SchemaError
 from .fields import scalar_from_json
 from .linalg import (
-    Subspace, from_scaled, kernel_basis, mat_mul, mat_sub, to_scaled, vec_dot, vec_sub, zeros
+    Subspace, check_system_size, from_scaled, kernel_basis, mat_mul, mat_sub, to_scaled, vec_dot,
+    vec_sub, zeros,
 )
 
 
@@ -110,8 +111,11 @@ def _system_rows(alg: AnticommAlgebra, lam):
 
 
 def al_derivation_space(alg: AnticommAlgebra, lam):
-    """Canonical basis of the (D, alpha) solution space for a fixed lambda."""
+    """Canonical basis of the (D, alpha) solution space for a fixed
+    lambda.  The system has C(n, 2) n rows of n^2 + n columns; past
+    ``linalg.SYSTEM_CAP`` cells it is refused before any row is built."""
     field, n = alg.field, alg.dim
+    check_system_size("derivation", n * (n - 1) // 2 * n, n * n + n)
     lam = [field.coerce(x) for x in lam]
     rows = _system_rows(alg, lam)
     sols = kernel_basis(field, rows, n * n + n)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .algebra import AnticommAlgebra, OmegaAlgebra
 from .derivations import _holds_al_derivation
@@ -33,6 +34,7 @@ from .errors import (
 from .linalg import (
     _echelon,
     basis_vector,
+    check_system_size,
     from_scaled,
     kernel_basis,
     mat_mul,
@@ -350,7 +352,9 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
 
     in the unknowns phi1 (anticommutative bilinear into the algebra) and
     w1 (skew scalar form).  Returns the canonical solution basis and the
-    dimension of its projection onto the w1 coordinates.
+    dimension of its projection onto the w1 coordinates.  The system has
+    C(n, 3) n rows of C(n, 2) (n + 1) columns; past ``linalg.SYSTEM_CAP``
+    cells it is refused before any row is built.
     """
     field, n = alg.field, alg.dim
     if not alg.is_lie():
@@ -359,6 +363,7 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
     pos = {pair: t for t, pair in enumerate(pairs)}
     nphi = len(pairs) * n
     nun = nphi + len(pairs)
+    check_system_size("deformation", comb(n, 3) * n, nun)
     rows = _deformation_rows(alg, pos)
     sols = kernel_basis(field, rows, nun)
     basis = []

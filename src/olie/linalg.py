@@ -34,7 +34,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PreconditionFailed
 from .fields import same_field
 
 _ZERO = Fraction(0)
@@ -122,6 +122,22 @@ def transpose(m):
 # C(n, k) or n^k basis tuples of an identity
 ENUM_CAP = 10**6
 
+# the budget of a dense linear system in rows x columns cells: at dim n
+# the deformation system has C(n, 3) n x C(n, 2) (n + 1) (2.3e6 at n = 12,
+# 1.2e7 at n = 15), the derivation system C(n, 2) n x (n^2 + n) (1.2e5 at
+# n = 12, 1.2e7 at n = 30)
+SYSTEM_CAP = 10 * ENUM_CAP
+
+
+def check_system_size(what, rows, cols):
+    """Raise :class:`PreconditionFailed`, naming the limit, for a system
+    past ``SYSTEM_CAP`` cells; callers check before building any row."""
+    if rows * cols > SYSTEM_CAP:
+        raise PreconditionFailed(
+            f"the {what} system has {rows} x {cols} = {rows * cols} cells, "
+            f"past the limit of {SYSTEM_CAP}"
+        )
+
 
 def projective_points(p, k):
     """The nonzero vectors of GF(p)^k up to scale, as int lists whose
@@ -131,6 +147,17 @@ def projective_points(p, k):
         head = [0] * lead + [1]
         for tail in product(range(p), repeat=k - lead - 1):
             yield head + list(tail)
+
+
+def span_points(sub):
+    """The projective points of a :class:`Subspace` over GF(p), each with
+    first nonzero entry 1, in the order :func:`projective_points` gives
+    them in K^ambient: the point with coefficients ``c`` on the rows
+    leads at the pivot of the first nonzero ``c``, and as the rows vanish
+    at each other's pivots, points with one lead order as their ``c``."""
+    field = sub.field
+    for c in projective_points(field.char, sub.dim):
+        yield vec_mat(field, c, sub.rows)
 
 
 class SkewProduct:
@@ -151,12 +178,12 @@ class SkewProduct:
     :meth:`_int_images` otherwise.  Only this class reads the table.
     """
 
-    __slots__ = ("field", "out_dim", "_rows", "_den", "_packed")
+    __slots__ = ("field", "out_dim", "_rows", "_den", "_packed", "_coadjoint")
 
     def __init__(self, field, dim, out_dim, entries):
         self.field = field
         self.out_dim = out_dim
-        self._packed = None
+        self._packed = self._coadjoint = None
         den = 1
         if not field.char:
             den = lcm(*[c.denominator for image in entries.values() for c in image.values()])
@@ -174,6 +201,27 @@ class SkewProduct:
         every ordered pair.  Over GF(p) ``D`` is 1 and each ``c`` is a
         residue up to sign.  Callers only read it."""
         return self._rows, self._den
+
+    def coadjoint(self):
+        """The coadjoint product of a product of K^n into itself: its pair
+        table is the transpose of this one, ``[e_k, e_j]* = sum_i c e_i``
+        for each ``(k, c)`` of ``[e_i, e_j]``, so :meth:`Echelon.spin`
+        takes a covector ``a`` to the covectors ``a([., e_j])``.  It is
+        not alternating, and only the spin reads it.  Built on first use
+        and kept on the product."""
+        co = self._coadjoint
+        if co is None:
+            n = len(self._rows)
+            rows = [[[] for _ in range(n)] for _ in range(n)]
+            for i, row in enumerate(self._rows):
+                for j, pairs in enumerate(row):
+                    for k, c in pairs:
+                        rows[k][j].append((i, c))
+            co = self._coadjoint = object.__new__(SkewProduct)
+            co.field, co.out_dim, co._den = self.field, n, self._den
+            co._packed = co._coadjoint = None
+            co._rows = [[tuple(pairs) for pairs in row] for row in rows]
+        return co
 
     def _packed_images(self, pack, coeffs):
         """The products ``[x, e_j]`` for every ``j`` over GF(p), p at most

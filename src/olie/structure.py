@@ -31,6 +31,7 @@ from .linalg import (
     kernel_basis,
     mat_mul,
     projective_points,
+    span_points,
     to_scaled,
     transpose,
     vec_add,
@@ -439,7 +440,12 @@ class ClassificationVerdict:
 def _abelian_witness(alg: AnticommAlgebra, extra=()):
     """Best abelian subalgebra of small codimension among candidates: the
     grown spans, the radical of the form, its abelian part, ``extra`` and
-    the center."""
+    the center.  Over a small prime field (p^n at most ``ENUM_CAP``), while
+    the best is of codimension > 3, spans grown from projective points
+    follow, in order.  The span grown from v holds v and basis vectors
+    e_j with [v, e_j] = 0, so it beats a best of dimension f only if v
+    commutes with at least f basis vectors: only those points are grown
+    (:func:`_centralizer_points`)."""
     field, n = alg.field, alg.dim
     e = [basis_vector(field, n, i) for i in range(n)]
     table, _ = alg._product.signed_table()
@@ -474,11 +480,27 @@ def _abelian_witness(alg: AnticommAlgebra, extra=()):
         # last resort over a small prime field: largest abelian subalgebra
         # among spans of projective vectors, grown greedily
         images = alg._product.right_images
-        for v in projective_points(field.char, n):
+        for v in _centralizer_points(alg, floor()):
             grown(v, [any(w) for w in images(v)])
             if best is not None and best.codim <= 3:
                 break
     return best
+
+
+def _centralizer_points(alg: AnticommAlgebra, f):
+    """The projective points v of GF(p)^n with [v, e_j] = 0 for at least
+    ``f`` of the basis vectors e_j, in the order of ``projective_points``:
+    the union over the f-sets S of the kernels of the right
+    multiplications R_j, j in S, each a span of points."""
+    field, n = alg.field, alg.dim
+    # R_j : v -> [v, e_j] as n equations in v
+    equations = [transpose(alg.ad(basis_vector(field, n, j))) for j in range(n)]
+    kernels = {
+        Subspace(field, n, kernel_basis(field, [r for j in s for r in equations[j]], n))
+        for s in combinations(range(n), f)
+    }
+    points = {tuple(v) for sub in kernels for v in span_points(sub)}
+    return [list(v) for v in sorted(points, key=lambda v: (v.index(1), v))]
 
 
 def _rank2_line_parameters(alg, core: Subspace):

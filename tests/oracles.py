@@ -19,6 +19,8 @@ dense helpers at the very end are the earlier bodies of those helpers,
 one field-method call per scalar.  The identity compiler and program
 runner at the very end are the library's earlier pair, which shared
 subterms only up to syntax: what they pin is the value of a term.  The
+radical-core reference after the eager searches is the plain fixed
+point, built from the reference bracket and elimination.  The
 scan reference after them is the CLI's earlier per-chain scan, which ran
 both ideal searches on a fresh, certified copy of each chain.
 """
@@ -901,6 +903,32 @@ def find_abelian_ideal_reference(alg, enum_cap=10**6):
         if spun.dim < n and check(spun):
             return spun
     return None
+
+
+def radical_core_reference(alg):
+    """The RREF rows of the largest ideal inside the radical of the form,
+    by the plain fixed point N_{t+1} = {v in N_t : [v, e_j] in N_t for
+    every j} from N_0 = the radical, with the reference bracket and
+    elimination: each round solves for the coefficients on the rows of
+    N_t whose brackets reduce to zero modulo N_t."""
+    field, n = alg.field, alg.dim
+    e = _basis(field, n)
+    gram = [[omega_reference(alg, x, y) for y in e] for x in e]
+    red, rank, _ = rref_reference(field, kernel_reference(field, gram, n))
+    rows = red[:rank]
+    while rows:
+        residues = [
+            [reduce_reference(field, rows, bracket_reference(alg, r, ej)) for ej in e]
+            for r in rows
+        ]
+        d = len(rows)
+        equations = [[residues[s][j][k] for s in range(d)] for j in range(n) for k in range(n)]
+        coeffs = kernel_reference(field, equations, d)
+        red, rank, _ = rref_reference(field, [vec_mat_reference(field, c, rows) for c in coeffs])
+        if rank == d:
+            break
+        rows = red[:rank]
+    return rows
 
 
 def fitting_decomposition_reference(alg, sub):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from olie import GF, QQ, AnticommAlgebra, OmegaAlgebra, Subspace, Violation
 from olie import catalog
@@ -46,6 +46,7 @@ from oracles import (
     multiplicative_lambda_reference,
     omega_reference,
     omega_space_reference,
+    radical_core_reference,
     simplicity_reference,
 )
 from strategies import FIELDS, algebras, assert_canonical, multiplicative_data, scalars
@@ -775,12 +776,15 @@ def assert_same_verdict(got, want):
     assert (got.kind, got.certificate, got.witness) == (want.kind, want.certificate, want.witness)
 
 
-@pytest.mark.parametrize("field", [GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("field", [GF(5), GF(7), GF(11)], ids=str)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), dim=st.integers(3, 6))
 def test_searches_match_eager_reference_on_chains(field, seed, dim):
     # verdict, certificate and witness rows as when every candidate was
-    # built first and M(L) computed before any was spun
+    # built first and M(L) computed before any was spun; the reference
+    # scans every radical line and every hyperplane over the commutant,
+    # the search only the lines of the radical's core (over GF(11) the
+    # complete branch runs up to dim 5, on radicals of dim 3 and 4)
     alg = catalog.random_extension_chain(field, seed, dim)
     assume(not isinstance(alg, catalog.Stuck))
     assert_same_verdict(alg.simplicity(), simplicity_reference(alg))
@@ -795,6 +799,49 @@ def test_searches_match_eager_reference_on_random_tables(field, data):
     alg = data.draw(algebras(field, max_dim=4))
     assert_same_verdict(alg.simplicity(), simplicity_reference(alg))
     assert alg.find_abelian_ideal() == find_abelian_ideal_reference(alg)
+
+
+# -- the core of the radical -------------------------------------------------
+
+# both row forms of the spin: packed over GF(5) and GF(7), sparse over Q
+# and GF(1000003)
+CORE_FIELDS = [QQ, GF(5), GF(7), GF(1000003)]
+
+
+def assert_core_matches_reference(alg):
+    core = alg._radical_core()
+    got = [] if core is None else [list(r) for r in core.rows]
+    assert got == radical_core_reference(alg)
+    return got
+
+
+@pytest.mark.parametrize("field", CORE_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_radical_core_matches_the_fixed_point_on_random_tables(field, data):
+    got = assert_core_matches_reference(data.draw(algebras(field, max_dim=5)))
+    event(f"core of dim {len(got)}")
+
+
+@pytest.mark.parametrize("field", CORE_FIELDS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dim=st.integers(3, 6))
+def test_radical_core_matches_the_fixed_point_on_chains(field, seed, dim):
+    alg = catalog.random_extension_chain(field, seed, dim)
+    assume(not isinstance(alg, catalog.Stuck))
+    got = assert_core_matches_reference(alg)
+    event(f"core of dim {len(got)}")
+
+
+def test_radical_core_edge_cases(gf5):
+    # a Lie algebra with the zero form: the radical is all of L, an ideal
+    sl2 = catalog.builtin_algebra("lie.sl2", gf5)
+    assert sl2._radical_core().is_full()
+    # a nondegenerate form: the radical is zero, and so is its core
+    plane = AnticommAlgebra(gf5, 2, {}, {(0, 1): 1})
+    assert plane.omega_kernel().is_zero() and plane._radical_core() is None
+    # the coadjoint table is built once per product
+    assert sl2._product.coadjoint() is sl2._product.coadjoint()
 
 
 # -- the spin kernel and its commute cut-off --------------------------------

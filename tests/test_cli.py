@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -302,6 +303,53 @@ def test_identity_past_the_enumeration_limit_exits_4(tmp_path):
     code, out, err = run_cli_process(["identity", str(path), "--expr", expr])
     assert code == 4 and "Traceback" not in err and out == ""
     assert "enumeration limit of 1000000" in err
+
+
+def sl2_copies(path, copies):
+    """Save the direct sum of ``copies`` copies of sl2 over GF(5), a Lie
+    algebra of dimension 3 * copies, and return its path."""
+    sl2 = catalog.builtin_algebra("lie.sl2", GF(5))
+    bracket = {
+        (3 * c + i, 3 * c + j): {3 * c + k: x for k, x in image.items()}
+        for c in range(copies)
+        for (i, j), image in sl2._bracket.items()
+    }
+    catalog.save(AnticommAlgebra(GF(5), 3 * copies, bracket), path)
+    return str(path)
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "command, copies, cells",
+    [
+        # 48,576 x 6,900 dense cells, which ran out of a 1-GB address space
+        (["deform"], 8, "48576 x 6900"),
+        # 13,050 x 930: the first sum of copies past the limit
+        (["derive", "--solve-lambda"], 10, "13050 x 930"),
+    ],
+)
+def test_system_past_the_size_limit_exits_4(tmp_path, command, copies, cells):
+    # a child process under a 1-GB address space and a wall-clock limit:
+    # the system is refused before any row is built
+    path = sl2_copies(tmp_path / "sum.json", copies)
+    env = dict(os.environ, PYTHONPATH=str(Path(olie.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "olie.cli", *command, path],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr and proc.stdout == ""
+    assert f"{cells} = " in proc.stderr and "past the limit of 10000000" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["deform"], ["derive", "--solve-lambda"]])
+def test_system_size_limit_admits_dimension_12(tmp_path, command):
+    code, out, _ = run_cli(["--format", "json", *command, sl2_copies(tmp_path / "sum.json", 4)])
+    assert code == 0 and json.loads(out)
 
 
 def test_catalog_commands(tmp_path):

@@ -35,6 +35,7 @@ from olie.structure import (
 
 from oracles import (
     abelian_witness_reference,
+    bracket_reference,
     eigenspaces_reference,
     fitting_decomposition_reference,
     rational_roots_reference,
@@ -611,7 +612,9 @@ def dense_tables(draw, field, dim):
 def _witness_rows(alg, extra=()):
     """The rows of the witness and of its reference, and whether the
     witness search grew projective lines."""
-    with mock.patch.object(structure, "projective_points", wraps=projective_points) as spy:
+    with mock.patch.object(
+        structure, "_centralizer_points", wraps=structure._centralizer_points
+    ) as spy:
         got = _abelian_witness(alg, extra)
     want = abelian_witness_reference(alg, extra)
     rows = [None if s is None else s.rows for s in (got, want)]
@@ -648,6 +651,24 @@ def test_abelian_witness_projective_fallback_over_gf5(gf5):
         assert got == want
         grown += fallback
     assert grown >= 3
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_centralizer_points_are_the_filtered_projective_points(p, data):
+    # the fallback grows only the points that commute with at least f
+    # basis vectors, in projective order; every f from 0 (all points)
+    # to n (the center's points) is held to the brute-force filter
+    field = GF(p)
+    alg = data.draw(dense_tables(field, data.draw(st.integers(2, 5 if p == 5 else 4))))
+    n = alg.dim
+    e = [basis_vector(field, n, j) for j in range(n)]
+    points = list(projective_points(p, n))
+    zeros = [sum(not any(bracket_reference(alg, v, ej)) for ej in e) for v in points]
+    for f in range(n + 1):
+        want = [v for v, z in zip(points, zeros) if z >= f]
+        assert structure._centralizer_points(alg, f) == want
 
 
 def _seeded_dense_table(field, dim, seed):
