@@ -40,7 +40,7 @@ its matrix follows the row convention of :mod:`olie.linalg`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 from itertools import combinations
 
 from .errors import (
@@ -148,7 +148,6 @@ class AnticommAlgebra:
         self._bracket = bracket
         self._omega = omega
         self._product = SkewProduct(field, dim, dim, bracket)
-        self._form = SkewProduct(field, dim, 1, {pair: {0: c} for pair, c in omega.items()})
         self._cache = {}
 
     @staticmethod
@@ -175,6 +174,13 @@ class AnticommAlgebra:
             g[i][j] = c
             g[j][i] = -c
         return [_canon(field, row) for row in g]
+
+    @cached_property
+    def _form(self):
+        """The form as a :class:`SkewProduct` into the line, built on
+        first use: most algebras a chain grows through never read it."""
+        pairs = {pair: {0: c} for pair, c in self._omega.items()}
+        return SkewProduct(self.field, self.dim, 1, pairs)
 
     def basis_bracket(self, i, j):
         return from_scaled(self.field, *self._product.image(i, j))

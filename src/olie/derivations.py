@@ -79,8 +79,11 @@ def _system_rows(alg: AnticommAlgebra, lam):
 
     The structure constants are read off the signed pair table over its
     denominator ``D``, and lambda is the scaled vector ``ints/dl``, so
-    every coefficient is an int (over GF(p) a residue up to sign)."""
+    every coefficient is an int (over GF(p) a residue up to sign).  The
+    system has C(n, 2) n rows of n^2 + n columns; past
+    ``linalg.SYSTEM_CAP`` cells it is refused before any row is built."""
     field, n = alg.field, alg.dim
+    check_system_size("derivation", n * (n - 1) // 2 * n, n * n + n)
     if len(lam) != n:
         raise DimensionMismatch("lambda length does not match the algebra")
     table, den = alg._product.signed_table()
@@ -112,10 +115,8 @@ def _system_rows(alg: AnticommAlgebra, lam):
 
 def al_derivation_space(alg: AnticommAlgebra, lam):
     """Canonical basis of the (D, alpha) solution space for a fixed
-    lambda.  The system has C(n, 2) n rows of n^2 + n columns; past
-    ``linalg.SYSTEM_CAP`` cells it is refused before any row is built."""
+    lambda (the size limit of :func:`_system_rows` applies)."""
     field, n = alg.field, alg.dim
-    check_system_size("derivation", n * (n - 1) // 2 * n, n * n + n)
     lam = [field.coerce(x) for x in lam]
     rows = _system_rows(alg, lam)
     sols = kernel_basis(field, rows, n * n + n)

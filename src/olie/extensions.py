@@ -262,8 +262,11 @@ def _differential_matrix(alg, lam, k):
     each coefficient C^m of [e_idx[a], e_idx[b]] with m outside the rest
     of ``idx``, at the key sorted({m} + rest), with sign (-1)^(a+b)
     times the sign of the sort.  Raises when lam is not multiplicative.
+    The matrix has C(n, k) x C(n, k + 1) cells; past
+    ``linalg.SYSTEM_CAP`` it is refused before any row is built.
     """
     field, n = alg.field, alg.dim
+    check_system_size(f"degree-{k} differential", comb(n, k), comb(n, k + 1))
     lam = [field.coerce(x) for x in lam]
     if not is_multiplicative_for(alg, lam):
         raise NotMultiplicative("lambda does not reproduce the form on brackets")

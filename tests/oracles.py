@@ -17,12 +17,16 @@ library's earlier bodies, built on its own subspaces, kernels and dense
 matrix helpers: what they pin is the result of the earlier method.  The
 dense helpers at the very end are the earlier bodies of those helpers,
 one field-method call per scalar.  The identity compiler and program
-runner at the very end are the library's earlier pair, which shared
+runner after them are the library's earlier pair, which shared
 subterms only up to syntax: what they pin is the value of a term.  The
 radical-core reference after the eager searches is the plain fixed
 point, built from the reference bracket and elimination.  The
 scan reference after them is the CLI's earlier per-chain scan, which ran
-both ideal searches on a fresh, certified copy of each chain.
+both ideal searches on a fresh, certified copy of each chain.  At the
+very end are the identity compiler that collected like terms but did
+not group products by bilinearity, which pins both the value of a
+program and its count of product nodes, and the character-at-a-time
+tokenizer, which pins the tokens of any text.
 """
 
 import weakref
@@ -32,7 +36,7 @@ from itertools import combinations, product
 from math import lcm
 
 from olie.errors import IdentityTypeError
-from olie.identities import BRACKET, INT, OMEGA, SCALE, SUM, VAR, Program
+from olie.identities import BRACKET, INT, OMEGA, SCALE, SUM, VAR, Program, term_type
 
 
 def _to_int_rows(rows):
@@ -1425,4 +1429,101 @@ def scan_structure_one_reference(field_tag, seed, dim):
     if alg.dim >= 5:
         out["not_simple_ok"] = alg.simplicity().kind != "simple"
         out["abelian_ideal_ok"] = alg.find_abelian_ideal() is not None
+    return out
+
+
+def compile_term_collected_reference(term):
+    """Compile a term into a :class:`Program` as the library did before
+    it grouped products by bilinearity: one node per subterm modulo
+    anticommutativity, like terms of a sum collected, no sharing of
+    operands between the products of a sum."""
+    nodes, index = [], {}
+
+    def node(key):
+        at = index.get(key)
+        if at is None:
+            at = index[key] = len(nodes)
+            nodes.append(key)
+        return at
+
+    def parts(t):
+        tag = t[0]
+        if tag == SUM:
+            out = {}
+            for u in t[1]:
+                for i, c in parts(u).items():
+                    out[i] = out.get(i, 0) + c
+            return {i: c for i, c in out.items() if c}
+        if tag == VAR:
+            return {node(t): 1}
+        if tag == INT:
+            return {node((INT, 1)): t[1]} if t[1] else {}
+        if tag not in (BRACKET, OMEGA, SCALE):
+            raise IdentityTypeError(f"unknown node {tag!r}")
+        left, right = parts(t[1]), parts(t[2])
+        if tag == SCALE and left.keys() <= {index.get((INT, 1))}:
+            k = sum(left.values())
+            return {i: k * c for i, c in right.items()} if k else {}
+        (c, i), (d, j) = single(left), single(right)
+        if not c or not d or i == j:
+            return {}
+        if i > j and tag != SCALE:
+            i, j, c = j, i, -c
+        return {node((tag, i, j)): c * d}
+
+    def single(combination):
+        collected = sorted(combination.items())
+        if not collected:
+            return 0, None
+        if len(collected) == 1:
+            (i, c), = collected
+            return c, i
+        return 1, node((SUM, tuple((c, i) for i, c in collected)))
+
+    def operands(key):
+        if key[0] == SUM:
+            return [i for _, i in key[1]]
+        return () if key[0] in (VAR, INT) else key[1:]
+
+    c, root = single(parts(term))
+    num_vars = max((k for tag, k, *_ in nodes if tag == VAR), default=0)
+    if c != 1:
+        zero = (INT, 0) if term_type(term) == "scalar" else (SUM, ())
+        nodes.append((SUM, ((c, root),)) if c else zero)
+        root = len(nodes) - 1
+    live = [False] * root + [True]
+    for at in range(root, -1, -1):
+        if live[at]:
+            for i in operands(nodes[at]):
+                live[i] = True
+    kept, new = [], {}
+    for at in range(root + 1):
+        if live[at]:
+            key = nodes[at]
+            if key[0] == SUM:
+                key = (SUM, tuple((c, new[i]) for c, i in key[1]))
+            elif key[0] not in (VAR, INT):
+                key = (key[0], new[key[1]], new[key[2]])
+            new[at] = len(kept)
+            kept.append(key)
+    return Program(tuple(kept), num_vars)
+
+
+def tokenize_reference(text):
+    """The identity tokenizer's earlier body, one character at a time:
+    parentheses, and maximal runs of other non-space characters, each
+    with its start position."""
+    out = []
+    pos = 0
+    for ch in text:
+        if ch == "(" or ch == ")":
+            out.append((ch, pos))
+        elif ch.isspace():
+            pass
+        else:
+            if out and out[-1][0] not in "()" and out[-1][1] + len(out[-1][0]) == pos:
+                out[-1] = (out[-1][0] + ch, out[-1][1])
+            else:
+                out.append((ch, pos))
+        pos += 1
     return out

@@ -323,6 +323,22 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _sized_command(tmp_path, command, copies):
+    """``command`` with its placeholders filled in for the sum of
+    ``copies`` copies of sl2: ``LAMBDA`` the zero covector, ``ZERO_D`` a
+    file of the zero derivation, ``OUT`` an output path."""
+    n = 3 * copies
+    zero_d = tmp_path / "zero_d.json"
+    zero_d.write_text(json.dumps({"D": [["0"] * n for _ in range(n)]}))
+    fill = {"LAMBDA": ",".join(["0"] * n), "ZERO_D": str(zero_d), "OUT": str(tmp_path / "out.json")}
+    return [fill.get(word, word) for word in command]
+
+
+H2 = ["h2", "--lambda", "LAMBDA"]
+SELFTEST = ["cohomology-selftest", "--count", "1"]
+EXTEND = ["extend", "--derivation", "ZERO_D", "-o", "OUT"]
+
+
 @pytest.mark.parametrize(
     "command, copies, cells",
     [
@@ -330,6 +346,12 @@ def _limit_address_space():
         (["deform"], 8, "48576 x 6900"),
         # 13,050 x 930: the first sum of copies past the limit
         (["derive", "--solve-lambda"], 10, "13050 x 930"),
+        # the derivation check of the extension builds the same rows
+        (EXTEND, 10, "13050 x 930"),
+        # the degree-2 differential, C(45, 2) x C(45, 3): the first sum of
+        # copies past the limit, which holds up to dimension 42
+        (H2, 15, "990 x 14190"),
+        (SELFTEST, 15, "990 x 14190"),
     ],
 )
 def test_system_past_the_size_limit_exits_4(tmp_path, command, copies, cells):
@@ -338,7 +360,7 @@ def test_system_past_the_size_limit_exits_4(tmp_path, command, copies, cells):
     path = sl2_copies(tmp_path / "sum.json", copies)
     env = dict(os.environ, PYTHONPATH=str(Path(olie.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "olie.cli", *command, path],
+        [sys.executable, "-m", "olie.cli", *_sized_command(tmp_path, command, copies), path],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=_limit_address_space,
     )
@@ -346,8 +368,9 @@ def test_system_past_the_size_limit_exits_4(tmp_path, command, copies, cells):
     assert f"{cells} = " in proc.stderr and "past the limit of 10000000" in proc.stderr
 
 
-@pytest.mark.parametrize("command", [["deform"], ["derive", "--solve-lambda"]])
+@pytest.mark.parametrize("command", [["deform"], ["derive", "--solve-lambda"], EXTEND, H2, SELFTEST])
 def test_system_size_limit_admits_dimension_12(tmp_path, command):
+    command = _sized_command(tmp_path, command, 4)
     code, out, _ = run_cli(["--format", "json", *command, sl2_copies(tmp_path / "sum.json", 4)])
     assert code == 0 and json.loads(out)
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 from pathlib import Path
@@ -51,7 +52,14 @@ from olie.identities import (
 )
 from olie.linalg import basis_vector, from_scaled, to_scaled, vec_is_zero
 
-from oracles import compile_term_reference, d_omega_reference, eval_reference, run_reference
+from oracles import (
+    compile_term_collected_reference,
+    compile_term_reference,
+    d_omega_reference,
+    eval_reference,
+    run_reference,
+    tokenize_reference,
+)
 from strategies import FIELDS, algebras, assert_canonical, scalars
 
 
@@ -81,6 +89,34 @@ def test_parse_errors():
         parse_term("(b (w x1 x2) x3)")
     with pytest.raises(IdentitySyntaxError):
         parse_term("(b x1 x2) junk")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(
+        alphabet=st.sampled_from(list("()xbws+-019 \t\n\x0b\x1c\x85\xa0\u2003\u3000\u00e9\u00b2\u0663"))
+        | st.characters(),
+        max_size=80,
+    )
+)
+def test_tokenize_matches_the_character_loop(text):
+    assert identities._tokenize(text) == tokenize_reference(text)
+
+
+@pytest.mark.parametrize("atom", ["7" * 10**6, "x" + "1" * (10**6 - 1), "a" * 10**6])
+def test_a_long_atom_is_a_syntax_error(atom):
+    # the tokens come from one regex pass, linear in the text's length
+    start = time.perf_counter()
+    with pytest.raises(IdentitySyntaxError):
+        parse_term(f"(b x1 {atom})")
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("text", ["(b x1 x\u00b2)", "(b x1 x" + "0" * 5000 + "2)"])
+def test_unreadable_variable_subscripts_are_syntax_errors(text):
+    # a superscript digit and a subscript past int's digit limit
+    with pytest.raises(IdentitySyntaxError):
+        parse_term(text)
 
 
 def test_format_round_trip():
@@ -231,16 +267,26 @@ def test_engel_and_bin_direct_forms(sl2, n3):
 
 
 def test_compiled_degree5_shares_subterms():
-    program = builtin("degree5").compiled()
+    ident = builtin("degree5")
+    program = ident.compiled()
     brackets = [node for node in program.nodes if node[0] == BRACKET]
-    # modulo anticommutativity [a,b] is one node per pair a < b, so there
-    # are 10 brackets [a,b], 30 [[a,b],c], 60 [[[a,b],c],d], 60 [[[[a,b],c],d],e]
-    # and 30 products [[[a,b],c],[d,e]] (the pair d < e is what is left):
-    # 10 + 30 + 60 + 60 + 30, against 440 shared only up to syntax and
-    # 960 bracket nodes in the tree
-    assert len(brackets) == 10 + 30 + 60 + 60 + 30 == 190
-    # the 120 signed monomials collect into one sum of the 90 products
-    assert program.nodes[-1][0] == SUM and len(program.nodes[-1][1]) == 60 + 30
+    sums = sorted(len(node[1]) for node in program.nodes if node[0] == SUM)
+    # modulo anticommutativity [a,b] is one node per pair a < b: 10
+    # brackets [a,b] and 30 [[a,b],c].  By bilinearity the 60 products
+    # [[[[a,b],c],d],e] over one e become [S_e, e] (5 brackets), S_e the
+    # sum of the 4 brackets [T, d] over d != e (20), and the 30 products
+    # [[[a,b],c],[d,e]] over one pair d < e become [T', [d,e]] (10); T
+    # and T' are sums of the 3 brackets [[a,b],c] on the other three
+    # variables
+    assert len(brackets) == 10 + 30 + 20 + 5 + 10 == 75
+    assert sums == [3] * (20 + 10) + [4] * 5 + [5 + 10]
+    assert program.nodes[-1][0] == SUM and len(program.nodes[-1][1]) == 5 + 10
+    # collected but not grouped: 10 + 30 + 60 + 60 + 30 = 190 brackets and
+    # one sum of the 90 products, against 440 brackets shared only up to
+    # syntax and 960 in the tree
+    collected = compile_term_collected_reference(ident.lhs)
+    assert sum(node[0] == BRACKET for node in collected.nodes) == 190
+    assert len(collected.nodes[-1][1]) == 60 + 30
     assert program.num_vars == 5
     assert builtin("degree5") is builtin("degree5")
 
@@ -596,6 +642,107 @@ def test_cancelling_terms_match_the_earlier_program(field, data):
     got = evaluate(alg, term, tup)
     assert got == reference_value(alg, term, [basis_vector(field, n, i) for i in tup])
     assert_canonical(field, got if isinstance(got, list) else [got])
+
+
+@st.composite
+def grouped_terms(draw, kind, names, pool, depth=0):
+    """A multilinear term of ``kind`` ('vec' or 'scalar') using each of
+    ``names`` once, built so that the products of a sum often share an
+    operand (a bracket, form or scaling with one operand drawn once) and
+    subterms repeat across sums: ``pool`` keeps the terms drawn so far
+    by kind and variables, and one is drawn again now and then."""
+    key = kind, frozenset(names)
+    if pool.get(key) and draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(pool[key]))
+
+    def sub(kind, names):
+        return draw(grouped_terms(kind, names, pool, depth + 1))
+
+    def split():
+        shuffled = draw(st.permutations(names))
+        k = draw(st.integers(1, len(shuffled) - 1))
+        return tuple(shuffled[:k]), tuple(shuffled[k:])
+
+    def scaled(t):
+        return s(draw(st.sampled_from([-2, -1, 2, 3])), t) if draw(st.booleans()) else t
+
+    if kind == "vec" and len(names) == 1:
+        term = scaled(var(names[0]))
+    else:
+        shape = draw(st.sampled_from(["product", "sum", "shared"] if depth < 3 else ["product"]))
+        left, right = split()
+        if shape == "sum":
+            parts = [sub(kind, names) for _ in range(draw(st.integers(2, 3)))]
+            term = plus(*(parts if kind == "scalar" else map(scaled, parts)))
+        elif kind == "scalar":
+            if shape == "product":
+                term = w(sub("vec", left), sub("vec", right))
+            else:  # forms sharing the operand x
+                x = sub("vec", right)
+                parts = [sub("vec", left) for _ in range(draw(st.integers(2, 3)))]
+                term = plus(*(w(u, x) if draw(st.booleans()) else w(x, u) for u in parts))
+        elif shape == "product":
+            if len(left) > 1 and draw(st.booleans()):
+                term = scaled(s(sub("scalar", left), sub("vec", right)))
+            else:
+                term = scaled(b(sub("vec", left), sub("vec", right)))
+        else:  # brackets or scalings sharing the operand x
+            how = draw(st.sampled_from(["b", "s(k, x)", "s(x, v)"] if len(left) > 1 else ["b"]))
+            count = draw(st.integers(2, 3))
+            if how == "b":
+                x = sub("vec", right)
+                parts = [sub("vec", left) for _ in range(count)]
+                parts = [b(u, x) if draw(st.booleans()) else b(x, u) for u in parts]
+            elif how == "s(k, x)":
+                x = sub("vec", right)
+                parts = [s(sub("scalar", left), x) for _ in range(count)]
+            else:
+                x = sub("scalar", left)
+                parts = [s(x, sub("vec", right)) for _ in range(count)]
+            term = plus(*map(scaled, parts))
+    pool.setdefault(key, []).append(term)
+    return term
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(1000003)], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_grouped_programs_match_the_collected_compiler(field, data):
+    """Grouping products by bilinearity keeps every value of the program
+    that only collects like terms, and never adds a bracket, form or
+    scaling node."""
+    kind = data.draw(st.sampled_from(["vec", "scalar"]))
+    names = tuple(range(1, data.draw(st.integers(2 if kind == "scalar" else 1, 5)) + 1))
+    term = data.draw(grouped_terms(kind, names, {}))
+    program, collected = compile_term(term), compile_term_collected_reference(term)
+    assert_canonical_program(program)
+    for tag in (BRACKET, OMEGA, SCALE):
+        count = lambda p: sum(node[0] == tag for node in p.nodes)
+        assert count(program) <= count(collected)
+    assert program.num_vars == collected.num_vars == len(names)
+    alg = data.draw(algebras(field, max_dim=4, min_dim=1))
+    n = alg.dim
+    args = [
+        to_scaled(field, data.draw(st.lists(scalars(field), min_size=n, max_size=n)))
+        for _ in names
+    ]
+    want = identities._canonical(field, identities._run(alg, collected, args))
+    assert identities._canonical(field, identities._run(alg, program, args)) == want
+
+
+def test_a_grouped_product_read_again_later_keeps_the_collected_program():
+    # S groups [u,x4] + [v,x4] into [u + v, x4], and the two later sums read
+    # [u,x4] and [v,x4] again: grouped, the program would hold all three
+    u, v = "(b (b x1 x2) x3)", "(b (b x1 x3) x2)"
+    a, bb = f"(b {u} x4)", f"(b {v} x4)"
+    s1 = f"(+ {a} (b (b x1 x4) (b x2 x3)))"
+    s2 = f"(+ {bb} (b (b x2 x4) (b x1 x3)))"
+    term = parse_term(
+        f"(+ (b (b (+ {a} {bb}) x5) x6) (b {s1} (b x5 x6)) (s (w x5 x6) {s2}))"
+    )
+    assert sum(node[0] == BRACKET for node in identities._compile(term, True).nodes) == 16
+    assert compile_term(term) == compile_term_collected_reference(term)
+    assert sum(node[0] == BRACKET for node in compile_term(term).nodes) == 15
 
 
 def test_degree5_with_growing_denominators():
