@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     SchemaError,
     UnknownName,
+    quoted,
 )
 from .extensions import _extension, extend_codim1
 from .fields import field_from_json, scalar_from_json
@@ -306,13 +307,13 @@ MAX_DIM = 64
 def _parse_pair_key(key, dim):
     parts = key.split(",")
     if len(parts) != 2:
-        raise SchemaError(f"bad pair key {key!r}")
+        raise SchemaError(f"bad pair key {quoted(key)}")
     try:
         i, j = int(parts[0]), int(parts[1])
     except ValueError:
-        raise SchemaError(f"bad pair key {key!r}") from None
+        raise SchemaError(f"bad pair key {quoted(key)}") from None
     if not 1 <= i < j <= dim:
-        raise SchemaError(f"pair key {key!r} must satisfy 1 <= i < j <= dim")
+        raise SchemaError(f"pair key {quoted(key)} must satisfy 1 <= i < j <= dim")
     return i - 1, j - 1
 
 
@@ -333,25 +334,35 @@ def from_json_dict(obj):
     for name in ("bracket", "omega"):
         if not isinstance(obj.get(name, {}), dict):
             raise SchemaError(f"'{name}' must be an object")
+    # each distinct scalar text of the file is parsed once
+    parsed = {}
+
+    def scalar(value, where, key):
+        if isinstance(value, str):
+            x = parsed.get(value)
+            if x is None:
+                x = parsed[value] = field.parse(value)
+            return x
+        return scalar_from_json(field, value, f"{where} {quoted(key)}")
+
     bracket = {}
     for key, row in obj.get("bracket", {}).items():
         pair = _parse_pair_key(key, dim)
         if not isinstance(row, dict):
-            raise SchemaError(f"bracket entry {key!r} must be an object")
+            raise SchemaError(f"bracket entry {quoted(key)} must be an object")
         entry = {}
-        for kk, text in row.items():
+        for kk, value in row.items():
             try:
                 k = int(kk)
             except ValueError:
-                raise SchemaError(f"bad coefficient index {kk!r}") from None
+                raise SchemaError(f"bad coefficient index {quoted(kk)}") from None
             if not 1 <= k <= dim:
-                raise SchemaError(f"coefficient index {kk!r} out of range")
-            entry[k - 1] = scalar_from_json(field, text, f"bracket {key!r}")
+                raise SchemaError(f"coefficient index {quoted(kk)} out of range")
+            entry[k - 1] = scalar(value, "bracket", key)
         bracket[pair] = entry
     omega = {}
-    for key, text in obj.get("omega", {}).items():
-        pair = _parse_pair_key(key, dim)
-        omega[pair] = scalar_from_json(field, text, f"omega {key!r}")
+    for key, value in obj.get("omega", {}).items():
+        omega[_parse_pair_key(key, dim)] = scalar(value, "omega", key)
     return AnticommAlgebra(field, dim, bracket, omega)
 
 
@@ -366,6 +377,8 @@ def loads(text: str) -> AnticommAlgebra:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno, position=exc.colno) from None
+    except ValueError as exc:  # a number past the interpreter's digit limit
+        raise ParseError(f"bad JSON number: {exc}") from None
     return from_json_dict(obj)
 
 

@@ -170,7 +170,7 @@ def cmd_extend(args):
     with open(args.derivation, encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or a number past the digit limit
             raise InputError(f"bad derivation file: {exc}") from None
     der = AlphaLambdaDerivation.from_json_dict(field, obj, alg.dim)
     lam = der.lam

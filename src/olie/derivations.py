@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul
 
 from .algebra import AlmostAbelianResult, AnticommAlgebra
 from .errors import DimensionMismatch, NotALieAlgebra, PreconditionFailed, SchemaError
 from .fields import scalar_from_json
 from .linalg import (
-    Subspace, check_system_size, from_scaled, kernel_basis, mat_mul, mat_sub, to_scaled, vec_dot,
-    vec_sub, zeros,
+    Subspace, _pairs_echelon, bottom_up, check_system_size, from_scaled, kernel_basis, mat_mul,
+    mat_sub, to_scaled, vec_dot, vec_sub, zeros,
 )
 
 
@@ -75,7 +74,9 @@ class AlphaLambdaDerivation:
 def _system_rows(alg: AnticommAlgebra, lam):
     """Int rows of the homogeneous system in the n^2 + n unknowns
     (d_00 .. d_{n-1,n-1} row-major, then alpha_0 .. alpha_{n-1}): the
-    equation of each pair i < j and coordinate l, times ``D * dl``.
+    equation of each pair i < j and coordinate l, times ``D * dl``, as a
+    ``{column: int}`` dict, the rows by descending leading column
+    (:func:`linalg.bottom_up`).
 
     The structure constants are read off the signed pair table over its
     denominator ``D``, and lambda is the scaled vector ``ints/dl``, so
@@ -91,26 +92,32 @@ def _system_rows(alg: AnticommAlgebra, lam):
     unit, nn = den * dl, n * n
     rows = []
     for i, j in combinations(range(n), 2):
-        block = [[0] * (nn + n) for _ in range(n)]
-        # D([e_i,e_j]) contributes C_ij^k d_kl
+        block = [{} for _ in range(n)]
+        # D([e_i,e_j]) contributes C_ij^k d_kl, the first entry of each row
         for k, c in table[i][j]:
             c *= dl
             for l, row in enumerate(block):
-                row[k * n + l] += c
+                row[k * n + l] = c
         # -[D(e_i), e_j] contributes -C_kj^l d_ik, +[D(e_j), e_i] +C_ki^l d_jk
         for k in range(n):
+            col = i * n + k
             for l, c in table[k][j]:
-                block[l][i * n + k] -= c * dl
+                row = block[l]
+                row[col] = row.get(col, 0) - c * dl
+            col = j * n + k
             for l, c in table[k][i]:
-                block[l][j * n + k] += c * dl
+                row = block[l]
+                row[col] = row.get(col, 0) + c * dl
         lj, li = lam[j] * den, lam[i] * den
         for l, row in enumerate(block):
-            row[i * n + l] -= lj
-            row[j * n + l] += li
-        block[i][nn + j] -= unit
-        block[j][nn + i] += unit
+            if lj:
+                row[i * n + l] = row.get(i * n + l, 0) - lj
+            if li:
+                row[j * n + l] = row.get(j * n + l, 0) + li
+        block[i][nn + j] = -unit
+        block[j][nn + i] = unit
         rows.extend(block)
-    return rows
+    return bottom_up(rows)
 
 
 def al_derivation_space(alg: AnticommAlgebra, lam):
@@ -118,8 +125,7 @@ def al_derivation_space(alg: AnticommAlgebra, lam):
     lambda (the size limit of :func:`_system_rows` applies)."""
     field, n = alg.field, alg.dim
     lam = [field.coerce(x) for x in lam]
-    rows = _system_rows(alg, lam)
-    sols = kernel_basis(field, rows, n * n + n)
+    sols = _pairs_echelon(field, _system_rows(alg, lam), n * n + n).kernel(n * n + n)
     out = []
     for v in sols:
         matrix = [v[i * n : (i + 1) * n] for i in range(n)]
@@ -147,7 +153,7 @@ def _holds_al_derivation(alg: AnticommAlgebra, matrix, alpha, lam):
     if len(matrix) != n or any(len(row) != n for row in matrix) or len(alpha) != n:
         raise DimensionMismatch("derivation data does not match the algebra")
     unknowns, _ = to_scaled(field, [x for row in matrix for x in row] + alpha)
-    sums = [sum(map(mul, row, unknowns)) for row in _system_rows(alg, lam)]
+    sums = [sum(c * unknowns[k] for k, c in row.items()) for row in _system_rows(alg, lam)]
     return not any(from_scaled(field, sums, 1))
 
 

@@ -4,7 +4,21 @@ Two broad families matter to callers: `InputError` (malformed files or
 expressions; CLI exit code 3) and `PreconditionError` (a mathematically
 meaningful operation was invoked on data that does not satisfy its
 contract; CLI exit code 4).  Everything else derives from `OlieError`.
+Messages quote input text through :func:`quoted`, so that their length
+is bounded whatever the input.
 """
+
+QUOTE_LIMIT = 40
+"""The most characters of an input text that an error message quotes."""
+
+
+def quoted(text):
+    """``repr(text)`` for an error message; a text longer than
+    ``QUOTE_LIMIT`` characters is quoted by its first ``QUOTE_LIMIT``
+    characters and its length."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 class OlieError(Exception):

@@ -33,10 +33,11 @@ from .errors import (
 )
 from .linalg import (
     _echelon,
+    _pairs_echelon,
     basis_vector,
+    bottom_up,
     check_system_size,
     from_scaled,
-    kernel_basis,
     mat_mul,
     mat_sub,
     solve_affine,
@@ -242,7 +243,11 @@ def cochain_differential(alg: AnticommAlgebra, lam, cochain):
     rows, scale = _differential_matrix(alg, lam, k)
     ints, den = to_scaled(field, coeffs)
     keys = _cochain_keys(n, k + 1)
-    image = [sum(c * row[t] for c, row in zip(ints, rows)) for t in range(len(keys))]
+    image = [0] * len(keys)
+    for c, row in zip(ints, rows):
+        if c:
+            for t, x in row.items():
+                image[t] += c * x
     values = from_scaled(field, image, den * scale)
     return Cochain(field, n, k + 1, {key: v for key, v in zip(keys, values) if v})
 
@@ -255,7 +260,11 @@ def _differential_matrix(alg, lam, k):
     """Int matrix of the degree-k differential C^k -> C^(k+1), row
     convention, and the factor it is scaled by: the matrix is ``rows /
     (D * dl)``, with ``D`` the denominator of the signed pair table and
-    lam the scaled vector ``ints/dl``.
+    lam the scaled vector ``ints/dl``.  Row ``s``, of the ``s``-th
+    k-cochain key, is a ``{column: int}`` dict; :func:`h2_dimension`
+    eliminates the rows by descending leading column
+    (:func:`linalg.bottom_up`), :func:`cochain_differential` reads them
+    by key.
 
     Column ``idx`` collects, for each position a, (-1)^a lam(e_idx[a])
     at the key without position a, and for each pair a < b of positions
@@ -274,11 +283,13 @@ def _differential_matrix(alg, lam, k):
     lam, dl = to_scaled(field, lam)
     src = {key: t for t, key in enumerate(_cochain_keys(n, k))}
     dst = _cochain_keys(n, k + 1)
-    rows = [[0] * len(dst) for _ in src]
+    rows = [{} for _ in src]
     for col, idx in enumerate(dst):
         for a in range(k + 1):
             term = lam[idx[a]] * den
-            rows[src[idx[:a] + idx[a + 1 :]]][col] += -term if a % 2 else term
+            if term:
+                row = rows[src[idx[:a] + idx[a + 1 :]]]
+                row[col] = row.get(col, 0) + (-term if a % 2 else term)
         for a, b in combinations(range(k + 1), 2):
             rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
             for m, c in table[idx[a]][idx[b]]:
@@ -288,7 +299,8 @@ def _differential_matrix(alg, lam, k):
                 c *= dl
                 if (a + b + below) % 2:
                     c = -c
-                rows[src[rest[:below] + (m,) + rest[below:]]][col] += c
+                row = rows[src[rest[:below] + (m,) + rest[below:]]]
+                row[col] = row.get(col, 0) + c
     return rows, den * dl
 
 
@@ -297,9 +309,9 @@ def h2_dimension(alg: AnticommAlgebra, lam):
     field, n = alg.field, alg.dim
     d1, _ = _differential_matrix(alg, lam, 1)
     d2, _ = _differential_matrix(alg, lam, 2)
-    n2 = len(_cochain_keys(n, 2))
-    rank1 = _echelon(field, d1, n2).rank
-    rank2 = _echelon(field, d2, len(_cochain_keys(n, 3))).rank
+    n2 = comb(n, 2)
+    rank1 = _pairs_echelon(field, bottom_up(d1), n2).rank
+    rank2 = _pairs_echelon(field, bottom_up(d2), comb(n, 3)).rank
     return (n2 - rank2) - rank1
 
 
@@ -367,8 +379,7 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
     nphi = len(pairs) * n
     nun = nphi + len(pairs)
     check_system_size("deformation", comb(n, 3) * n, nun)
-    rows = _deformation_rows(alg, pos)
-    sols = kernel_basis(field, rows, nun)
+    sols = _pairs_echelon(field, _deformation_rows(alg, pos), nun).kernel(nun)
     basis = []
     omega_block = []
     for v in sols:
@@ -385,14 +396,15 @@ def infinitesimal_deformations(alg: AnticommAlgebra):
 
 def _deformation_rows(alg: AnticommAlgebra, pos):
     """Int rows of the first-order deformation system, times ``D``: the
-    equation of each basis triple x < y < z and coordinate l.  Unknown
-    ``pos[i, j] * n + k`` is phi1(e_i, e_j)_k and ``n * len(pos) +
-    pos[i, j]`` is w1(e_i, e_j), for i < j; the structure constants are
-    read off the signed pair table over its denominator ``D``."""
+    equation of each basis triple x < y < z and coordinate l, as a
+    ``{column: int}`` dict, the rows by descending leading column
+    (:func:`linalg.bottom_up`).  Unknown ``pos[i, j] * n + k`` is
+    phi1(e_i, e_j)_k and ``n * len(pos) + pos[i, j]`` is w1(e_i, e_j),
+    for i < j; the structure constants are read off the signed pair
+    table over its denominator ``D``."""
     n = alg.dim
     table, den = alg._product.signed_table()
     nphi = len(pos) * n
-    nun = nphi + len(pos)
 
     def slot(i, j):
         # the pair unknown of (i, j) and the sign antisymmetry gives it
@@ -400,7 +412,7 @@ def _deformation_rows(alg: AnticommAlgebra, pos):
 
     rows = []
     for x, y, z in combinations(range(n), 3):
-        block = [[0] * nun for _ in range(n)]
+        block = [{} for _ in range(n)]
         for a, b, c in ((x, y, z), (z, x, y), (y, z, x)):
             # phi1([e_a, e_b], e_c)_l = sum_k C_ab^k phi1(e_k, e_c)_l
             for k, cv in table[a][b]:
@@ -408,16 +420,20 @@ def _deformation_rows(alg: AnticommAlgebra, pos):
                     t, sign = slot(k, c)
                     cv *= sign
                     for l, row in enumerate(block):
-                        row[t * n + l] += cv
+                        col = t * n + l
+                        row[col] = row.get(col, 0) + cv
             # [phi1(e_a, e_b), e_c]_l = sum_k phi1(e_a, e_b)_k C_kc^l
             t, sign = slot(a, b)
             for k in range(n):
+                col = t * n + k
                 for l, cv in table[k][c]:
-                    block[l][t * n + k] += sign * cv
+                    row = block[l]
+                    row[col] = row.get(col, 0) + sign * cv
             # - w1(e_a, e_b) delta_{c l}
-            block[c][nphi + t] -= sign * den
+            row, col = block[c], nphi + t
+            row[col] = row.get(col, 0) - sign * den
         rows.extend(block)
-    return rows
+    return bottom_up(rows)
 
 
 # -- the two-form associativity law --------------------------------------

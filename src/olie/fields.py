@@ -21,6 +21,7 @@ leading ``-``; prime-field elements print as the decimal residue.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -30,10 +31,27 @@ from .errors import (
     ParseError,
     SchemaError,
     UnsupportedCharacteristic,
+    quoted,
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _numerals(text, what):
+    """The numerator and denominator ints of a scalar text ``a`` or
+    ``a/b``, read by one regex match, the denominator 1 when absent.  A
+    text outside the grammar, or with a numeral past the interpreter's
+    digit limit, is a :class:`ParseError` that starts with ``what``."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if not match:
+        raise ParseError(f"{what} {quoted(text)}: expected a or a/b")
+    num, den = match.groups()
+    try:
+        return int(num), int(den or 1)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{what} {quoted(text)}: a numeral has more than {limit} digits") from None
 
 
 def is_prime(n: int) -> bool:
@@ -121,12 +139,12 @@ class Rationals:
         unsigned and nonzero.  No other notation is read, so the size of
         a scalar is bounded by the length of its text."""
         text = text.strip()
-        if not _RATIONAL_TEXT.fullmatch(text):
-            raise ParseError(f"bad rational scalar {text!r}: expected a or a/b")
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational scalar {text!r}: {exc}") from None
+        num, den = _numerals(text, "bad rational scalar")
+        if den == 1:
+            return Fraction(num)
+        if not den:
+            raise ParseError(f"bad rational scalar {quoted(text)}: zero denominator")
+        return Fraction(num, den)
 
     def format(self, a):
         return str(a)
@@ -228,16 +246,11 @@ class PrimeField:
     def parse(self, text):
         """``a`` or ``a/b`` as over the rationals, read mod p; ``b`` must
         be nonzero mod p."""
-        text = text.strip()
-        if not _RATIONAL_TEXT.fullmatch(text):
-            raise ParseError(f"bad GF({self.p}) scalar {text!r}: expected a or a/b")
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.div(int(num) % self.p, int(den) % self.p)
-            return int(text) % self.p
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad GF({self.p}) scalar {text!r}: {exc}") from None
+        text, p = text.strip(), self.p
+        num, den = _numerals(text, f"bad GF({p}) scalar")
+        if den % p == 0:
+            raise ParseError(f"bad GF({p}) scalar {quoted(text)}: inverse of zero in GF({p})")
+        return num * pow(den, -1, p) % p
 
     def format(self, a):
         return str(a % self.p)

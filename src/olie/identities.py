@@ -56,6 +56,7 @@ from .errors import (
     NotMultilinear,
     PreconditionFailed,
     UnknownIdentity,
+    quoted,
 )
 from .linalg import ENUM_CAP, from_scaled, to_scaled
 
@@ -245,12 +246,12 @@ def _build(node):
             except ValueError:  # past int's digit limit
                 idx = 0
             if not 1 <= idx <= 9:
-                raise IdentitySyntaxError(f"variable {tok} out of range", position=pos)
+                raise IdentitySyntaxError(f"variable {quoted(tok)} out of range", position=pos)
             return var(idx)
         try:
             return (INT, int(tok))
         except ValueError:
-            raise IdentitySyntaxError(f"bad atom {tok!r}", position=pos) from None
+            raise IdentitySyntaxError(f"bad atom {quoted(tok)}", position=pos) from None
     if not node:
         raise IdentitySyntaxError("empty form")
     head = node[0]
@@ -278,7 +279,7 @@ def _build(node):
         if len(args) != 2:
             raise IdentitySyntaxError("(- ..) takes two operands", position=pos)
         return minus(*args)
-    raise IdentitySyntaxError(f"unknown operator {op!r}", position=pos)
+    raise IdentitySyntaxError(f"unknown operator {quoted(op)}", position=pos)
 
 
 def parse_term(text):

@@ -409,6 +409,23 @@ def _echelon(field, rows, ncols):
     return ech
 
 
+def bottom_up(rows):
+    """The nonempty ``{column: int}`` rows by descending leading column:
+    the order of a system's rows (see :class:`Echelon`)."""
+    return sorted(filter(None, rows), key=min, reverse=True)
+
+
+def _pairs_echelon(field, rows, ncols):
+    """The :class:`Echelon` of ``{column: int}`` rows with columns below
+    ``ncols``, in the order given; it stops at full rank."""
+    ech = Echelon(field)
+    for row in rows:
+        if ech.rank == ncols:
+            break
+        ech.add_pairs(row.items())
+    return ech
+
+
 def _clear(v, hits):
     """The primitive int row ``m v - sum t_c r``, over the ``(c, r)`` of
     ``hits``, that vanishes at every column ``c``: ``m`` is the least
@@ -511,13 +528,20 @@ class Echelon:
     (:meth:`_insert_packed`, :meth:`_insert`): it is cleared at the kept
     pivots it meets and dropped if nothing is left; otherwise its
     leading column becomes a pivot, which is cleared from the kept rows
-    in turn.  :meth:`add` feeds it a dense vector; :meth:`spin`, the one
-    spin kernel, feeds it the images of the kept rows under a
-    :class:`SkewProduct` until the span is closed or full, and with its
-    commute cut-off gives up at the first kept row that fails to commute
-    with an earlier one.  :meth:`subspace`, :meth:`kernel` and the
-    augmented-column read-off :meth:`_particular` read results off the
-    kept rows; no code outside this class reads them.
+    in turn.  :meth:`add` feeds it a dense vector, :meth:`add_pairs` an
+    int row given as ``(column, int)`` pairs: the form of the
+    derivation, deformation and cochain systems, whose builders order
+    their rows *bottom-up*, by descending leading column
+    (:func:`bottom_up`).  The reduced form does not depend on the order
+    of the inserts; in this one a new pivot mostly lies left of the kept
+    ones, where they are zero, so few kept rows need the back-clear.
+    :meth:`spin`, the one spin kernel, feeds it the images of the kept
+    rows under a :class:`SkewProduct` until the span is closed or full,
+    and with its commute cut-off gives up at the first kept row that
+    fails to commute with an earlier one.  :meth:`subspace`,
+    :meth:`kernel` and the augmented-column read-off :meth:`_particular`
+    read results off the kept rows; no code outside this class reads
+    them.
     """
 
     __slots__ = ("_field", "_p", "_clear", "_kept", "_pack", "_mask")
@@ -546,6 +570,19 @@ class Echelon:
             x = int.from_bytes(bytes([a % p for a in v]), "little")
             return self._insert_packed(x) is not None
         entries = enumerate(v) if self._p else _int_support(v)[0]
+        return self._insert(self._row(entries)) is not None
+
+    def add_pairs(self, entries):
+        """Clear the int row given by its ``(column, int)`` pairs
+        ``entries``, each column at most once, into the kept rows; returns
+        whether it raised the rank.  A packed row is built by shifting
+        each residue to its byte, a sparse one by :meth:`_row`."""
+        pack = self._pack
+        if pack:
+            p, x = pack[0], 0
+            for c, a in entries:
+                x |= a % p << 8 * c
+            return self._insert_packed(x) is not None
         return self._insert(self._row(entries)) is not None
 
     def _row(self, entries):

@@ -25,8 +25,11 @@ scan reference after them is the CLI's earlier per-chain scan, which ran
 both ideal searches on a fresh, certified copy of each chain.  At the
 very end are the identity compiler that collected like terms but did
 not group products by bilinearity, which pins both the value of a
-program and its count of product nodes, and the character-at-a-time
-tokenizer, which pins the tokens of any text.
+program and its count of product nodes, the character-at-a-time
+tokenizer, which pins the tokens of any text, the earlier scalar
+parser, which read the text twice, and the library's earlier dense int
+builders of the derivation, deformation and differential
+systems, which pin each sparse row entry by entry.
 """
 
 import weakref
@@ -1527,3 +1530,115 @@ def tokenize_reference(text):
                 out.append((ch, pos))
         pos += 1
     return out
+
+
+def system_rows_dense(alg, lam):
+    """The derivation system as dense int rows times ``D * dl``, in the
+    order of the pairs i < j and the coordinate l: the library's earlier
+    ``derivations._system_rows``."""
+    from olie.linalg import to_scaled
+
+    field, n = alg.field, alg.dim
+    table, den = alg._product.signed_table()
+    lam, dl = to_scaled(field, lam)
+    unit, nn = den * dl, n * n
+    rows = []
+    for i, j in combinations(range(n), 2):
+        block = [[0] * (nn + n) for _ in range(n)]
+        for k, c in table[i][j]:
+            c *= dl
+            for l, row in enumerate(block):
+                row[k * n + l] += c
+        for k in range(n):
+            for l, c in table[k][j]:
+                block[l][i * n + k] -= c * dl
+            for l, c in table[k][i]:
+                block[l][j * n + k] += c * dl
+        lj, li = lam[j] * den, lam[i] * den
+        for l, row in enumerate(block):
+            row[i * n + l] -= lj
+            row[j * n + l] += li
+        block[i][nn + j] -= unit
+        block[j][nn + i] += unit
+        rows.extend(block)
+    return rows
+
+
+def deformation_rows_dense(alg, pos):
+    """The first-order deformation system as dense int rows times ``D``,
+    in the order of the triples x < y < z and the coordinate l: the
+    library's earlier ``extensions._deformation_rows``."""
+    n = alg.dim
+    table, den = alg._product.signed_table()
+    nphi = len(pos) * n
+    nun = nphi + len(pos)
+
+    def slot(i, j):
+        return (pos[i, j], 1) if i < j else (pos[j, i], -1)
+
+    rows = []
+    for x, y, z in combinations(range(n), 3):
+        block = [[0] * nun for _ in range(n)]
+        for a, b, c in ((x, y, z), (z, x, y), (y, z, x)):
+            for k, cv in table[a][b]:
+                if k != c:
+                    t, sign = slot(k, c)
+                    cv *= sign
+                    for l, row in enumerate(block):
+                        row[t * n + l] += cv
+            t, sign = slot(a, b)
+            for k in range(n):
+                for l, cv in table[k][c]:
+                    block[l][t * n + k] += sign * cv
+            block[c][nphi + t] -= sign * den
+        rows.extend(block)
+    return rows
+
+
+def differential_matrix_dense(alg, lam, k):
+    """The degree-k differential as dense int rows, one per k-cochain
+    key, and its scale ``D * dl``: the library's earlier
+    ``extensions._differential_matrix``, for a multiplicative lam."""
+    from olie.linalg import to_scaled
+
+    field, n = alg.field, alg.dim
+    lam = [field.coerce(x) for x in lam]
+    table, den = alg._product.signed_table()
+    lam, dl = to_scaled(field, lam)
+    src = {key: t for t, key in enumerate(combinations(range(n), k))}
+    dst = list(combinations(range(n), k + 1))
+    rows = [[0] * len(dst) for _ in src]
+    for col, idx in enumerate(dst):
+        for a in range(k + 1):
+            term = lam[idx[a]] * den
+            rows[src[idx[:a] + idx[a + 1 :]]][col] += -term if a % 2 else term
+        for a, b in combinations(range(k + 1), 2):
+            rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
+            for m, c in table[idx[a]][idx[b]]:
+                if m in rest:
+                    continue
+                below = sum(r < m for r in rest)
+                c *= dl
+                if (a + b + below) % 2:
+                    c = -c
+                rows[src[rest[:below] + (m,) + rest[below:]]][col] += c
+    return rows, den * dl
+
+
+def parse_scalar_reference(field, text):
+    """The earlier ``field.parse``: the grammar by its regex, then the
+    value by ``Fraction(text)`` over Q, by ``int`` on each side of the
+    slash over GF(p); None where it raised ``ParseError``."""
+    import re
+
+    text = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        return None
+    try:
+        if not field.char:
+            return Fraction(text)
+        num, _, den = text.partition("/")
+        den = int(den or 1) % field.char
+        return int(num) * pow(den, field.char - 2, field.char) % field.char if den else None
+    except (ValueError, ZeroDivisionError):
+        return None

@@ -186,3 +186,23 @@ def test_gf_file_roundtrip(tmp_path, gf5):
     obj = json.loads(path.read_text())
     assert obj["field"] == {"GF": 5}
     assert catalog.load(path) == alg
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_each_distinct_scalar_text_is_parsed_once(field):
+    """A file's scalars are read through one parse per distinct text, and
+    an int scalar still goes through the field's coercion."""
+    obj = {
+        "field": field.to_json(),
+        "dim": 3,
+        "bracket": {"1,2": {"1": "1/2", "2": "2/4", "3": "1/2"}, "1,3": {"2": "-1", "3": 5}},
+        "omega": {"1,2": "1/2", "2,3": "-1"},
+    }
+    parse = type(field).parse
+    with mock.patch.object(type(field), "parse", autospec=True, side_effect=parse) as spy:
+        alg = catalog.from_json_dict(obj)
+    assert sorted(call.args[1] for call in spy.call_args_list) == ["-1", "1/2", "2/4"]
+    half = field.parse("1/2")
+    assert alg.basis_bracket(0, 1) == [half, half, half]
+    assert alg.basis_bracket(0, 2) == [0, field.coerce(-1), field.coerce(5)]
+    assert (alg.omega_entry(0, 1), alg.omega_entry(1, 2)) == (half, field.coerce(-1))

@@ -355,17 +355,30 @@ EXTEND = ["extend", "--derivation", "ZERO_D", "-o", "OUT"]
     ],
 )
 def test_system_past_the_size_limit_exits_4(tmp_path, command, copies, cells):
-    # a child process under a 1-GB address space and a wall-clock limit:
     # the system is refused before any row is built
+    proc = _run_limited(tmp_path, command, copies)
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr and proc.stdout == ""
+    assert f"{cells} = " in proc.stderr and "past the limit of 10000000" in proc.stderr
+
+
+def _run_limited(tmp_path, command, copies):
+    """``command`` on the sum of ``copies`` copies of sl2, run in a child
+    process under a 1-GB address space and a wall-clock limit."""
     path = sl2_copies(tmp_path / "sum.json", copies)
     env = dict(os.environ, PYTHONPATH=str(Path(olie.__file__).parents[1]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "olie.cli", *_sized_command(tmp_path, command, copies), path],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=_limit_address_space,
     )
-    assert proc.returncode == 4 and "Traceback" not in proc.stderr and proc.stdout == ""
-    assert f"{cells} = " in proc.stderr and "past the limit of 10000000" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["derive", "--solve-lambda"], EXTEND])
+def test_largest_admitted_derivation_system_runs(tmp_path, command):
+    # 9 copies of sl2, dimension 27: the largest sum of copies whose
+    # derivation system, 9,477 x 756 cells, is within the limit
+    proc = _run_limited(tmp_path, command, 9)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr and proc.stderr == ""
 
 
 @pytest.mark.parametrize("command", [["deform"], ["derive", "--solve-lambda"], EXTEND, H2, SELFTEST])
@@ -417,6 +430,57 @@ def test_exit_codes(tmp_path, s4_file):
     # missing file -> 3
     code, _, _ = run_cli(["check", str(tmp_path / "absent.json")])
     assert code == 3
+
+
+LONG = 200_000
+
+
+def _long_inputs(tmp_path):
+    """(argv, exit code) of commands whose input carries one very long
+    text: a bad scalar of each field, a numeral past the digit limit, a
+    zero denominator under a long numerator, long pair keys and
+    coefficient indices, a JSON number past the digit limit, long atoms,
+    variables and operators of an expression, and a long lambda."""
+    digits = "1" * LONG
+    bad = "1" * (LONG - 1) + "x"
+    cases = []
+    tables = [
+        ("Q", {"1,2": {"1": bad}}),
+        ({"GF": 5}, {"1,2": {"1": bad}}),
+        ("Q", {"1,2": {"1": digits}}),
+        ({"GF": 7}, {"1,2": {"1": digits}}),
+        ("Q", {"1,2": {"1": "1" * 4000 + "/0"}}),
+        ("Q", {"1," + digits: {"1": "1"}}),
+        ("Q", {"1," + "9" * 4000: {"1": "1"}}),
+        ("Q", {"1,2": {digits: "1"}}),
+        ("Q", {"1,2": {"9" * 4000: "1"}}),
+    ]
+    for t, (field, bracket) in enumerate(tables):
+        path = tmp_path / f"long{t}.json"
+        path.write_text(json.dumps({"field": field, "dim": 2, "bracket": bracket}))
+        cases.append((["check", str(path)], 3))
+    path = tmp_path / "number.json"
+    path.write_text('{"field": "Q", "dim": 2, "bracket": {"1,2": {"1": %s}}}' % digits)
+    cases.append((["check", str(path)], 3))
+    s4 = tmp_path / "s4.json"
+    catalog.save(catalog.builtin_algebra("omega.s4"), s4)
+    for expr in (f"(b x1 {bad})", f"(b x1 x{digits})", f"({bad} x1 x2)"):
+        cases.append((["identity", str(s4), "--expr", expr], 3))
+    cases.append((["derive", str(s4), "--lambda", ",".join([bad] * 4)], 3))
+    cases.append((["derive", str(s4), "--lambda", ",".join([bad] * 3)], 4))
+    return cases
+
+
+def test_long_input_texts_give_short_messages(tmp_path):
+    """Each error message quotes at most a bounded prefix of the input and
+    its length, and the exit code is that of the error's kind."""
+    for argv, want in _long_inputs(tmp_path):
+        code, out, err = run_cli(["--format", "json", *argv])
+        assert (code, out) == (want, ""), argv[:2]
+        message = json.loads(err)["error"]["message"]
+        assert 0 < len(message) < 200, message[:300]
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (want, "", f"error ({'input' if want == 3 else 'precondition'}): {message}\n")
 
 
 def run_cli_process(args, **env_vars):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from olie import (
+    GF,
     QQ,
     AnticommAlgebra,
     Cochain,
@@ -36,9 +37,12 @@ from olie.errors import (
     NotOmegaAssociative,
     PreconditionFailed,
 )
+from olie.derivations import _system_rows
 from olie.extensions import _deformation_rows, _differential_matrix, is_multiplicative_for
 from olie.linalg import (
+    _pairs_echelon,
     basis_vector,
+    bottom_up,
     from_scaled,
     kernel_basis,
     vec_is_zero,
@@ -49,11 +53,14 @@ from olie.linalg import (
 from oracles import (
     cochain_differential_reference,
     deformation_dims_oracle,
+    deformation_rows_dense,
     deformation_rows_reference,
+    differential_matrix_dense,
     differential_matrix_reference,
     check_representation_reference,
     h2_oracle,
     is_multiplicative_for_reference,
+    system_rows_dense,
 )
 from strategies import FIELDS, algebras, assert_canonical, multiplicative_data, scalars
 
@@ -349,7 +356,7 @@ def test_differentials_match_per_key_oracle(field, data):
     n = alg.dim
     for k in range(4):
         rows, scale = _differential_matrix(alg, lam, k)
-        got = [from_scaled(field, row, scale) for row in rows]
+        got = [from_scaled(field, _dense(row, comb(n, k + 1)), scale) for row in rows]
         assert got == differential_matrix_reference(alg, lam, k)
         assert_canonical(field, [x for row in got for x in row])
     k = data.draw(st.integers(0, 3))
@@ -482,7 +489,7 @@ def test_random_cocycle_extensions_validate(gf5):
         from olie.linalg import kernel_basis
 
         rows, scale = _differential_matrix(alg, lam, 2)
-        d2 = [from_scaled(gf5, row, scale) for row in rows]
+        d2 = [from_scaled(gf5, _dense(row, 1), scale) for row in rows]
         for combo in kernel_basis(gf5, [[row[c] for row in d2] for c in range(len(d2[0]))] if d2 and d2[0] else [], 3):
             c = Cochain.from_values(
                 gf5, 3, 2, {key: combo[t] for t, key in enumerate(combinations(range(3), 2))}
@@ -549,12 +556,56 @@ def test_deformation_rows_match_reference(field, data):
     n = alg.dim
     pos = _pair_positions(n)
     nun = len(pos) * (n + 1)
-    got, want = _deformation_rows(alg, pos), deformation_rows_reference(alg)
+    got, want = deformation_rows_dense(alg, pos), deformation_rows_reference(alg)
     den = field.coerce(alg._product.signed_table()[1])
     assert [[field.coerce(x) for x in r] for r in got] == [
         [field.mul(den, x) for x in r] for r in want
     ]
-    assert kernel_basis(field, got, nun) == kernel_basis(field, want, nun)
+    ech = _pairs_echelon(field, _deformation_rows(alg, pos), nun)
+    assert ech.kernel(nun) == kernel_basis(field, want, nun)
+
+
+def _dense(row, ncols):
+    return [row.get(t, 0) for t in range(ncols)]
+
+
+def _nonzero_rows(rows):
+    """The nonzero entries of each row, the rows as a sorted list."""
+    rows = [tuple(sorted((c, x) for c, x in row if x)) for row in rows]
+    return sorted(row for row in rows if row)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(1000003)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_builders_match_their_dense_oracles(field, data):
+    """Each sparse builder gives the rows of the earlier dense builder,
+    entry by entry, the rows by descending leading column, and the same
+    kernel; the differential keeps one row per cochain key, in key
+    order, and :func:`h2_dimension` orders them."""
+    alg, lam = data.draw(multiplicative_data(field))
+    n = alg.dim
+    pos = _pair_positions(n)
+    systems = [
+        (_system_rows(alg, lam), system_rows_dense(alg, lam), n * n + n),
+        (_deformation_rows(alg, pos), deformation_rows_dense(alg, pos), len(pos) * (n + 1)),
+    ]
+    for k in range(4):
+        (rows, scale), (dense, dense_scale) = (
+            _differential_matrix(alg, lam, k), differential_matrix_dense(alg, lam, k)
+        )
+        assert scale == dense_scale
+        assert [_dense(row, comb(n, k + 1)) for row in rows] == dense
+        systems.append((bottom_up(rows), dense, comb(n, k + 1)))
+    for sparse, dense, ncols in systems:
+        assert all(sparse) and all(0 <= c < ncols for row in sparse for c in row)
+        assert _nonzero_rows(row.items() for row in sparse) == _nonzero_rows(
+            enumerate(row) for row in dense
+        )
+        leads = [min(row) for row in sparse]
+        assert leads == sorted(leads, reverse=True)
+        ech = _pairs_echelon(field, sparse, ncols)
+        assert ech.kernel(ncols) == kernel_basis(field, dense, ncols)
 
 
 def _grown_lie(field, rng, dim):

@@ -7,6 +7,8 @@ from olie import GF, QQ
 from olie.errors import DivisionByZero, FieldMismatch, ParseError, UnsupportedCharacteristic
 from olie.fields import field_from_json, field_from_tag, same_field
 
+from oracles import parse_scalar_reference
+
 
 def test_rational_arithmetic():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
@@ -71,6 +73,34 @@ def test_gf_text_is_the_rational_text_mod_p():
     for text in ["1_0", "\u0663", "1/ 2", "1e3", "1.5", "3/-4", "0x10", "", "/2", "2/"]:
         with pytest.raises(ParseError):
             f.parse(text)
+
+
+numerals = st.from_regex(r"\A[0-9]{1,30}\Z")
+scalar_texts = st.one_of(
+    st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "+", "-"]),
+        numerals,
+        st.one_of(st.just(""), numerals.map("/{}".format)),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+    st.text(alphabet="0123456789+-/ ._xe", max_size=12),
+)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(1000003)], ids=str)
+@given(text=scalar_texts)
+def test_parse_reads_the_earlier_grammar_and_values(field, text):
+    """One regex match gives the scalar the earlier double parse gave,
+    and a text it refused is still a parse error."""
+    want = parse_scalar_reference(field, text)
+    if want is None:
+        with pytest.raises(ParseError):
+            field.parse(text)
+    else:
+        got = field.parse(text)
+        assert got == want and type(got) is type(want)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 17, 41, 97, 257, 1009])

@@ -10,7 +10,9 @@ from olie.linalg import (
     _PACKINGS,
     Echelon,
     _packing,
+    _pairs_echelon,
     basis_vector,
+    bottom_up,
     identity_matrix,
     kernel_basis,
     mat_add,
@@ -510,6 +512,38 @@ def test_echelon_matches_rank_oracles(field, data):
             assert_canonical(field, sol.particular)
             assert [vec_dot(field, r[:-1], sol.particular) for r in rows] == [r[-1] for r in rows]
     assert rows == frozen
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(17)], ids=str)
+@settings(deadline=None)
+@given(data=st.data())
+def test_insert_order_does_not_change_the_echelon(field, data):
+    """Int rows given as ``(column, int)`` pairs, inserted in their drawn
+    order, shuffled, by descending leading column and as dense vectors,
+    leave the same canonical rows, kernel and particular point of the
+    system ``[rows | b]``, b in the last column: the reduced form does
+    not depend on the order of the inserts."""
+    ncols = data.draw(st.integers(1, 12))
+    entries = st.dictionaries(st.integers(0, ncols), st.integers(-30, 30), max_size=ncols + 1)
+    rows = data.draw(st.lists(entries, max_size=24))
+    shuffled = data.draw(st.permutations(rows))
+    dense = Echelon(field)
+    for row in rows:
+        dense.add([row.get(c, 0) for c in range(ncols + 1)])
+    echelons = [dense]
+    for order in (rows, shuffled, bottom_up(rows)):
+        ech = Echelon(field)
+        for row in order:
+            ech.add_pairs(row.items())
+        echelons.append(ech)
+    echelons.append(_pairs_echelon(field, bottom_up(rows), ncols + 1))
+    want = dense._canonical_rows(ncols + 1), dense.kernel(ncols + 1), dense._particular(ncols)
+    for ech in echelons:
+        assert ech.rank == dense.rank
+        assert (ech._canonical_rows(ncols + 1), ech.kernel(ncols + 1), ech._particular(ncols)) == want
+    assert dense.kernel(ncols + 1) == kernel_reference(
+        field, [[field.coerce(row.get(c, 0)) for c in range(ncols + 1)] for row in rows], ncols + 1
+    )
 
 
 @pytest.mark.parametrize("field", ECHELON_FIELDS, ids=str)
