@@ -3,8 +3,9 @@
 Non-Lie instances of dimension >= 4 land in one of two cases: a
 codimension-1 Lie subalgebra, or a codimension-2 radical that is almost
 abelian with its abelian part acting nilpotently.  Either way an abelian
-subalgebra of codimension <= 3 is attached.  Over a small prime field the
-searches are exhaustive, so the verdicts are definitive.
+subalgebra of codimension <= 3 is attached.  The codimension-1 search is
+exact over every field (the law puts the radical of the form inside any
+Lie hyperplane), so the verdicts are definitive.
 """
 
 from olie import GF

@@ -283,6 +283,15 @@ class AnticommAlgebra:
     def is_valid(self):
         return self._first_violation() is None
 
+    def _certify(self):
+        """Raise :class:`PreconditionFailed` unless the law holds."""
+        check = self._first_violation()
+        if check is not None:
+            raise PreconditionFailed(
+                f"the defining law fails on basis triple {check.triple}: "
+                f"residual {[self.field.format(x) for x in check.residual]}"
+            )
+
     def is_lie(self):
         jacobian = self._product.basis_jacobian
         return all(not any(jacobian(*ijk)[0]) for ijk in combinations(range(self.dim), 3))
@@ -482,9 +491,7 @@ class AnticommAlgebra:
         """The abelian part of the almost-abelian decomposition of the
         subalgebra ``sub``, in ambient coordinates; None when ``sub`` is
         not a subalgebra or not almost abelian."""
-        if not self.is_subalgebra(sub):
-            return None
-        dec = self._induced(sub.basis(), sub.coords).almost_abelian_decomposition()
+        dec = self._almost_abelian(sub.rows)
         if dec.kind != "almost_abelian":
             return None
         return Subspace(self.field, self.dim, sub.lift(dec.abelian_part.rows))
@@ -558,34 +565,40 @@ class AnticommAlgebra:
         return True
 
     def almost_abelian_decomposition(self):
-        """Solve [e_i, e_j] = f(e_j) e_i - f(e_i) e_j for a linear form f.
+        """Find a linear form f with [e_i, e_j] = f(e_j) e_i - f(e_i) e_j.
 
-        f = 0 means abelian; a nonzero solution exhibits the algebra as
-        an abelian part (the kernel of f) plus one element acting on it
-        as the identity; no solution returns kind "neither".  Both sides
-        are int rows over the pair-table denominator ``D``.
+        f = 0 means abelian; a nonzero f exhibits the algebra as an
+        abelian part (the kernel of f) plus one element acting on it as
+        the identity; no f returns kind "neither".
         """
-        field, n = self.field, self.dim
-        rows, rhs = [], []
-        for i, j in combinations(range(n), 2):
-            image, den = self._product.image(i, j)
-            block = [[0] * n for _ in range(n)]
-            block[i][j], block[j][i] = den, -den
-            rows.extend(block)
-            rhs.extend(image)
-        if rows:
-            sol = solve_affine(field, rows, rhs)
-        else:
-            sol = AffineSolution(zeros(field, n), Subspace.zero(field, n))
-        if sol is None:
-            return AlmostAbelianResult("neither")
-        lam = sol.particular
+        return self._almost_abelian(identity_matrix(self.field, self.dim))
+
+    def _almost_abelian(self, rows):
+        """:meth:`almost_abelian_decomposition` of the span of ``rows``,
+        the canonical rows u_a of a subspace, in coordinates on them: f
+        with [u_a, u_b] = f(u_b) u_a - f(u_a) u_b, so the span is also a
+        subalgebra.  The rows have pivot 1 and vanish at each other's
+        pivots, so the right side has f(u_b) at the pivot of u_a and
+        -f(u_a) at that of u_b: f is read off [u_0, u_1] and the
+        [u_0, u_b], then every pair is checked."""
+        field, m = self.field, len(rows)
+        lam = zeros(field, m)
+        if m > 1:  # else there is no pair, and f = 0
+            pivots = [next(i for i, c in enumerate(u) if c) for u in rows]
+            w = {(a, b): self.bracket(rows[a], rows[b]) for a, b in combinations(range(m), 2)}
+            lam = _canon(field, [-w[0, 1][pivots[1]]] + [w[0, b][pivots[0]] for b in range(1, m)])
+            for (a, b), image in w.items():
+                u, v = rows[a], rows[b]
+                if image != _canon(field, [lam[b] * x - lam[a] * y for x, y in zip(u, v)]):
+                    return AlmostAbelianResult("neither")
         if vec_is_zero(field, lam):
             return AlmostAbelianResult("abelian", lam=lam)
         pivot = next(i for i, c in enumerate(lam) if c)
-        x = vec_scale(field, field.inv(lam[pivot]), basis_vector(field, n, pivot))
-        part = Subspace(field, n, kernel_basis(field, [lam], n))
-        return AlmostAbelianResult("almost_abelian", lam=lam, abelian_part=part, x=x)
+        e = identity_matrix(field, m)
+        x = vec_scale(field, field.inv(lam[pivot]), e[pivot])
+        # the kernel of f: the e_j - f(e_j) x, j != pivot
+        part = [vec_sub(field, e[j], vec_scale(field, lam[j], x)) for j in range(m) if j != pivot]
+        return AlmostAbelianResult("almost_abelian", lam, Subspace(field, m, part), x)
 
     # -- simplicity --------------------------------------------------------
 
@@ -802,12 +815,7 @@ class OmegaAlgebra(AnticommAlgebra):
 
     def __init__(self, field, dim, bracket=None, omega=None):
         super().__init__(field, dim, bracket, omega)
-        check = self._first_violation()
-        if check is not None:
-            raise PreconditionFailed(
-                f"the defining law fails on basis triple {check.triple}: "
-                f"residual {[field.format(x) for x in check.residual]}"
-            )
+        self._certify()
 
     @classmethod
     def _trusted(cls, field, dim, bracket, omega):

@@ -12,13 +12,15 @@ QUOTE_LIMIT = 40
 """The most characters of an input text that an error message quotes."""
 
 
-def quoted(text):
-    """``repr(text)`` for an error message; a text longer than
-    ``QUOTE_LIMIT`` characters is quoted by its first ``QUOTE_LIMIT``
-    characters and its length."""
+def quoted(value):
+    """``repr(value)`` for an error message; a text, or the repr of any
+    other value, longer than ``QUOTE_LIMIT`` characters is shown by its
+    first ``QUOTE_LIMIT`` characters and its length."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+        return repr(value)
+    head = text[:QUOTE_LIMIT]
+    return f"{repr(head) if text is value else head}... ({len(text)} characters)"
 
 
 class OlieError(Exception):

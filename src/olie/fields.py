@@ -167,7 +167,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
-            raise UnsupportedCharacteristic(f"GF({p}): modulus must be prime")
+            raise UnsupportedCharacteristic(f"GF({quoted(p)}): modulus must be prime")
         if p < 5:
             raise UnsupportedCharacteristic(
                 f"GF({p}): characteristic 2 and 3 are not supported"
@@ -280,7 +280,7 @@ def field_from_json(obj):
         return QQ
     if isinstance(obj, dict) and set(obj) == {"GF"}:
         return PrimeField(obj["GF"])
-    raise ParseError(f"bad field description {obj!r}")
+    raise ParseError(f"bad field description {quoted(obj)}")
 
 
 def scalar_from_json(field, value, where):
@@ -289,7 +289,7 @@ def scalar_from_json(field, value, where):
         return field.parse(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return field.coerce(value)
-    raise SchemaError(f"{where}: scalar {value!r} must be a string or an integer")
+    raise SchemaError(f"{where}: scalar {quoted(value)} must be a string or an integer")
 
 
 def field_from_tag(tag: str):

@@ -4,9 +4,10 @@ The classifier sorts a certified algebra into the structural cases: Lie,
 dimension three, a codimension-1 Lie subalgebra, or a codimension-2
 radical that is almost abelian with its abelian part acting nilpotently.
 It also attaches, when it can, an abelian subalgebra of codimension at
-most 3.  Over a small prime field the codimension-1 search is
-exhaustive; over the rationals it is candidate-based and may honestly
-return "inconclusive".
+most 3.  The codimension-1 search is exact over every field: by the
+law, a Lie hyperplane holds the radical of the form, which then has
+codimension 2, and the subalgebras over it are the roots of one
+quadratic pencil (see :func:`classify`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 from math import gcd
 from operator import mul
 
-from .algebra import AnticommAlgebra
+from .algebra import AnticommAlgebra, OmegaAlgebra
 from .derivations import al_derivation_space
 from .errors import (
     NotAbelianSubalgebra,
@@ -30,7 +31,6 @@ from .linalg import (
     basis_vector,
     kernel_basis,
     mat_mul,
-    projective_points,
     span_points,
     to_scaled,
     transpose,
@@ -520,17 +520,16 @@ def _rank2_line_parameters(alg, core: Subspace):
         # cross((a + t b), (1, t)) = b0 t^2 + (a0 - b1) t - a1
         polys.append(_canon(field, [-a[1], a[0] - b[1], b[0]]))
     nontrivial = [p for p in polys if any(p)]
-    if nontrivial:
-        params = [
-            t
-            for t in _quadratic_roots(field, nontrivial[0])
-            if all(_poly_eval_is_zero(field, p, t) for p in nontrivial)
-        ]
-    else:
-        params = [field.zero()]
+    if not nontrivial:
+        return [field.zero(), None]
+    params = [
+        t
+        for t in _quadratic_roots(field, nontrivial[0])
+        if all(_poly_eval_is_zero(field, p, t) for p in nontrivial)
+    ]
     # the line through r2 alone: the t^2 coefficients, first quotient
     # coordinates of [k, r2], all vanish
-    if not any(p[2] for p in polys):
+    if not any(p[2] for p in nontrivial):
         params.append(None)
     return params
 
@@ -560,42 +559,29 @@ def _poly_eval_is_zero(field, coeffs, t):
     return not any(_canon(field, [value]))
 
 
-def _hyperplanes_over_subspace(alg, core: Subspace):
-    """The hyperplanes containing ``core`` when it has codimension 2 (none
-    otherwise): all of them over a prime field, or, over the rationals,
-    the complete rank-2 family when ``core`` is a subalgebra plus a
-    finite candidate family otherwise."""
-    field, n = alg.field, alg.dim
-    reps = core.quotient_reps()
-    if len(reps) != 2:
-        return
-    if alg.is_subalgebra(core):
-        r1, r2 = reps
-        for t in _rank2_line_parameters(alg, core):
-            if t is None:
-                vec = r2
-            else:
-                vec = vec_add(field, r1, vec_scale(field, t, r2))
-            yield Subspace(field, n, list(core.rows) + [vec])
-        return
-    if field.char and field.char + 1 <= ENUM_CAP:
-        # the p + 1 lines of the quotient, projectively normalized
-        for coeffs in projective_points(field.char, 2):
-            yield Subspace(field, n, list(core.rows) + [vec_mat(field, coeffs, reps)])
-    else:
-        seeds = [basis_vector(field, n, i) for i in range(n)]
-        seeds.extend(list(r) for r in alg.commutant().rows)
-        for s in seeds:
-            cand = Subspace(field, n, list(core.rows) + [s])
-            if cand.dim == core.dim + 1:
-                yield cand
-
-
 def classify(alg: AnticommAlgebra):
-    """Structural verdict for a certified algebra; see the module docstring."""
+    """Structural verdict (see the module docstring) for an algebra that
+    satisfies the law, on which every step rests: a table that is not
+    an :class:`OmegaAlgebra` is certified here, and a violation raises
+    :class:`PreconditionFailed`.  For a non-Lie algebra (w != 0), n >= 4:
+
+    - (A) A Lie hyperplane H has w|H = 0, by the law on three
+      independent vectors of H.  So it holds the radical (else w = 0),
+      and w has rank 2: at any other rank the verdict is "inconclusive".
+    - (C) A radical of codimension 2 is a subalgebra: ``two-basic`` on
+      x, y in it and z, t with w(z,t) = 1 makes the z- and
+      t-coordinates of [x,y] their own negatives, so 0.  So the roots of
+      :func:`_rank2_line_parameters` are exactly the hyperplanes over it
+      that are subalgebras.
+    - (B) Each of those is isotropic, so the law makes it Lie: the first,
+      in that function's order, is the witness, with no check.
+    - (D) On a, b in the radical's abelian part the law gives
+      [[x,a],b] = [[x,b],a]: the adjoints commute, so the action is
+      nilpotent exactly when each ad h, h a basis row, is.
+    """
     field, n = alg.field, alg.dim
-    ker = alg.omega_kernel()
-    part = alg._radical_part()
+    if not isinstance(alg, OmegaAlgebra):
+        alg._certify()
 
     def verdict(case, extra=(), **labels):
         witness = _abelian_witness(alg, extra)
@@ -605,49 +591,23 @@ def classify(alg: AnticommAlgebra):
         return verdict("lie_algebra")
     if n == 3:
         return verdict("dim_three")
-    if part is not None and n - ker.dim == 2:
-        try:
-            null, _one = fitting_decomposition(alg, part)
-            nilpotent = null.is_full()
-        except PreconditionFailed:
-            nilpotent = False
-        if nilpotent:
-            return verdict(
-                "kernel_codim_two", kernel_type="almost_abelian", nilpotent_action=True
-            )
-
-    # search for a codimension-1 Lie subalgebra; any such subalgebra
-    # contains the radical of the form (dim >= 4, non-Lie), so extending
-    # a codimension-2 radical is a complete search over a small prime field
-    def lie_hyperplane(cand):
-        # one subalgebra check per candidate; restrict() would repeat it
-        return (
-            cand.dim == n - 1
-            and alg.is_subalgebra(cand)
-            and alg._induced(cand.basis(), cand.coords).is_lie()
-        )
-
-    witness = next(
-        filter(lie_hyperplane, _hyperplanes_over_subspace(alg, ker)), None
-    )
-    if witness is None and field.char == 0:
-        # candidate kernels of alpha covectors from derivation solutions
-        lam_set = alg.multiplicative_lambda()
-        alphas = (
-            der.alpha
-            for lam in (() if lam_set is None else lam_set.points())
-            for der in al_derivation_space(alg, lam)
-            if any(der.alpha)
-        )
-        kernels = (Subspace(field, n, kernel_basis(field, [a], n)) for a in alphas)
-        witness = next(filter(lie_hyperplane, kernels), None)
-    if witness is not None:
-        return verdict(
-            "codim_one_lie_subalgebra",
-            [witness, alg._abelian_part(witness)],
-            witness=witness,
-        )
-    return verdict("inconclusive")
+    ker = alg.omega_kernel()
+    if n - ker.dim != 2:
+        return verdict("inconclusive")
+    part = alg._radical_part()
+    if part is not None and all(
+        not any(map(any, _stable_power(field, alg.ad(list(h)), n))) for h in part.rows
+    ):
+        return verdict("kernel_codim_two", kernel_type="almost_abelian", nilpotent_action=True)
+    params = _rank2_line_parameters(alg, ker)
+    if not params:
+        return verdict("inconclusive")
+    r1, r2 = ker.quotient_reps()
+    t = params[0]  # t = 0 when every t gives a subalgebra
+    line = r2 if t is None else vec_add(field, r1, vec_scale(field, t, r2))
+    witness = Subspace(field, n, list(ker.rows) + [line])
+    extra = [witness, alg._abelian_part(witness)]
+    return verdict("codim_one_lie_subalgebra", extra, witness=witness)
 
 
 def alpha_vanishing_scan(alg: AnticommAlgebra):

@@ -29,7 +29,10 @@ program and its count of product nodes, the character-at-a-time
 tokenizer, which pins the tokens of any text, the earlier scalar
 parser, which read the text twice, and the library's earlier dense int
 builders of the derivation, deformation and differential
-systems, which pin each sparse row entry by entry.
+systems, which pin each sparse row entry by entry.  Last come the
+library's earlier classifier and abelian part of a subalgebra, which
+searched every candidate hyperplane and checked each one: what they
+pin is the whole verdict.
 """
 
 import weakref
@@ -1642,3 +1645,115 @@ def parse_scalar_reference(field, text):
         return int(num) * pow(den, field.char - 2, field.char) % field.char if den else None
     except (ValueError, ZeroDivisionError):
         return None
+
+
+def abelian_part_reference(alg, sub):
+    """``AnticommAlgebra._abelian_part`` as it was before it read the
+    form off the canonical rows: the subalgebra test, the induced
+    algebra, and the dense almost-abelian solve on it."""
+    from olie.linalg import Subspace
+
+    if not alg.is_subalgebra(sub):
+        return None
+    dec = almost_abelian_decomposition_reference(alg._induced(sub.basis(), sub.coords))
+    if dec.kind != "almost_abelian":
+        return None
+    return Subspace(alg.field, alg.dim, sub.lift(dec.abelian_part.rows))
+
+
+def _hyperplanes_over_subspace_reference(alg, core):
+    """The hyperplanes containing ``core`` when it has codimension 2 (none
+    otherwise): the rank-2 pencil when ``core`` is a subalgebra; else
+    the p + 1 lines of the quotient over a small prime field, or, over
+    the rationals, ``core`` plus each basis vector and commutant row."""
+    from olie.linalg import (
+        ENUM_CAP,
+        Subspace,
+        basis_vector,
+        projective_points,
+        vec_add,
+        vec_mat,
+        vec_scale,
+    )
+    from olie.structure import _rank2_line_parameters
+
+    field, n = alg.field, alg.dim
+    reps = core.quotient_reps()
+    if len(reps) != 2:
+        return
+    if alg.is_subalgebra(core):
+        r1, r2 = reps
+        for t in _rank2_line_parameters(alg, core):
+            vec = r2 if t is None else vec_add(field, r1, vec_scale(field, t, r2))
+            yield Subspace(field, n, list(core.rows) + [vec])
+        return
+    if field.char and field.char + 1 <= ENUM_CAP:
+        for coeffs in projective_points(field.char, 2):
+            yield Subspace(field, n, list(core.rows) + [vec_mat(field, coeffs, reps)])
+    else:
+        seeds = [basis_vector(field, n, i) for i in range(n)]
+        seeds.extend(list(r) for r in alg.commutant().rows)
+        for s in seeds:
+            cand = Subspace(field, n, list(core.rows) + [s])
+            if cand.dim == core.dim + 1:
+                yield cand
+
+
+def classify_reference(alg):
+    """``structure.classify`` as it was before the law decided it: the
+    nilpotent action by ``fitting_decomposition``, then every candidate
+    hyperplane over the radical (:func:`_hyperplanes_over_subspace_reference`)
+    tested to be a subalgebra that restricts to a Lie algebra, then,
+    over the rationals, the kernels of the alpha covectors of the
+    derivation solutions; the abelian parts by
+    :func:`abelian_part_reference`."""
+    from olie.derivations import al_derivation_space
+    from olie.errors import PreconditionFailed
+    from olie.linalg import Subspace, kernel_basis
+    from olie.structure import ClassificationVerdict, _abelian_witness, fitting_decomposition
+
+    field, n = alg.field, alg.dim
+    ker = alg.omega_kernel()
+    part = abelian_part_reference(alg, ker)
+
+    def verdict(case, extra=(), **labels):
+        witness = _abelian_witness(alg, extra)
+        return ClassificationVerdict(case, abelian_small_codim=witness, **labels)
+
+    if alg.is_lie():
+        return verdict("lie_algebra")
+    if n == 3:
+        return verdict("dim_three")
+    if part is not None and n - ker.dim == 2:
+        try:
+            nilpotent = fitting_decomposition(alg, part)[0].is_full()
+        except PreconditionFailed:
+            nilpotent = False
+        if nilpotent:
+            return verdict("kernel_codim_two", kernel_type="almost_abelian", nilpotent_action=True)
+
+    def lie_hyperplane(cand):
+        return (
+            cand.dim == n - 1
+            and alg.is_subalgebra(cand)
+            and alg._induced(cand.basis(), cand.coords).is_lie()
+        )
+
+    witness = next(filter(lie_hyperplane, _hyperplanes_over_subspace_reference(alg, ker)), None)
+    if witness is None and field.char == 0:
+        lam_set = alg.multiplicative_lambda()
+        alphas = (
+            der.alpha
+            for lam in (() if lam_set is None else lam_set.points())
+            for der in al_derivation_space(alg, lam)
+            if any(der.alpha)
+        )
+        kernels = (Subspace(field, n, kernel_basis(field, [a], n)) for a in alphas)
+        witness = next(filter(lie_hyperplane, kernels), None)
+    if witness is not None:
+        return verdict(
+            "codim_one_lie_subalgebra",
+            [witness, abelian_part_reference(alg, witness)],
+            witness=witness,
+        )
+    return verdict("inconclusive")

@@ -305,16 +305,17 @@ def test_identity_past_the_enumeration_limit_exits_4(tmp_path):
     assert "enumeration limit of 1000000" in err
 
 
-def sl2_copies(path, copies):
-    """Save the direct sum of ``copies`` copies of sl2 over GF(5), a Lie
-    algebra of dimension 3 * copies, and return its path."""
+def sl2_copies(path, copies, abelian=0):
+    """Save the direct sum of ``copies`` copies of sl2 and an abelian
+    algebra of dimension ``abelian`` over GF(5), a Lie algebra of
+    dimension 3 * copies + abelian, and return its path."""
     sl2 = catalog.builtin_algebra("lie.sl2", GF(5))
     bracket = {
         (3 * c + i, 3 * c + j): {3 * c + k: x for k, x in image.items()}
         for c in range(copies)
         for (i, j), image in sl2._bracket.items()
     }
-    catalog.save(AnticommAlgebra(GF(5), 3 * copies, bracket), path)
+    catalog.save(AnticommAlgebra(GF(5), 3 * copies + abelian, bracket), path)
     return str(path)
 
 
@@ -323,11 +324,10 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _sized_command(tmp_path, command, copies):
-    """``command`` with its placeholders filled in for the sum of
-    ``copies`` copies of sl2: ``LAMBDA`` the zero covector, ``ZERO_D`` a
-    file of the zero derivation, ``OUT`` an output path."""
-    n = 3 * copies
+def _sized_command(tmp_path, command, n):
+    """``command`` with its placeholders filled in for an algebra of
+    dimension ``n``: ``LAMBDA`` the zero covector, ``ZERO_D`` a file of
+    the zero derivation, ``OUT`` an output path."""
     zero_d = tmp_path / "zero_d.json"
     zero_d.write_text(json.dumps({"D": [["0"] * n for _ in range(n)]}))
     fill = {"LAMBDA": ",".join(["0"] * n), "ZERO_D": str(zero_d), "OUT": str(tmp_path / "out.json")}
@@ -361,13 +361,15 @@ def test_system_past_the_size_limit_exits_4(tmp_path, command, copies, cells):
     assert f"{cells} = " in proc.stderr and "past the limit of 10000000" in proc.stderr
 
 
-def _run_limited(tmp_path, command, copies):
-    """``command`` on the sum of ``copies`` copies of sl2, run in a child
-    process under a 1-GB address space and a wall-clock limit."""
-    path = sl2_copies(tmp_path / "sum.json", copies)
+def _run_limited(tmp_path, command, copies, abelian=0):
+    """``command`` on the sum of ``copies`` copies of sl2 and an abelian
+    algebra of dimension ``abelian``, run in a child process under a
+    1-GB address space and a wall-clock limit."""
+    path = sl2_copies(tmp_path / "sum.json", copies, abelian)
+    n = 3 * copies + abelian
     env = dict(os.environ, PYTHONPATH=str(Path(olie.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "olie.cli", *_sized_command(tmp_path, command, copies), path],
+        [sys.executable, "-m", "olie.cli", *_sized_command(tmp_path, command, n), path],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=_limit_address_space,
     )
@@ -381,9 +383,24 @@ def test_largest_admitted_derivation_system_runs(tmp_path, command):
     assert proc.returncode == 0 and "Traceback" not in proc.stderr and proc.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "command, copies, abelian",
+    [
+        # sl2^4 + K^2, dimension 14: the largest admitted deformation system
+        (["deform"], 4, 2),
+        # 14 copies, dimension 42: the largest admitted degree-2 differential
+        (H2, 14, 0),
+        (SELFTEST, 14, 0),
+    ],
+)
+def test_largest_admitted_systems_run(tmp_path, command, copies, abelian):
+    proc = _run_limited(tmp_path, command, copies, abelian)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr and proc.stderr == ""
+
+
 @pytest.mark.parametrize("command", [["deform"], ["derive", "--solve-lambda"], EXTEND, H2, SELFTEST])
 def test_system_size_limit_admits_dimension_12(tmp_path, command):
-    command = _sized_command(tmp_path, command, 4)
+    command = _sized_command(tmp_path, command, 12)
     code, out, _ = run_cli(["--format", "json", *command, sl2_copies(tmp_path / "sum.json", 4)])
     assert code == 0 and json.loads(out)
 
@@ -439,7 +456,8 @@ def _long_inputs(tmp_path):
     """(argv, exit code) of commands whose input carries one very long
     text: a bad scalar of each field, a numeral past the digit limit, a
     zero denominator under a long numerator, long pair keys and
-    coefficient indices, a JSON number past the digit limit, long atoms,
+    coefficient indices, a JSON number past the digit limit, a long
+    field name, modulus and list in place of a scalar, long atoms,
     variables and operators of an expression, and a long lambda."""
     digits = "1" * LONG
     bad = "1" * (LONG - 1) + "x"
@@ -462,6 +480,17 @@ def _long_inputs(tmp_path):
     path = tmp_path / "number.json"
     path.write_text('{"field": "Q", "dim": 2, "bracket": {"1,2": {"1": %s}}}' % digits)
     cases.append((["check", str(path)], 3))
+    # a long field name, a 4,000-digit modulus, a long list as a scalar
+    for t, table in enumerate(
+        [
+            {"field": "x" * 100_000, "dim": 2},
+            {"field": {"GF": int("1" * 4000)}, "dim": 2},
+            {"field": "Q", "dim": 2, "omega": {"1,2": [0] * 50_000}},
+        ]
+    ):
+        path = tmp_path / f"value{t}.json"
+        path.write_text(json.dumps(table))
+        cases.append((["check", str(path)], 3))
     s4 = tmp_path / "s4.json"
     catalog.save(catalog.builtin_algebra("omega.s4"), s4)
     for expr in (f"(b x1 {bad})", f"(b x1 x{digits})", f"({bad} x1 x2)"):

@@ -23,6 +23,10 @@ off through the methods of ``Echelon``.  No code outside ``class
 AnticommAlgebra`` reads its kept invariants ``_cache``: they are shared
 objects, read through the methods that compute them, so no module can
 reach one to change it.
+
+Every private module-level function and class of the library is
+referred to by library code outside its own definition: a helper that
+a deletion left without callers is deleted with it.
 """
 
 import ast
@@ -248,3 +252,54 @@ def test_the_check_sees_kept_row_reads():
         "        return ech._kept.get(0)\n"
     )
     assert reads_outside_class(source, "_kept", "Echelon") == [6, 11]
+
+
+def unreferenced_private_names(sources):
+    """``(module, line, name)`` of each private module-level function and
+    class in ``sources`` (module name -> text) that no code of any of
+    them refers to, by name or attribute, outside its own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs = [
+        (id(node), node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(ref == name and key not in own for key, ref in refs):
+                out.append((module, node.lineno, name))
+    return out
+
+
+def test_every_private_helper_is_used():
+    package = Path(olie.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_the_check_sees_an_unused_helper():
+    sources = {
+        "a.py": (
+            "def _used(x):\n"
+            "    return x\n"
+            "\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "\n"
+            "class _Left:\n"
+            "    pass\n"
+            "\n"
+            "def public():\n"
+            "    return _used(1)\n"
+        ),
+        "b.py": "from a import _Left\n\ndef __getattr__(name):\n    return a._imported\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", 4, "_recursive"), ("a.py", 7, "_Left")]

@@ -24,7 +24,8 @@ from olie import (
 from olie import catalog
 from olie.errors import NotAbelianSubalgebra, NotASubalgebra, OlieError, PreconditionFailed
 from olie import structure
-from olie.linalg import basis_vector, projective_points, vec_add, vec_scale
+from olie.extensions import one_dim_module, semidirect
+from olie.linalg import basis_vector, kernel_basis, projective_points, vec_add, vec_scale
 from olie.structure import (
     _abelian_witness,
     _eigenspaces,
@@ -34,8 +35,10 @@ from olie.structure import (
 )
 
 from oracles import (
+    abelian_part_reference,
     abelian_witness_reference,
     bracket_reference,
+    classify_reference,
     eigenspaces_reference,
     fitting_decomposition_reference,
     rational_roots_reference,
@@ -268,29 +271,136 @@ def test_classify_is_definitive_over_the_rationals():
 
 
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
-def test_hyperplanes_over_subspace_cover_codimension_two_only(field):
-    """Over a core of codimension q >= 3 the helper once yielded the core
-    plus each line of the quotient, of dimension n - q + 1, which the
-    hyperplane check rejected one by one (31 of them for span(e1, e2) in
-    this GF(5) algebra); over a codimension-2 core it yields the same
-    hyperplanes as before."""
+def test_rank2_line_parameters_over_a_subalgebra_core(field):
+    """Over a codimension-2 core that is a subalgebra, the parameters
+    give the hyperplanes over it that are subalgebras, in the order of
+    the pencil: t ascending, then the line through r2.  Over GF(5) every
+    closure condition vanishes on span(e1, e2, e3), so all six lines
+    give subalgebras and t = 0 comes first; over Q two of them do."""
     alg = catalog.random_extension_chain(field, 0, 5)
     e = [basis_vector(field, 5, i) for i in range(5)]
+    core = Subspace(field, 5, e[:3])
+    assert alg.is_subalgebra(core)
 
-    def hyperplanes(*idx):
-        return list(structure._hyperplanes_over_subspace(alg, Subspace(field, 5, [e[i] for i in idx])))
+    def closed(a, b):
+        line = vec_add(field, vec_scale(field, a, e[3]), vec_scale(field, b, e[4]))
+        return alg.is_subalgebra(Subspace(field, 5, e[:3] + [line]))
 
-    assert hyperplanes(0, 1) == hyperplanes(0) == []
-    # a subalgebra core: the rank-2 line family of its quotient
-    want = [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]] if field.char else [[0, 0, 0, 1, -4], [0, 0, 0, 1, 0]]
-    assert hyperplanes(0, 1, 2) == [Subspace(field, 5, e[:3] + [w]) for w in want]
+    params = _rank2_line_parameters(alg, core)
+    assert params == ([0, None] if field.char else [F(-4), F(0)])
+    assert all(closed(0, 1) if t is None else closed(1, t) for t in params)
     if field.char:
-        # not a subalgebra: the core plus each line of the quotient
-        core = [e[0], e[1], e[3]]
-        want = [Subspace(field, 5, core + [vec_add(field, vec_scale(field, a, e[2]), vec_scale(field, b, e[4]))])
-                for a, b in projective_points(5, 2)]
-        assert hyperplanes(0, 1, 3) == want and len(want) == 6
-        assert all(h.dim == 4 for h in want)
+        assert all(closed(a, b) for a, b in projective_points(5, 2))
+    else:
+        assert not closed(0, 1) and not closed(1, 1)
+
+
+def _classified_algebras(field, dims, seeds):
+    """Non-Lie chains over ``field`` and their semidirect products with
+    the 1-dimensional modules of up to two multiplicative forms."""
+    out = []
+    for dim in dims:
+        for seed in seeds:
+            alg = catalog.random_extension_chain(field, seed, dim)
+            if isinstance(alg, catalog.Stuck):
+                continue
+            out.append(alg)
+            lam_set = alg.multiplicative_lambda()
+            points = [] if lam_set is None else lam_set.points() if field.char else [lam_set.particular]
+            for lam, _ in zip(points, range(2)):
+                out.append(semidirect(alg, one_dim_module(alg, lam)))
+    return [alg for alg in out if not alg.is_lie()]
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7])
+@pytest.mark.parametrize("field", [GF(5), GF(7), QQ], ids=str)
+def test_classify_matches_the_search_it_replaced(field, dim):
+    """Whole verdicts against the earlier classifier, which searched
+    every candidate hyperplane, checked each one, and fell back on the
+    kernels of alpha covectors over the rationals."""
+    cases = set()
+    for alg in _classified_algebras(field, [dim], range(12)):
+        got = classify(alg)
+        assert got.to_json_dict(field) == classify_reference(alg).to_json_dict(field)
+        ker = alg.omega_kernel()
+        assert alg._abelian_part(ker) == abelian_part_reference(alg, ker)
+        if got.witness is not None:
+            assert alg._abelian_part(got.witness) == abelian_part_reference(alg, got.witness)
+        cases.add(got.case)
+    assert "kernel_codim_two" in cases
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(7), GF(11), QQ], ids=str)
+def test_the_law_decides_the_codimension_one_search(field):
+    """The lemmas behind ``classify``, on non-Lie chains of dimensions 4
+    to 8 and their semidirect products: (C) a radical of codimension 2
+    is a subalgebra; (B) every hyperplane of the pencil over it
+    restricts to a Lie algebra; (D) the adjoints of the radical's
+    abelian part commute, so the Fitting null part is everything exactly
+    when each adjoint is nilpotent; (A) over GF(5) in dimension 4, where
+    every hyperplane is enumerated (chains of dimension 4, and those of
+    dimension 3 with a module), each Lie hyperplane holds the radical
+    and the form has rank 2."""
+    hyperplanes = 0
+    for alg in _classified_algebras(field, range(4, 9), range(6)):
+        n, ker = alg.dim, alg.omega_kernel()
+        part = alg._radical_part()
+        if part is not None:
+            null, _ = fitting_decomposition(alg, part)
+            powers = [structure._stable_power(field, alg.ad(list(h)), n) for h in part.rows]
+            assert null.is_full() == (not any(any(map(any, m)) for m in powers))
+        if ker.codim != 2:
+            continue
+        assert alg.is_subalgebra(ker)
+        r1, r2 = ker.quotient_reps()
+        for t in _rank2_line_parameters(alg, ker):
+            line = r2 if t is None else vec_add(field, r1, vec_scale(field, t, r2))
+            assert alg.restrict(Subspace(field, n, list(ker.rows) + [line])).is_lie()
+            hyperplanes += 1
+    assert hyperplanes
+    if field != GF(5):
+        return
+    lie_hyperplanes = 0
+    for alg in _classified_algebras(field, [3, 4], range(12)):
+        if alg.dim != 4:
+            continue
+        for covector in projective_points(5, 4):
+            sub = Subspace(field, 4, kernel_basis(field, [covector], 4))
+            if alg.is_subalgebra(sub) and alg.restrict(sub).is_lie():
+                assert sub.contains_subspace(alg.omega_kernel()) and alg.omega_rank() == 2
+                lie_hyperplanes += 1
+    assert lie_hyperplanes
+
+
+def test_classify_certifies_a_plain_table(sl2e, s4):
+    # the shortcuts rest on the law, so a table that breaks it is refused
+    with pytest.raises(PreconditionFailed, match="defining law fails on basis triple"):
+        classify(sl2e)
+    plain = AnticommAlgebra(QQ, 4, s4._bracket, s4._omega)
+    assert classify(plain).to_json_dict(QQ) == classify(s4).to_json_dict(QQ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_abelian_part_matches_the_induced_solve(data):
+    """On any table and subspace, subalgebra or not, the abelian part
+    read off the canonical rows is the one the induced algebra's dense
+    solve gave."""
+    field = data.draw(st.sampled_from(FIELDS))
+    mode = data.draw(st.sampled_from(["catalog radical", "table radical", "table subspace"]))
+    if mode == "catalog radical":
+        alg = _algebra_from(data.draw, field)
+    else:
+        alg = data.draw(algebras(field, max_dim=5))
+    n = alg.dim
+    if mode == "table subspace":
+        vectors = data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=n))
+        sub = Subspace(field, n, vectors)
+    else:
+        sub = alg.omega_kernel()
+    got = alg._abelian_part(sub)
+    assert got == abelian_part_reference(alg, sub)
+    event(f"{mode}: {'abelian part' if got is not None else 'none'}")
 
 
 def _poly_mul(a, b):
