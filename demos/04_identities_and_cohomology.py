@@ -32,7 +32,7 @@ for name, alg in (("engel", sl2), ("bin-consequence", n3), ("four-consequence", 
     print(f"{name} fails on {alg!r} at", tuple(i + 1 for i in ce))
 
 # direct evaluation of a non-multilinear term for display
-print("[[e,h],h],h] =", evaluate(sl2, builtin("engel"), (2, 0), direct=True))
+print("[[e,h],h],h] =", evaluate(sl2, builtin("engel").direct, (2, 0)))
 
 # ad-hoc identities from s-expressions
 ident = parse_identity("(- (b (b x1 x2) x3) (b x1 (b x2 x3)))")

@@ -40,8 +40,8 @@ class InputError(OlieError):
 
 
 class UnsupportedCharacteristic(InputError):
-    """Raised for GF(p) with p not prime or p < 5; a field tag or file
-    naming one is bad input."""
+    """Raised for GF(p) with p not prime, p < 5 or p >= ``PSI_12``; a
+    field tag or file naming one is bad input."""
 
 
 class ParseError(InputError):

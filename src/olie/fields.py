@@ -35,6 +35,7 @@ from .errors import (
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461  # Sorenson and Webster, Math. Comp. 2017
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -55,12 +56,13 @@ def _numerals(text, what):
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin on the bases ``_SMALL_PRIMES``, proved exact below
+    ``PSI_12``, the least strong pseudoprime to all twelve."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin for anything we will ever meet
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -163,9 +165,14 @@ class Rationals:
 
 
 class PrimeField:
-    """GF(p) for a prime p >= 5; scalars are ints in [0, p)."""
+    """GF(p) for a prime 5 <= p < ``PSI_12``; scalars are ints in [0, p)."""
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= PSI_12:
+            raise UnsupportedCharacteristic(
+                f"GF(p) with a {p.bit_length()}-bit modulus: primality is proved only "
+                f"below psi_12 = {PSI_12}"
+            )
         if not isinstance(p, int) or not is_prime(p):
             raise UnsupportedCharacteristic(f"GF({quoted(p)}): modulus must be prime")
         if p < 5:
@@ -302,7 +309,7 @@ def field_from_tag(tag: str):
             return PrimeField(int(t[2:]))
         except ValueError:
             pass
-    raise ParseError(f"bad field tag {tag!r} (expected q or gf<p>)")
+    raise ParseError(f"bad field tag {quoted(tag)} (expected q or gf<p>)")
 
 
 def same_field(a, b):

@@ -6,6 +6,8 @@ forms are ``(b t u)`` for the bracket, ``(w t u)`` for the scalar form,
 ``(+ t ...)`` and ``(- t u)``.  Terms are vector- or scalar-valued and
 the checker enforces well-typedness; an :class:`Identity` additionally
 requires multilinearity (every variable exactly once in each monomial).
+The built-ins stated in a non-multilinear form keep it as ``direct``
+and check its full linearization (:func:`_linearized`).
 
 ``find_counterexample`` enumerates basis assignments: all n^k tuples in
 lexicographic order in general, increasing tuples only for identities
@@ -23,9 +25,8 @@ products of a sum that share an operand become one product of a sum,
 (``degree5`` has 960 bracket nodes as a tree, 440 with subterms shared
 only up to syntax, 190 with like terms collected into one 90-part sum,
 and 75 as a program, 10 + 30 + 20 + 5 + 10 by the subset recursion).
-An :class:`Identity` compiles its term when it is built (its arity is
-that of the term) and its direct form on first use, and keeps both;
-built-in identities are built once per process.
+An :class:`Identity` compiles its term once, when it is built (its arity
+is that of the term); built-in identities are built once per process.
 
 A program runs on scaled values (``linalg.to_scaled``): every node holds
 ints over one denominator, ``ints/den`` over Q and ints with ``den`` 1
@@ -171,33 +172,24 @@ class Identity:
     name: str
     lhs: tuple
     alternating: bool = False
-    direct: tuple | None = None  # original non-multilinear term, if any
+    direct: tuple | None = None  # the term linearized into ``lhs``, if any
 
     def __post_init__(self):
         term_type(self.lhs)
-        self._programs = {False: compile_term(self.lhs)}
+        self._compiled = compile_term(self.lhs)
         check_multilinear(self.lhs, self.num_vars)
 
     @property
     def num_vars(self):
-        return self.compiled().num_vars
-
-    @property
-    def direct_num_vars(self):
-        return self.compiled(direct=True).num_vars
+        return self._compiled.num_vars
 
     @property
     def result_type(self):
         return term_type(self.lhs)
 
-    def compiled(self, direct=False):
-        """The compiled ``direct`` term if asked and present (compiled on
-        first use), else the compiled ``lhs``."""
-        direct = direct and self.direct is not None
-        program = self._programs.get(direct)
-        if program is None:
-            program = self._programs[direct] = compile_term(self.direct)
-        return program
+    def compiled(self):
+        """The compiled ``lhs``."""
+        return self._compiled
 
 
 # -- parsing ---------------------------------------------------------------
@@ -237,6 +229,9 @@ def _read(tokens, idx, depth=0):
     return (tok, pos), idx + 1
 
 
+_BINARY_FORMS = {"b": b, "w": w, "s": s, "-": minus}
+
+
 def _build(node):
     if isinstance(node, tuple):  # atom
         tok, pos = node
@@ -259,26 +254,14 @@ def _build(node):
         raise IdentitySyntaxError("form head must be an atom")
     op, pos = head
     args = [_build(x) for x in node[1:]]
-    if op == "b":
+    if op in _BINARY_FORMS:
         if len(args) != 2:
-            raise IdentitySyntaxError("(b ..) takes two operands", position=pos)
-        return b(*args)
-    if op == "w":
-        if len(args) != 2:
-            raise IdentitySyntaxError("(w ..) takes two operands", position=pos)
-        return w(*args)
-    if op == "s":
-        if len(args) != 2:
-            raise IdentitySyntaxError("(s ..) takes two operands", position=pos)
-        return (SCALE, args[0], args[1])
+            raise IdentitySyntaxError(f"({op} ..) takes two operands", position=pos)
+        return _BINARY_FORMS[op](*args)
     if op == "+":
         if not args:
             raise IdentitySyntaxError("(+ ..) needs operands", position=pos)
         return plus(*args)
-    if op == "-":
-        if len(args) != 2:
-            raise IdentitySyntaxError("(- ..) takes two operands", position=pos)
-        return minus(*args)
     raise IdentitySyntaxError(f"unknown operator {quoted(op)}", position=pos)
 
 
@@ -482,10 +465,9 @@ def _operands(node):
     return () if tag in (VAR, INT) else node[1:]
 
 
-def _program(ident, direct):
-    """The compiled term of an identity (its direct form if asked and
-    present) or of a bare term."""
-    return ident.compiled(direct) if isinstance(ident, Identity) else compile_term(ident)
+def _program(ident):
+    """The compiled term of an identity or of a bare term."""
+    return ident.compiled() if isinstance(ident, Identity) else compile_term(ident)
 
 
 def _run(alg: AnticommAlgebra, program, args):
@@ -530,9 +512,10 @@ def _canonical(field, value):
     return from_scaled(field, [ints], den)[0]
 
 
-def evaluate(alg: AnticommAlgebra, ident, assignment, direct=False):
-    """Evaluate on basis vectors selected by 0-based indices."""
-    program = _program(ident, direct)
+def evaluate(alg: AnticommAlgebra, ident, assignment):
+    """Evaluate an identity or a bare term on basis vectors selected by
+    0-based indices."""
+    program = _program(ident)
     if len(assignment) != program.num_vars:
         raise ArityMismatch(f"need {program.num_vars} indices, got {len(assignment)}")
     n = alg.dim
@@ -542,8 +525,8 @@ def evaluate(alg: AnticommAlgebra, ident, assignment, direct=False):
     return _canonical(alg.field, _run(alg, program, args))
 
 
-def evaluate_on_vectors(alg: AnticommAlgebra, ident, vectors, direct=False):
-    program = _program(ident, direct)
+def evaluate_on_vectors(alg: AnticommAlgebra, ident, vectors):
+    program = _program(ident)
     if len(vectors) < program.num_vars:
         raise ArityMismatch(f"need {program.num_vars} vectors, got {len(vectors)}")
     if any(len(v) != alg.dim for v in vectors):
@@ -640,17 +623,43 @@ def _perm_sign(sigma):
     return sign
 
 
+def _linearized(name, direct, copies):
+    """The full linearization of the term ``direct``, as an identity that
+    keeps ``direct``: in each monomial the k-th occurrence of ``x_v`` met
+    left to right becomes ``x_{c_k}``, summed over every permutation
+    ``(c_1, ..., c_m)`` of ``copies[v]`` for every ``v`` (variables in
+    increasing order, permutations in ``itertools`` order).  Each summand
+    of a sum starts from the occurrence counts met before the sum."""
+
+    def substitute(term, perm, seen):
+        tag = term[0]
+        if tag == VAR:
+            k = seen[term[1]] = seen.get(term[1], 0) + 1
+            return var(perm[term[1]][k - 1])
+        if tag == INT:
+            return term
+        if tag == SUM:
+            summands, after = [], seen
+            for t in term[1]:
+                after = dict(seen)
+                summands.append(substitute(t, perm, after))
+            seen.update(after)
+            return (SUM, tuple(summands))
+        return (tag, substitute(term[1], perm, seen), substitute(term[2], perm, seen))
+
+    variables = sorted(copies)
+    choices = product(*(permutations(copies[v]) for v in variables))
+    terms = [substitute(direct, dict(zip(variables, c)), {}) for c in choices]
+    return Identity(name, plus(*terms), direct=direct)
+
+
 def _engel():
-    # direct form [[[y,x],x],x] with x = x1, y = x2
+    # [[[y,x],x],x] with x = x1, y = x2
     direct = b(b(b(var(2), var(1)), var(1)), var(1))
-    terms = []
-    for sigma in permutations((2, 3, 4)):
-        terms.append(b(b(b(var(1), var(sigma[0])), var(sigma[1])), var(sigma[2])))
-    return Identity("engel", plus(*terms), direct=direct)
+    return _linearized("engel", direct, {1: (2, 3, 4), 2: (1,)})
 
 
 def _abg(alpha=1, beta=1, gamma=1):
-    # direct form in x = x1, y = x2, z = x3
     x, y, z = var(1), var(2), var(3)
     direct = plus(
         s(alpha, b(b(x, y), b(x, z))),
@@ -658,25 +667,13 @@ def _abg(alpha=1, beta=1, gamma=1):
         s(gamma, minus(b(b(b(x, y), z), x), b(b(b(x, z), y), x))),
         s(beta + gamma, b(b(b(y, z), x), x)),
     )
-    # linearized in the two x-copies x1, x2 with y = x3, z = x4
-    terms = []
-    for xa, xb in ((1, 2), (2, 1)):
-        xx, xx2, yy, zz = var(xa), var(xb), var(3), var(4)
-        terms.append(s(alpha, b(b(xx, yy), b(xx2, zz))))
-        terms.append(s(beta, minus(b(b(b(xx, yy), xx2), zz), b(b(b(xx, zz), xx2), yy))))
-        terms.append(s(gamma, minus(b(b(b(xx, yy), zz), xx2), b(b(b(xx, zz), yy), xx2))))
-        terms.append(s(beta + gamma, b(b(b(yy, zz), xx), xx2)))
-    return Identity("abg", plus(*terms), direct=direct)
+    return _linearized("abg", direct, {1: (1, 2), 2: (3,), 3: (4,)})
 
 
 def _bin():
     x, y = var(1), var(2)
     direct = _jacobian_term(x, y, b(x, y))
-    terms = []
-    for xa, xb in ((1, 2), (2, 1)):
-        for ya, yb in ((3, 4), (4, 3)):
-            terms.append(_jacobian_term(var(xa), var(ya), b(var(xb), var(yb))))
-    return Identity("bin", plus(*terms), direct=direct)
+    return _linearized("bin", direct, {1: (1, 2), 2: (3, 4)})
 
 
 def _four():
@@ -696,21 +693,7 @@ def _bin_consequence():
         s(w(x, y), b(x, y)),
         minus(s(w(b(x, y), y), x), s(w(b(x, y), x), y)),
     )
-    terms = []
-    for xa, xb in ((1, 2), (2, 1)):
-        for ya, yb in ((3, 4), (4, 3)):
-            xx, xx2 = var(xa), var(xb)
-            yy, yy2 = var(ya), var(yb)
-            terms.append(
-                minus(
-                    s(w(xx, yy), b(xx2, yy2)),
-                    minus(
-                        s(w(b(xx, yy), yy2), xx2),
-                        s(w(b(xx, yy), xx2), yy2),
-                    ),
-                )
-            )
-    return Identity("bin-consequence", plus(*terms), direct=direct)
+    return _linearized("bin-consequence", direct, {1: (1, 2), 2: (3, 4)})
 
 
 def _four_consequence():

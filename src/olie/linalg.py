@@ -249,18 +249,8 @@ class SkewProduct:
         return acc, self._den
 
     def __call__(self, x, y):
-        p = self.field.char
-        if p:
-            xs = [(i, a) for i, a in enumerate(x) if a]
-            ys = [(j, b) for j, b in enumerate(y) if b]
-        else:
-            xs, dx = _int_support(x)
-            ys, dy = _int_support(y)
-        acc = _accumulate(self._rows, xs, ys, [0] * self.out_dim)
-        if p:
-            return _canon(self.field, acc)
-        den = dx * dy * self._den
-        return [Fraction(v, den) if v else _ZERO for v in acc]
+        field = self.field
+        return from_scaled(field, *self.scaled(to_scaled(field, x), to_scaled(field, y)))
 
     def scaled(self, x, y):
         """The product of two scaled vectors, as a scaled vector.  Over Q

@@ -32,17 +32,35 @@ builders of the derivation, deformation and differential
 systems, which pin each sparse row entry by entry.  Last come the
 library's earlier classifier and abelian part of a subalgebra, which
 searched every candidate hyperplane and checked each one: what they
-pin is the whole verdict.
+pin is the whole verdict.  At the very end are the multilinear terms of
+``engel``, ``abg``, ``bin`` and ``bin-consequence`` as the library wrote
+them out by hand beside their direct forms, before it derived them: what
+they pin is the value of each of these built-ins.
 """
 
 import weakref
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 
 from olie.errors import IdentityTypeError
-from olie.identities import BRACKET, INT, OMEGA, SCALE, SUM, VAR, Program, term_type
+from olie.identities import (
+    BRACKET,
+    INT,
+    OMEGA,
+    SCALE,
+    SUM,
+    VAR,
+    Program,
+    b,
+    minus,
+    plus,
+    s,
+    term_type,
+    var,
+    w,
+)
 
 
 def _to_int_rows(rows):
@@ -1757,3 +1775,45 @@ def classify_reference(alg):
             witness=witness,
         )
     return verdict("inconclusive")
+
+
+def _jacobian_term_reference(x, y, z):
+    return plus(b(b(x, y), z), b(b(z, x), y), b(b(y, z), x))
+
+
+def linearized_reference(name, alpha=1, beta=1, gamma=1):
+    """The multilinear term of the built-in ``name`` (``engel``, ``abg``,
+    ``bin`` or ``bin-consequence``) as it was written out by hand; only
+    ``abg`` reads ``alpha``, ``beta`` and ``gamma``."""
+    terms = []
+    if name == "engel":
+        for sigma in permutations((2, 3, 4)):
+            terms.append(b(b(b(var(1), var(sigma[0])), var(sigma[1])), var(sigma[2])))
+    elif name == "abg":
+        for xa, xb in ((1, 2), (2, 1)):
+            xx, xx2, yy, zz = var(xa), var(xb), var(3), var(4)
+            terms.append(s(alpha, b(b(xx, yy), b(xx2, zz))))
+            terms.append(s(beta, minus(b(b(b(xx, yy), xx2), zz), b(b(b(xx, zz), xx2), yy))))
+            terms.append(s(gamma, minus(b(b(b(xx, yy), zz), xx2), b(b(b(xx, zz), yy), xx2))))
+            terms.append(s(beta + gamma, b(b(b(yy, zz), xx), xx2)))
+    elif name == "bin":
+        for xa, xb in ((1, 2), (2, 1)):
+            for ya, yb in ((3, 4), (4, 3)):
+                terms.append(_jacobian_term_reference(var(xa), var(ya), b(var(xb), var(yb))))
+    elif name == "bin-consequence":
+        for xa, xb in ((1, 2), (2, 1)):
+            for ya, yb in ((3, 4), (4, 3)):
+                xx, xx2 = var(xa), var(xb)
+                yy, yy2 = var(ya), var(yb)
+                terms.append(
+                    minus(
+                        s(w(xx, yy), b(xx2, yy2)),
+                        minus(
+                            s(w(b(xx, yy), yy2), xx2),
+                            s(w(b(xx, yy), xx2), yy2),
+                        ),
+                    )
+                )
+    else:
+        raise ValueError(f"no hand-written term for {name!r}")
+    return plus(*terms)

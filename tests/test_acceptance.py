@@ -381,7 +381,7 @@ def test_criterion_5_identity_suite(pool_gf5, pool_q):
 def evaluate_direct_engel(sl2):
     from olie import evaluate
 
-    value = evaluate(sl2, builtin("engel"), (2, 0), direct=True)
+    value = evaluate(sl2, builtin("engel").direct, (2, 0))
     return value == [F(-1), F(0), F(0)]
 
 

@@ -458,7 +458,8 @@ def _long_inputs(tmp_path):
     zero denominator under a long numerator, long pair keys and
     coefficient indices, a JSON number past the digit limit, a long
     field name, modulus and list in place of a scalar, long atoms,
-    variables and operators of an expression, and a long lambda."""
+    variables and operators of an expression, a long lambda, and long
+    field tags."""
     digits = "1" * LONG
     bad = "1" * (LONG - 1) + "x"
     cases = []
@@ -497,6 +498,10 @@ def _long_inputs(tmp_path):
         cases.append((["identity", str(s4), "--expr", expr], 3))
     cases.append((["derive", str(s4), "--lambda", ",".join([bad] * 4)], 3))
     cases.append((["derive", str(s4), "--lambda", ",".join([bad] * 3)], 4))
+    # a field tag past the digit limit, and one whose modulus is too large
+    for tag in ("gf" + "1" * 100_000, "gf" + "1" * 4000):
+        cases.append((["scan-structure", "--field", tag, "--dims", "4..4", "--count", "1"], 3))
+        cases.append((["scan-dim3", "--field", tag, "--count", "1"], 3))
     return cases
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from olie import GF, QQ
 from olie.errors import DivisionByZero, FieldMismatch, ParseError, UnsupportedCharacteristic
-from olie.fields import field_from_json, field_from_tag, same_field
+from olie.fields import PSI_12, field_from_json, field_from_tag, is_prime, same_field
 
 from oracles import parse_scalar_reference
 
@@ -38,6 +38,24 @@ def test_unsupported_characteristic():
         GF(6)
     with pytest.raises(UnsupportedCharacteristic):
         GF(1)
+
+
+def test_moduli_from_psi_12_on_are_refused():
+    """psi_12 is a product of two primes that passes Miller-Rabin on all
+    twelve bases, so GF(psi_12) would have a non-invertible element;
+    every modulus from it on is refused before any round, by a message
+    that gives its bit length, not its digits."""
+    assert PSI_12 == 399165290221 * 798330580441 and is_prime(PSI_12)
+    for p in (PSI_12, PSI_12 + 2, 10**4000 + 1, 10**5000):
+        with pytest.raises(UnsupportedCharacteristic) as info:
+            GF(p)
+        message = str(info.value)
+        assert len(message) < 200 and f"{p.bit_length()}-bit" in message and "psi_12" in message
+    with pytest.raises(UnsupportedCharacteristic):
+        field_from_json({"GF": PSI_12})
+    with pytest.raises(ParseError) as info:
+        field_from_tag("gf" + "1" * 100_000)
+    assert len(str(info.value)) < 200
 
 
 def test_inverse_of_zero():

@@ -5,11 +5,12 @@ import sys
 import time
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import factorial, prod
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from olie import (
     QQ,
@@ -57,10 +58,18 @@ from oracles import (
     compile_term_reference,
     d_omega_reference,
     eval_reference,
+    linearized_reference,
     run_reference,
     tokenize_reference,
 )
-from strategies import FIELDS, algebras, assert_canonical, scalars
+from strategies import (
+    FIELDS,
+    algebras,
+    assert_canonical,
+    invertible_matrices,
+    scalars,
+    transport,
+)
 
 
 def test_parse_vector_term():
@@ -133,7 +142,7 @@ def test_evaluate_examples(sl2, s4):
     tb = builtin("two-basic")
     assert vec_is_zero(QQ, evaluate(s4, tb, (0, 1, 2, 3)))
     engel = builtin("engel")
-    assert evaluate(sl2, engel, (2, 0), direct=True) == [F(-1), F(0), F(0)]
+    assert evaluate(sl2, engel.direct, (2, 0)) == [F(-1), F(0), F(0)]
 
 
 def test_evaluate_arity(sl2):
@@ -257,9 +266,9 @@ def test_engel_and_bin_direct_forms(sl2, n3):
     engel = builtin("engel")
     assert engel.direct is not None
     # [[[y,x],x],x] with y = e, x = h on the special linear algebra
-    assert evaluate(sl2, engel, (2, 0), direct=True) == [F(-1), F(0), F(0)]
+    assert evaluate(sl2, engel.direct, (2, 0)) == [F(-1), F(0), F(0)]
     b = builtin("bin")
-    val = evaluate(n3, b, (0, 1), direct=True)
+    val = evaluate(n3, b.direct, (0, 1))
     assert isinstance(val, list)
 
 
@@ -317,7 +326,7 @@ def assert_canonical_program(program):
 def test_builtin_programs_are_canonical(name):
     ident = builtin(name)
     assert_canonical_program(ident.compiled())
-    assert_canonical_program(ident.compiled(direct=True))
+    assert_canonical_program(compile_term(ident.direct or ident.lhs))
 
 
 def test_cancelling_identity_keeps_its_arity(sl2):
@@ -333,10 +342,10 @@ def test_compiled_programs_do_not_depend_on_the_hash_seed():
     """Built-in programs compile to equal node lists in fresh interpreters
     with different string-hash seeds."""
     script = (
-        "from olie.identities import builtin, builtin_names\n"
+        "from olie.identities import builtin, builtin_names, compile_term\n"
         "for name in builtin_names():\n"
         "    ident = builtin(name)\n"
-        "    print(name, ident.compiled().nodes, ident.compiled(direct=True).nodes)\n"
+        "    print(name, ident.compiled().nodes, compile_term(ident.direct or ident.lhs).nodes)\n"
     )
     src = str(Path(identities.__file__).resolve().parents[1])
     outputs = []
@@ -430,8 +439,8 @@ def test_builtins_match_reference(name):
         assert find_counterexample(alg, ident) == first
         counterexamples.append(first)
         if ident.direct is not None:
-            for tup in product(range(n), repeat=ident.direct_num_vars):
-                assert evaluate(alg, ident, tup, direct=True) == reference(ident.direct, tup)
+            for tup in product(range(n), repeat=max_var(ident.direct)):
+                assert evaluate(alg, ident.direct, tup) == reference(ident.direct, tup)
         vectors = [[field.coerce(rng.randint(-3, 3)) for _ in range(n)] for _ in range(k)]
         want = eval_reference(alg, ident.lhs, {j + 1: v for j, v in enumerate(vectors)})
         assert evaluate_on_vectors(alg, ident, vectors) == want
@@ -802,3 +811,117 @@ def test_evaluate_rejects_basis_indices_out_of_range(s4):
     for tup in ((-1, 0), (4, 0)):
         with pytest.raises(DimensionMismatch):
             evaluate(s4, term, tup)
+
+
+# -- built-ins linearized from their direct forms -------------------------------
+
+COPIES = {
+    "engel": {1: (2, 3, 4), 2: (1,)},
+    "abg": {1: (1, 2), 2: (3,), 3: (4,)},
+    "bin": {1: (1, 2), 2: (3, 4)},
+    "bin-consequence": {1: (1, 2), 2: (3, 4)},
+}
+"""The variables of each direct form that carry the linearized term's
+variables, as the built-ins state them."""
+
+ABG_PARAMETERS = [{}, dict(alpha=1, beta=2, gamma=-1), dict(alpha=3, beta=0, gamma=5),
+                  dict(alpha=0, beta=1, gamma=0), dict(alpha=2, beta=-1, gamma=1)]
+
+
+def _chains(dim):
+    for field in (QQ, GF(5), GF(7)):
+        for seed in range(3):
+            chain = catalog.random_extension_chain(field, seed, dim)
+            if not isinstance(chain, catalog.Stuck):
+                yield chain
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("engel", {}), ("bin", {}), ("bin-consequence", {})]
+    + [("abg", params) for params in ABG_PARAMETERS],
+)
+def test_derived_builtins_match_the_hand_written_terms(name, params, sl2, n3, sl2e):
+    """Each derived term takes the value of the hand-written one on random
+    vectors, and both give the same first counterexample."""
+    ident = builtin(name, **params)
+    reference = Identity(name, linearized_reference(name, **params))
+    rng = random.Random(f"linearized/{name}/{sorted(params.items())}")
+    chains = list(_chains(4)) + list(_chains(5))
+    assert len(chains) >= 12
+    for alg in chains:
+        field, n = alg.field, alg.dim
+        for _ in range(3):
+            vectors = [[field.coerce(rng.randint(-3, 3)) for _ in range(n)] for _ in range(4)]
+            want = eval_reference(alg, reference.lhs, {j + 1: v for j, v in enumerate(vectors)})
+            assert evaluate_on_vectors(alg, ident, vectors) == want
+    for alg in (sl2, n3, sl2e, *chains):
+        assert find_counterexample(alg, ident) == find_counterexample(alg, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linearization_polarizes_to_the_direct_form(data):
+    """With every copy of x_v set to one vector u_v, the linearized term is
+    prod_v k_v! times the direct form at the u_v, k_v the number of
+    copies of x_v: exact over Q, and over GF(p) as p > max k_v."""
+    name = data.draw(st.sampled_from(sorted(COPIES)), label="name")
+    field = data.draw(st.sampled_from(FIELDS), label="field")
+    params = {}
+    if name == "abg":
+        ints = st.integers(min_value=-3, max_value=3)
+        params = dict(zip(("alpha", "beta", "gamma"), data.draw(st.tuples(ints, ints, ints))))
+    ident = builtin(name, **params)
+    alg = data.draw(algebras(field, min_dim=1, max_dim=4), label="alg")
+    n, copies = alg.dim, COPIES[name]
+    u = {v: data.draw(st.lists(scalars(field), min_size=n, max_size=n)) for v in sorted(copies)}
+    vectors = [None] * ident.num_vars
+    for v, targets in copies.items():
+        for c in targets:
+            vectors[c - 1] = u[v]
+    factor = field.coerce(prod(factorial(len(targets)) for targets in copies.values()))
+    direct = evaluate_on_vectors(alg, ident.direct, [u[v] for v in sorted(copies)])
+    assert evaluate_on_vectors(alg, ident, vectors) == [field.mul(factor, x) for x in direct]
+
+
+PROGRAM_SIZES = {
+    "degree5": (75, 0, 0),
+    "two-basic": (6, 18, 10),
+    "four": (22, 0, 0),
+    "jacobi-residual": (6, 3, 3),
+    "four-consequence": (3, 3, 0),
+    "engel": (12, 0, 0),
+    "abg": (21, 0, 0),
+    "bin": (16, 0, 0),
+    "bin-consequence": (4, 12, 8),
+}
+"""The bracket, form and scaling nodes of each compiled built-in."""
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_program_sizes(name):
+    nodes = builtin(name).compiled().nodes
+    sizes = tuple(sum(node[0] == tag for node in nodes) for tag in (BRACKET, OMEGA, SCALE))
+    assert sizes == PROGRAM_SIZES[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from([QQ, GF(5)]),
+    dim=st.integers(min_value=3, max_value=4),
+    seed=st.integers(min_value=0, max_value=200),
+    data=st.data(),
+)
+def test_identities_do_not_depend_on_the_basis(field, dim, seed, data):
+    """Whether each built-in holds, and whether the law holds, is the same
+    in any basis.  A multilinear term vanishes on every vector exactly
+    when it vanishes on the basis tuples, so this also checks that each
+    built-in term is multilinear."""
+    chain = catalog.random_extension_chain(field, seed, dim)
+    assume(not isinstance(chain, catalog.Stuck))
+    table = data.draw(algebras(field, min_dim=dim, max_dim=dim), label="table")
+    for alg in (chain, table):
+        moved = transport(alg, data.draw(invertible_matrices(field, dim), label="P"))
+        assert moved.is_valid() == alg.is_valid()
+        for name in builtin_names():
+            assert holds(moved, builtin(name)) == holds(alg, builtin(name)), name
