@@ -687,76 +687,67 @@ class AnticommAlgebra:
         return SimplicityVerdict("unknown")
 
     def find_abelian_ideal(self):
-        """A nonzero abelian ideal, or None.
+        """A nonzero proper abelian ideal, or None when there is none: a
+        line is its own, an abelian algebra has its first basis line and
+        a non-abelian plane its commutant, a line ideal.
 
-        Candidates are built and tested one at a time, and the first
-        that passes is returned: the center, the radical of the form and
-        its abelian part, the kernels of multiplicative forms, the spun
-        closures of the basis lines, the commutant, and the commutant
-        inside the radical.  A spun closure below dimension n is an
-        ideal by construction (see :meth:`ideal_closure`), and so is a
-        subspace holding the commutant, so only their abelian test
-        runs.  Every closure is spun with the cut-off of
-        :meth:`Echelon.spin`: the spin gives up at the first kept row
-        that fails to commute with an earlier one, so a non-abelian
-        closure is never completed, and an abelian one is the answer.
-        These spins run in the search, not through the public
-        :meth:`ideal_closure`.  Over a small prime field (p^n at most
-        ``linalg.ENUM_CAP``) the search is then made complete for a
-        certified algebra.  An ideal of codimension 1 contains the
-        commutant, as the quotient is a line; so once the commutant has
-        been tested, no abelian ideal of codimension 1 is left.  One of
-        codimension >= 2 lies inside the radical of the form, so inside
-        its core N, the largest ideal there (:meth:`_radical_core`, by
-        linear algebra over any field), and it contains the spun closure
-        of each of its lines.  So the search returns None at once when N
-        is zero, and otherwise scans the closures of the lines of N, in
-        the order of the radical's lines.  An uncertified table scans the
-        closures of every line instead.  A None from the complete search
-        is a definitive nonexistence answer.  A 1-dimensional algebra is
-        its own abelian ideal.
+        From dimension 3 on the search rests on the law, so a table that
+        is not an :class:`OmegaAlgebra` is certified first; a violation
+        raises :class:`PreconditionFailed`.  Every abelian ideal A lies
+        in the core N of the radical of the form (:meth:`_radical_core`):
+        for a, b in A and x outside their span the three brackets of the
+        law vanish, so w(a,b)x + w(x,a)b + w(b,x)a = 0 and each
+        coefficient is 0 (a line ideal Kv gives w(v, x) = 0 the same
+        way).  So N = 0 proves None.  For a, b in an ideal inside the
+        radical the law reads [[a,b],x] = [[a,x],b] + [a,[b,x]], so each
+        derived term of N is an ideal, N is a Lie algebra, and each right
+        multiplication acts on N as a derivation.  When the derived
+        series of N reaches 0, its last nonzero term is the answer.  Else,
+        over Q, the solvable radical R of N, the Killing-orthogonal of
+        [N, N] (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000;
+        ad x ad y maps L into N, so traces are taken on L), is kept by
+        derivations and holds every abelian ideal: its last nonzero
+        derived term is the answer, and R = 0 proves None.  Over GF(p)
+        the closures of the lines of N (a line of A spins inside A) are
+        spun with the commute cut-off of :meth:`Echelon.spin`: complete
+        when p^dim N is at most ``linalg.ENUM_CAP``; past it only N's
+        canonical rows are spun, and a None is best effort.
         """
         field, n = self.field, self.dim
-        if n == 1:
-            return Subspace.full(field, 1)
-        seen = set()
+        if n < 2:
+            return Subspace.full(field, 1) if n else None
+        if self.is_abelian():
+            return Subspace(field, n, [basis_vector(field, n, 0)])
+        if n == 2:
+            return self.commutant()
+        if not isinstance(self, OmegaAlgebra):
+            self._certify()
+        core = self._radical_core()
+        if core is None:
+            return None
+        series = self._derived_series(core)
+        if not (series[-1].is_zero() or field.char):
+            ads = [self.ad(x) for x in core.rows]
+            killing = [[sum(a[i][j] * b[j][i] for i in range(n) for j in range(n)) for a in ads]
+                       for b in map(self.ad, series[1].rows)]
+            radical = core.lift(kernel_basis(field, killing, core.dim))
+            series = self._derived_series(Subspace(field, n, radical))
+        if series[-1].is_zero():
+            return series[-2] if len(series) > 1 else None
+        lines = span_points(core) if field.char**core.dim <= ENUM_CAP else core.rows
+        return next(self._proper_closures(lines, set(), True), None)
 
-        def closures(vectors):
-            return ((spun, True) for spun in self._proper_closures(vectors, seen, True))
-
-        def candidates():
-            # (subspace, whether it is an ideal by construction)
-            yield self.center(), True
-            ker = self.omega_kernel()
-            yield ker, False
-            part = self._radical_part()
-            if part is not None:
-                yield part, False
-            lam_set = self.multiplicative_lambda()
-            if lam_set is not None:
-                for lam in lam_set.points():
-                    if not vec_is_zero(field, lam):
-                        yield Subspace(field, n, kernel_basis(field, [lam], n)), False
-            yield from closures(basis_vector(field, n, i) for i in range(n))
-            com = self.commutant()
-            yield com, True
-            yield com.intersect(ker), False
-            if not (field.char and field.char**n <= ENUM_CAP):
-                return
-            # an OmegaAlgebra was certified when it was built
-            if isinstance(self, OmegaAlgebra) or self._first_violation() is None:
-                core = self._radical_core()
-                if core is not None:
-                    yield from closures(span_points(core))
-            else:
-                # a line that is an ideal is its own closure
-                yield from closures(projective_points(field.char, n))
-
-        for sub, ideal in candidates():
-            if 0 < sub.dim < n and (ideal or self.is_ideal(sub)):
-                if self.is_abelian_subspace(sub):
-                    return sub
-        return None
+    def _derived_series(self, sub):
+        """The derived series sub, [sub, sub], ... of a subalgebra, up to
+        its first zero term or the first term equal to the one before."""
+        series = [sub]
+        while not sub.is_zero():
+            brackets = [self.bracket(u, v) for u, v in combinations(sub.rows, 2)]
+            sub = Subspace(self.field, self.dim, brackets)
+            series.append(sub)
+            if sub == series[-2]:
+                break
+        return series
 
     # -- conversions -------------------------------------------------------
 

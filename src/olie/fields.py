@@ -57,7 +57,12 @@ def _numerals(text, what):
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin on the bases ``_SMALL_PRIMES``, proved exact below
-    ``PSI_12``, the least strong pseudoprime to all twelve."""
+    ``PSI_12``, the least strong pseudoprime to all twelve; refused from it on."""
+    if n >= PSI_12:
+        raise UnsupportedCharacteristic(
+            f"GF(p) with a {n.bit_length()}-bit modulus: primality is proved only "
+            f"below psi_12 = {PSI_12}"
+        )
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -168,11 +173,6 @@ class PrimeField:
     """GF(p) for a prime 5 <= p < ``PSI_12``; scalars are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if isinstance(p, int) and p >= PSI_12:
-            raise UnsupportedCharacteristic(
-                f"GF(p) with a {p.bit_length()}-bit modulus: primality is proved only "
-                f"below psi_12 = {PSI_12}"
-            )
         if not isinstance(p, int) or not is_prime(p):
             raise UnsupportedCharacteristic(f"GF({quoted(p)}): modulus must be prime")
         if p < 5:

@@ -466,8 +466,11 @@ def _operands(node):
 
 
 def _program(ident):
-    """The compiled term of an identity or of a bare term."""
-    return ident.compiled() if isinstance(ident, Identity) else compile_term(ident)
+    """The compiled term of an identity or of a bare term, compiled once."""
+    return ident.compiled() if isinstance(ident, Identity) else _compiled_term(ident)
+
+
+_compiled_term = lru_cache(maxsize=64)(compile_term)
 
 
 def _run(alg: AnticommAlgebra, program, args):

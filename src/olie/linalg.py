@@ -249,8 +249,9 @@ class SkewProduct:
         return acc, self._den
 
     def __call__(self, x, y):
-        field = self.field
-        return from_scaled(field, *self.scaled(to_scaled(field, x), to_scaled(field, y)))
+        (xs, dx), (ys, dy) = _int_support(x), _int_support(y)
+        acc = _accumulate(self._rows, xs, ys, [0] * self.out_dim)
+        return from_scaled(self.field, acc, dx * dy * self._den)
 
     def scaled(self, x, y):
         """The product of two scaled vectors, as a scaled vector.  Over Q

@@ -820,7 +820,11 @@ def four_var_reference(alg):
 # candidate built up front, M(L) computed before any candidate is spun,
 # and every candidate put through the full ideal test.  Their building
 # blocks (closures, subspaces, kernels) are the library's own, each held
-# to an oracle of its own above.
+# to an oracle of its own above.  The library's abelian-ideal search now
+# decides by the core of the radical of the form instead of candidates;
+# it is held to the found/None answer of this one wherever this one is
+# complete (GF(p), p^n at most the enumeration cap), and each witness is
+# checked directly.
 
 
 def simplicity_reference(alg, enum_cap=10**6):

@@ -19,6 +19,7 @@ from olie.errors import (
 from olie.derivations import al_derivation_space
 from olie.extensions import extend_codim1
 from olie.linalg import (
+    ENUM_CAP,
     Echelon,
     SkewProduct,
     basis_vector,
@@ -49,7 +50,15 @@ from oracles import (
     radical_core_reference,
     simplicity_reference,
 )
-from strategies import FIELDS, algebras, assert_canonical, multiplicative_data, scalars
+from strategies import (
+    FIELDS,
+    algebras,
+    assert_canonical,
+    invertible_matrices,
+    multiplicative_data,
+    scalars,
+    transport,
+)
 
 
 def vec(field, *entries):
@@ -724,7 +733,44 @@ def test_simplicity_exhaustive_gf(n3):
 def test_find_abelian_ideal_examples(s4, aff1, sl2e):
     assert s4.find_abelian_ideal() == Subspace(QQ, 4, [vec(QQ, 0, 0, 1, -1)])
     assert aff1.find_abelian_ideal() == Subspace(QQ, 2, [vec(QQ, 1, 0)])
-    assert sl2e.find_abelian_ideal() is None
+    # the search rests on the law, so a table that fails it is refused
+    assert not sl2e.is_valid()
+    with pytest.raises(PreconditionFailed):
+        sl2e.find_abelian_ideal()
+
+
+def assert_abelian_ideal_witness(alg, got):
+    """A nonzero abelian ideal, proper unless n = 1, checked by the
+    reference bracket; from dimension 3 on, where the law holds, it lies
+    in the core of the radical of the form."""
+    n = alg.dim
+    assert 0 < got.dim and (got.dim < n or n == 1)
+    rows = [list(r) for r in got.rows]
+    assert is_ideal_reference(alg, rows) and abelian_reference(alg, rows)
+    if n >= 3 and alg.is_valid():
+        core = Subspace(alg.field, n, radical_core_reference(alg))
+        assert core.contains_subspace(got)
+
+
+def refused(alg):
+    """Whether the abelian-ideal search refuses the table: from dimension 3
+    on a non-abelian table that fails the law (any line of an abelian
+    table is an abelian ideal, law or not)."""
+    return alg.dim >= 3 and not alg.is_abelian() and not alg.is_valid()
+
+
+def assert_search_matches_reference(alg):
+    """Found or None as the eager reference says wherever both are complete
+    (GF(p), p^n at most ``ENUM_CAP``), each witness checked directly.
+    Elsewhere the reference may miss an ideal, never invent one."""
+    got, want = alg.find_abelian_ideal(), find_abelian_ideal_reference(alg)
+    if got is not None:
+        assert_abelian_ideal_witness(alg, got)
+    if alg.field.char and alg.field.char**alg.dim <= ENUM_CAP:
+        assert (got is None) == (want is None)
+    elif want is not None:
+        assert got is not None
+    event("found" if got is not None else "none")
 
 
 def test_find_abelian_ideal_complete_over_gf(gf5):
@@ -780,25 +826,28 @@ def assert_same_verdict(got, want):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), dim=st.integers(3, 6))
 def test_searches_match_eager_reference_on_chains(field, seed, dim):
-    # verdict, certificate and witness rows as when every candidate was
-    # built first and M(L) computed before any was spun; the reference
-    # scans every radical line and every hyperplane over the commutant,
-    # the search only the lines of the radical's core (over GF(11) the
-    # complete branch runs up to dim 5, on radicals of dim 3 and 4)
+    # simplicity: verdict, certificate and witness rows as when every
+    # candidate was built first and M(L) computed before any was spun;
+    # the abelian-ideal search: found or None as the reference, which
+    # scans every radical line and every hyperplane over the commutant
+    # (over GF(11) up to dim 5)
     alg = catalog.random_extension_chain(field, seed, dim)
     assume(not isinstance(alg, catalog.Stuck))
     assert_same_verdict(alg.simplicity(), simplicity_reference(alg))
-    assert alg.find_abelian_ideal() == find_abelian_ideal_reference(alg)
+    assert_search_matches_reference(alg)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_searches_match_eager_reference_on_random_tables(field, data):
-    # uncertified tables take the fallback scan of every line's closure
     alg = data.draw(algebras(field, max_dim=4))
     assert_same_verdict(alg.simplicity(), simplicity_reference(alg))
-    assert alg.find_abelian_ideal() == find_abelian_ideal_reference(alg)
+    if refused(alg):
+        with pytest.raises(PreconditionFailed):
+            alg.find_abelian_ideal()
+    else:
+        assert_search_matches_reference(alg)
 
 
 # -- the core of the radical -------------------------------------------------
@@ -1012,15 +1061,17 @@ def test_complete_scan_proves_none_on_dim6_chains(gf5, seed):
     assert find_abelian_ideal_reference(alg) is None
 
 
-def test_complete_scan_finds_an_ideal_among_the_radical_lines(gf5):
+def test_an_ideal_no_early_candidate_finds_is_a_derived_term_of_the_core(gf5):
+    # no candidate of the reference hits before its enumeration; the
+    # search answers with the last nonzero derived term of the core N
     alg = catalog.random_extension_chain(gf5, 1, 6)
     assert isinstance(alg, OmegaAlgebra)
     assert find_abelian_ideal_reference(alg, enum_cap=0) is None
+    assert find_abelian_ideal_reference(alg) is not None
     got = alg.find_abelian_ideal()
-    assert got == find_abelian_ideal_reference(alg)
-    # a line inside the radical, below the hyperplanes' codimension 1
-    assert got.rows == [(1, 0, 0, 1, 4, 1)]
-    assert alg.omega_kernel().contains_subspace(got)
+    series = alg._derived_series(alg._radical_core())
+    assert series[-1].is_zero() and got == series[-2]
+    assert_abelian_ideal_witness(alg, got)
 
 
 # a GF(5) table that fails the law, with an abelian ideal line that no
@@ -1042,13 +1093,121 @@ UNCERTIFIED_OMEGA = {
 }
 
 
-def test_uncertified_table_takes_the_all_lines_fallback(gf5):
+def test_uncertified_table_with_an_abelian_ideal_is_refused(gf5):
+    # the reference's scan of every line finds the ideal; the search
+    # rests on the law, so it refuses the table instead of answering
     alg = AnticommAlgebra(gf5, 5, UNCERTIFIED_BRACKET, UNCERTIFIED_OMEGA)
     assert alg._first_violation() is not None
-    assert find_abelian_ideal_reference(alg, enum_cap=0) is None
+    assert find_abelian_ideal_reference(alg).rows == [(1, 1, 3, 0, 2)]
+    with pytest.raises(PreconditionFailed, match="defining law fails"):
+        alg.find_abelian_ideal()
+
+
+# -- the search on Lie algebras, where the core is all of L --------------------
+
+SL2 = {(0, 1): {2: 1}, (0, 2): {0: -1}, (1, 2): {1: 1}}
+
+
+def shifted_sl2(shift):
+    return {(i + shift, j + shift): {k + shift: c for k, c in image.items()}
+            for (i, j), image in SL2.items()}
+
+
+def line_plus_sl2(field):
+    # the central line first: its last basis line spins to sl2
+    return OmegaAlgebra(field, 4, shifted_sl2(1))
+
+
+def sl2_plus_sl2(field):
+    return OmegaAlgebra(field, 6, {**SL2, **shifted_sl2(3)})
+
+
+def sl2_by_adjoint(field):
+    """sl2 with its adjoint module: [x, m_a] is the copy of [x, e_a]."""
+    from olie import semidirect
+
+    sl2 = OmegaAlgebra(field, 3, SL2)
+    maps = [[[-c for c in row] for row in sl2.ad(basis_vector(field, 3, i))] for i in range(3)]
+    return semidirect(sl2, maps)
+
+
+def solvable_of_length_three(field):
+    """Heisenberg [x, y] = z with t acting by weights 1, 1, 2: derived
+    terms span(x, y, z), then Kz, then 0."""
+    return OmegaAlgebra(field, 4, {(0, 1): {2: 1}, (0, 3): {0: 1}, (1, 3): {1: 1}, (2, 3): {2: 2}})
+
+
+def lines(field, n, *indices):
+    return Subspace(field, n, [basis_vector(field, n, i) for i in indices])
+
+
+def assert_derived_terms_are_ideals_in_the_radical(alg):
+    # the lemma the search rests on: for a, b in an ideal inside the
+    # radical the law reads [[a,b],x] = [[a,x],b] + [a,[b,x]]
+    core = alg._radical_core()
+    if core is None:
+        return
+    ker = alg.omega_kernel()
+    for term in alg._derived_series(core):
+        assert is_ideal_reference(alg, term.rows) and ker.contains_subspace(term)
+
+
+LIE_CASES = [
+    # (builder, the answer as the basis indices of its span, or None)
+    (solvable_of_length_three, (2,)),
+    (line_plus_sl2, (0,)),
+    (sl2_by_adjoint, (3, 4, 5)),
+    (lambda field: OmegaAlgebra(field, 3, SL2), None),
+    (sl2_plus_sl2, None),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(1009)], ids=str)
+@pytest.mark.parametrize("build, want", LIE_CASES, ids=["solvable", "K+sl2", "sl2+ad", "sl2", "sl2+sl2"])
+def test_find_abelian_ideal_on_lie_algebras(field, build, want):
+    """With w = 0 the core N is L.  A solvable L answers with its last
+    derived term.  Past it, Q takes the solvable radical of N (K + sl2
+    and sl2 with its adjoint module have one), GF(5) scans the lines of
+    N, and GF(1009), past ``ENUM_CAP``, spins N's canonical rows."""
+    alg = build(field)
+    assert alg.is_lie() and alg._radical_core().is_full()
+    assert_derived_terms_are_ideals_in_the_radical(alg)
     got = alg.find_abelian_ideal()
-    assert got == find_abelian_ideal_reference(alg)
-    assert got.rows == [(1, 1, 3, 0, 2)]
+    if want is None:
+        assert got is None
+    else:
+        assert got == lines(field, alg.dim, *want)
+        assert_abelian_ideal_witness(alg, got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dim=st.integers(3, 6))
+def test_derived_terms_of_the_core_are_ideals_in_the_radical(field, seed, dim):
+    alg = catalog.random_extension_chain(field, seed, dim)
+    assume(not isinstance(alg, catalog.Stuck))
+    assert_derived_terms_are_ideals_in_the_radical(alg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from([QQ, GF(5)]),
+    dim=st.integers(min_value=3, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_find_abelian_ideal_does_not_depend_on_the_basis(field, dim, seed, data):
+    """Whether an abelian ideal exists, and the dimension of the core of
+    the radical, are the same in any basis: both are decided without
+    one."""
+    alg = catalog.random_extension_chain(field, seed, dim)
+    assume(not isinstance(alg, catalog.Stuck))
+    moved = transport(alg, data.draw(invertible_matrices(field, alg.dim), label="P"))
+    core_dim = lambda a: 0 if a._radical_core() is None else a._radical_core().dim
+    assert core_dim(moved) == core_dim(alg)
+    found = alg.find_abelian_ideal()
+    assert (moved.find_abelian_ideal() is None) == (found is None)
+    event("found" if found is not None else "none")
 
 
 def test_subspace_predicates_reject_the_wrong_ambient(gf5):
@@ -1111,9 +1270,13 @@ def test_kept_invariants_match_a_fresh_algebra(field, data):
     alg = data.draw(algebras(field, max_dim=4))
     first = {name: getattr(alg, name)() for name in INVARIANTS}
     # the searches and the witness read the kept invariants; none may
-    # change them
+    # change them, nor may a search that refuses a table failing the law
     alg.simplicity()
-    alg.find_abelian_ideal()
+    if refused(alg):
+        with pytest.raises(PreconditionFailed):
+            alg.find_abelian_ideal()
+    else:
+        alg.find_abelian_ideal()
     _abelian_witness(alg)
     assert set(alg._cache) == set(INVARIANTS)
     fresh = AnticommAlgebra(field, alg.dim, alg._bracket, alg._omega)

@@ -207,6 +207,24 @@ def test_scan_structure_small():
     assert payload["dims"]["4"]["count"] == 10
 
 
+def test_scan_structure_decides_the_abelian_ideal_past_the_enumeration():
+    # GF(5) at dim 9 is past ENUM_CAP, where an enumerating search gave
+    # up on seeds 1 and 5; the core of the radical decides every chain
+    def scan(field_tag, dims):
+        head = ["--format", "json", "scan-structure", "--field", field_tag, "--dims", dims]
+        code, out, _ = run_cli(head + ["--count", "10", "--seed", "0"])
+        return code, json.loads(out)["failures"]
+
+    assert scan("gf5", "9..9") == (0, [])
+    # over Q the one failure is seed 0, whose core is zero: it has no
+    # abelian ideal, proved
+    code, failures = scan("q", "5..5")
+    assert code == 1 and [(f["dim"], f["seed"]) for f in failures] == [(5, 0)]
+    assert failures[0]["result"]["abelian_ideal_ok"] is False
+    alg = catalog.random_extension_chain(QQ, 0, 5)
+    assert alg._radical_core() is None and alg.find_abelian_ideal() is None
+
+
 # the seed-0 scan-gf5 benchmark chains (seed s at dim 4 + s % 3) with no
 # abelian ideal, on which the scan still runs the simplicity search
 NO_ABELIAN_IDEAL_SEEDS = (

@@ -43,14 +43,18 @@ def test_unsupported_characteristic():
 def test_moduli_from_psi_12_on_are_refused():
     """psi_12 is a product of two primes that passes Miller-Rabin on all
     twelve bases, so GF(psi_12) would have a non-invertible element;
-    every modulus from it on is refused before any round, by a message
-    that gives its bit length, not its digits."""
-    assert PSI_12 == 399165290221 * 798330580441 and is_prime(PSI_12)
+    every modulus from it on is refused before any round, by ``is_prime``
+    itself and so by ``GF``, with a message that gives its bit length,
+    not its digits."""
+    a, b = 399165290221, 798330580441
+    assert PSI_12 == a * b and is_prime(a) and is_prime(b)
     for p in (PSI_12, PSI_12 + 2, 10**4000 + 1, 10**5000):
-        with pytest.raises(UnsupportedCharacteristic) as info:
-            GF(p)
-        message = str(info.value)
-        assert len(message) < 200 and f"{p.bit_length()}-bit" in message and "psi_12" in message
+        for refuse in (is_prime, GF):
+            with pytest.raises(UnsupportedCharacteristic) as info:
+                refuse(p)
+            message = str(info.value)
+            assert len(message) < 200 and f"{p.bit_length()}-bit" in message
+            assert "psi_12" in message
     with pytest.raises(UnsupportedCharacteristic):
         field_from_json({"GF": PSI_12})
     with pytest.raises(ParseError) as info:

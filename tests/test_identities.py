@@ -272,6 +272,25 @@ def test_engel_and_bin_direct_forms(sl2, n3):
     assert isinstance(val, list)
 
 
+def test_a_bare_term_is_compiled_once(sl2):
+    compiles = []
+    original = identities._compile
+
+    def counted(term, group):
+        compiles.append(term)
+        return original(term, group)
+
+    direct = builtin("engel").direct
+    identities._compiled_term.cache_clear()
+    with mock.patch.object(identities, "_compile", counted):
+        first = evaluate(sl2, direct, (2, 0))
+        assert compiles
+        compiled = len(compiles)
+        assert evaluate(sl2, direct, (2, 0)) == first
+        evaluate_on_vectors(sl2, direct, [[F(1), F(0), F(0)], [F(0), F(1), F(1)]])
+        assert len(compiles) == compiled
+
+
 # -- compiled node lists against the tree-walking reference --------------------
 
 
